@@ -24,7 +24,6 @@ from .geometry import (
     TriMesh,
     box_mesh,
     build_bvh,
-    closest_point_on_mesh,
     closest_point_on_triangles,
     euler_from_matrix,
     load_obj,
@@ -52,7 +51,6 @@ from .mupf import (
     init,
     run,
     step,
-    upf_step,
     window_span,
 )
 from .simulate import (
@@ -65,11 +63,7 @@ from .simulate import (
 )
 from .ukf import (
     MeasurementModel,
-    Particle,
-    log_likelihood,
     log_likelihood_batch,
-    predict_measurement,
-    ukf_step,
     ukf_step_batch,
 )
 from .unscented import (
@@ -95,7 +89,6 @@ __all__ = [
     "MeasurementModel",
     "MeshlocError",
     "NotPositiveDefiniteError",
-    "Particle",
     "Pose",
     "PoseEstimate",
     "ScenarioSpec",
@@ -108,14 +101,12 @@ __all__ = [
     "aggregate_reports",
     "box_mesh",
     "build_bvh",
-    "closest_point_on_mesh",
     "closest_point_on_triangles",
     "euler_from_matrix",
     "extract_pose",
     "extraction_exponents",
     "init",
     "load_obj",
-    "log_likelihood",
     "log_likelihood_batch",
     "make_sigma_points",
     "performance_index",
@@ -123,7 +114,6 @@ __all__ = [
     "points_to_world_frame",
     "pose_error",
     "pose_to_transform",
-    "predict_measurement",
     "propagate",
     "read_ground_truth_json",
     "read_measurements_csv",
@@ -135,9 +125,7 @@ __all__ = [
     "step",
     "success_test",
     "tetrahedron_mesh",
-    "ukf_step",
     "ukf_step_batch",
-    "upf_step",
     "window_span",
     "write_ground_truth_json",
     "write_measurements_csv",

@@ -16,7 +16,6 @@ import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     MeshlocError,
 )
 from .geometry import Pose, load_obj
-from .metrics import aggregate_reports
+from .metrics import TrialReport, aggregate_reports
 from .mupf import FilterConfig, run
 from .simulate import (
     ScenarioSpec,
@@ -40,31 +39,12 @@ from .simulate import (
     write_measurements_csv,
 )
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 logger = logging.getLogger(__name__)
 
 REPORT_SCHEMA = "meshloc-report-1"
 _TIMING_KEYS = ("elapsed", "mean_elapsed", "max_elapsed")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Validated inputs of one command invocation."""
-
-    config: FilterConfig
-    scenario: ScenarioSpec | None
-    measurements_path: str | None
-    mesh_path: str
-    trials: int
-    output: str
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidConfigError("trials must be at least 1")
-        for p in (self.mesh_path, self.measurements_path):
-            if p is not None and not Path(p).is_file():
-                raise InvalidConfigError(f"file not found: {p}")
 
 
 def _parse_pose(text: str) -> Pose:
@@ -97,12 +77,16 @@ def _parse_sweep(text: str) -> list[int]:
     return values
 
 
+def _require_file(path: str, what: str) -> str:
+    if not Path(path).is_file():
+        raise InvalidConfigError(f"{what} file not found: {path}")
+    return path
+
+
 def _load_config(path: str | None, overrides: dict) -> FilterConfig:
     mapping = {}
     if path is not None:
-        if not Path(path).is_file():
-            raise InvalidConfigError(f"config file not found: {path}")
-        with open(path) as fh:
+        with open(_require_file(path, "config")) as fh:
             loaded = yaml.safe_load(fh) or {}
         if not isinstance(loaded, dict):
             raise InvalidConfigError(f"{path}: config must be a mapping")
@@ -112,9 +96,7 @@ def _load_config(path: str | None, overrides: dict) -> FilterConfig:
 
 
 def _load_mesh(path: str):
-    if not Path(path).is_file():
-        raise InvalidConfigError(f"mesh file not found: {path}")
-    return load_obj(path)
+    return load_obj(_require_file(path, "mesh"))
 
 
 def _report_to_dict(report) -> dict:
@@ -182,20 +164,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _localize_once(mesh, measurements, config: FilterConfig,
-                   truth: Pose | None):
-    model = config.model_for(mesh)
-    estimates, report = run(measurements, model, config, truth=truth)
-    return estimates, report
-
-
 def cmd_localize(args) -> int:
     config = _load_config(args.config, {"seed": args.seed, "workers": args.workers})
-    manifest = RunManifest(config=config, scenario=None,
-                           measurements_path=args.measurements,
-                           mesh_path=args.mesh, trials=1, output=args.output)
-    mesh = _load_mesh(manifest.mesh_path)
-    measurements = read_measurements_csv(manifest.measurements_path)
+    mesh = _load_mesh(args.mesh)
+    measurements = read_measurements_csv(_require_file(args.measurements, "measurement"))
 
     truth = None
     truth_scenario = None
@@ -204,7 +176,7 @@ def cmd_localize(args) -> int:
         truth = spec.true_pose
         truth_scenario = spec.to_dict()
 
-    _, report = _localize_once(mesh, measurements, config, truth)
+    _, report = run(measurements, config.model_for(mesh), config, truth=truth)
     payload = {
         "schema": REPORT_SCHEMA,
         "kind": "localize",
@@ -223,7 +195,7 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def _batch_trial(payload: dict) -> dict:
+def _batch_trial(payload: dict) -> TrialReport:
     """One batch trial; module-level so process pools can pickle it."""
     mesh = load_obj(payload["mesh_path"])
     config = FilterConfig.from_mapping(payload["config"])
@@ -245,39 +217,15 @@ def _batch_trial(payload: dict) -> dict:
         )
         measurements, _ = sample_contacts(spec, mesh)
         truth = spec.true_pose if payload["use_truth"] else None
-    _, report = _localize_once(mesh, measurements, config, truth)
-    return _report_to_dict(report)
+    _, report = run(measurements, config.model_for(mesh), config, truth=truth)
+    return report
 
 
-def _run_batch(payloads: list[dict], trial_workers: int) -> list[dict]:
+def _run_batch(payloads: list[dict], trial_workers: int) -> list[TrialReport]:
     if trial_workers <= 1 or len(payloads) <= 1:
         return [_batch_trial(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=trial_workers) as pool:
         return list(pool.map(_batch_trial, payloads))
-
-
-def _aggregate_dicts(trial_dicts: list[dict]) -> dict:
-    final = np.array([d["final_index"] for d in trial_dicts])
-    elapsed = np.array([d["elapsed"] for d in trial_dicts])
-    agg = {
-        "trials": len(trial_dicts),
-        "successes": int(sum(d["success"] for d in trial_dicts)),
-        "reliability": float(np.mean([d["success"] for d in trial_dicts])),
-        "mean_final_index": float(final.mean()),
-        "median_final_index": float(np.median(final)),
-        "max_final_index": float(final.max()),
-        "mean_elapsed": float(elapsed.mean()),
-        "max_elapsed": float(elapsed.max()),
-    }
-    pos = [d["position_error"] for d in trial_dicts
-           if d["position_error"] is not None]
-    ang = [d["orientation_error"] for d in trial_dicts
-           if d["orientation_error"] is not None]
-    if pos:
-        agg["mean_position_error"] = float(np.mean(pos))
-    if ang:
-        agg["mean_orientation_error"] = float(np.mean(ang))
-    return agg
 
 
 def cmd_batch(args) -> int:
@@ -294,11 +242,11 @@ def cmd_batch(args) -> int:
             face_subset=_parse_face_subset(args.face_subset),
             seed=args.scenario_seed,
         )
-    manifest = RunManifest(config=config, scenario=scenario,
-                           measurements_path=args.measurements,
-                           mesh_path=args.mesh, trials=args.trials,
-                           output=args.output)
-    mesh = _load_mesh(manifest.mesh_path)
+    if args.trials < 1:
+        raise InvalidConfigError("trials must be at least 1")
+    if args.measurements is not None:
+        _require_file(args.measurements, "measurement")
+    mesh = _load_mesh(args.mesh)
     if scenario is not None:
         scenario.resolved_subset(mesh)
 
@@ -314,23 +262,23 @@ def cmd_batch(args) -> int:
     for memory in memories:
         cfg_m = dataclasses.replace(config, memory=memory)
         payloads = [{
-            "mesh_path": manifest.mesh_path,
+            "mesh_path": args.mesh,
             "config": {**cfg_m.to_dict(), "workers": cfg_m.n_workers},
             "filter_seed": config.seed + i,
-            "measurements_path": manifest.measurements_path,
+            "measurements_path": args.measurements,
             "true_pose": truth_pose,
             "scenario": scenario.to_dict() if scenario is not None else None,
             "trial_index": i,
             "use_truth": bool(args.use_truth),
-        } for i in range(manifest.trials)]
+        } for i in range(args.trials)]
         for p in payloads:
             # from_mapping accepts every resolved key except this derived one
             p["config"].pop("effective_sigma_p", None)
-        trial_dicts = _run_batch(payloads, args.trial_workers)
+        reports = _run_batch(payloads, args.trial_workers)
         per_m.append({
             "memory": memory,
-            "aggregate": _aggregate_dicts(trial_dicts),
-            "trials": trial_dicts,
+            "aggregate": aggregate_reports(reports),
+            "trials": [_report_to_dict(r) for r in reports],
         })
 
     payload = {
@@ -340,7 +288,7 @@ def cmd_batch(args) -> int:
         "config": config.to_dict(),
         "scenario": scenario.to_dict() if scenario is not None else None,
         "measurements": args.measurements,
-        "trials": manifest.trials,
+        "trials": args.trials,
     }
     if sweep is not None:
         payload["per_memory"] = per_m
@@ -437,6 +385,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        # A ValueError subclass, but a numerical failure, not bad input.
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 3
     except (InvalidConfigError, InvalidFaceSubsetError, EmptyMeshError,
             FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

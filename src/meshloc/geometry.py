@@ -38,10 +38,8 @@ __all__ = [
     "rotation_matrices",
     "euler_from_matrix",
     "pose_to_transform",
-    "transform_point_into_object_frame",
     "points_into_object_frame",
     "points_to_world_frame",
-    "closest_point_on_mesh",
     "closest_point_on_triangles",
     "load_obj",
     "save_obj",
@@ -144,9 +142,6 @@ class Pose:
     def rotation(self) -> np.ndarray:
         return rotation_matrices(self.to_array())
 
-    def transform(self) -> np.ndarray:
-        return pose_to_transform(self)
-
     def canonical(self) -> "Pose":
         """Same rigid placement with angles in their canonical ranges."""
         phi, theta, psi = euler_from_matrix(self.rotation())
@@ -160,13 +155,6 @@ def pose_to_transform(pose) -> np.ndarray:
     T[:3, :3] = rotation_matrices(v)
     T[:3, 3] = v[:3]
     return T
-
-
-def transform_point_into_object_frame(point: np.ndarray, pose) -> np.ndarray:
-    """Map a world-frame point into the object frame of ``pose``."""
-    v = pose.to_array() if isinstance(pose, Pose) else np.asarray(pose, dtype=float)
-    R = rotation_matrices(v)
-    return R.T @ (np.asarray(point, dtype=float) - v[:3])
 
 
 def points_into_object_frame(points: np.ndarray, poses: np.ndarray) -> np.ndarray:
@@ -491,11 +479,6 @@ class TriMesh:
             points[s:e] = pts[rows, j]
             faces[s:e] = j
         return dists, points, faces
-
-
-def closest_point_on_mesh(mesh: TriMesh, q: np.ndarray) -> ClosestPointResult:
-    """Nearest point on ``mesh`` to object-frame query ``q``."""
-    return mesh.closest_point(q)
 
 
 def load_obj(path) -> TriMesh:

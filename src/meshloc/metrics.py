@@ -96,6 +96,7 @@ def aggregate_reports(reports: list[TrialReport]) -> dict:
     summary = {
         "trials": len(reports),
         "successes": int(sum(r.success for r in reports)),
+        "reliability": float(np.mean([r.success for r in reports])),
         "mean_final_index": float(final.mean()),
         "median_final_index": float(np.median(final)),
         "max_final_index": float(final.max()),

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import InvalidConfigError
 from .geometry import Pose
 from .metrics import TrialReport, performance_index, pose_error, success_test
-from .ukf import MeasurementModel, Particle, log_likelihood_batch, ukf_step_batch
+from .ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
 from .unscented import SutParams
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "step",
     "extract_pose",
     "run",
-    "upf_step",
     "window_span",
     "extraction_exponents",
 ]
@@ -61,6 +60,11 @@ logger = logging.getLogger(__name__)
 _LN_2PI = float(np.log(2.0 * np.pi))
 _DENSITY_EIG_FLOOR = 1e-12
 _EXTRACT_CHUNK = 256
+
+
+def _is_int(value) -> bool:
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, (bool, np.bool_)))
 
 
 def _default_process_noise() -> np.ndarray:
@@ -106,40 +110,38 @@ class FilterConfig:
         return float(np.sqrt(self.sigma_p)) if self.sigma_p_is_variance else float(self.sigma_p)
 
     def validate(self) -> None:
-        if not (isinstance(self.n_particles, (int, np.integer)) and self.n_particles >= 1):
-            raise InvalidConfigError("n_particles must be a positive integer")
-        if not (isinstance(self.memory, (int, np.integer)) and self.memory >= 1):
-            raise InvalidConfigError("memory must be a positive integer")
-        if not (isinstance(self.resampling_delay, (int, np.integer))
-                and self.resampling_delay >= 0):
-            raise InvalidConfigError("resampling_delay must be a non-negative integer")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise InvalidConfigError("seed must be a non-negative integer")
+        for name, low in (("n_particles", 1), ("memory", 1),
+                          ("resampling_delay", 0), ("seed", 0), ("n_workers", 1)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
+                raise InvalidConfigError(f"{name} must be an integer >= {low}")
+        for name in ("sigma_p_is_variance", "prior_map_exponent",
+                     "transition_density_in_weights"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise InvalidConfigError(f"{name} must be true or false")
         if self.resampling not in ("multinomial", "systematic"):
             raise InvalidConfigError(f"unknown resampling scheme {self.resampling!r}")
-        if not self.sigma_p > 0.0:
-            raise InvalidConfigError("sigma_p must be positive")
-        if self.n_workers < 1:
-            raise InvalidConfigError("n_workers must be at least 1")
+        if not (np.isfinite(self.sigma_p) and self.sigma_p > 0.0):
+            raise InvalidConfigError("sigma_p must be positive and finite")
         if self.sut.n_x != 6:
             raise InvalidConfigError("sut.n_x must be 6 for pose filtering")
-        for name, mat, dim in (("process_noise", self.process_noise, 6),
-                               ("prior_cov", self.prior_cov, 6)):
+        if not np.isfinite([self.sut.alpha, self.sut.k, self.sut.beta]).all():
+            raise InvalidConfigError("alpha, k and beta must be finite")
+        mean = np.asarray(self.prior_mean, dtype=float)
+        if mean.shape != (6,) or not np.isfinite(mean).all():
+            raise InvalidConfigError("prior_mean must be a finite 6-vector")
+        matrices = [("process_noise", self.process_noise, 6),
+                    ("prior_cov", self.prior_cov, 6)]
+        if self.measurement_noise_cov is not None:
+            matrices.append(("measurement_noise_cov", self.measurement_noise_cov, 3))
+        for name, mat, dim in matrices:
             m = np.asarray(mat, dtype=float)
-            if m.shape != (dim, dim):
-                raise InvalidConfigError(f"{name} must be {dim}x{dim}")
+            if m.shape != (dim, dim) or not np.isfinite(m).all():
+                raise InvalidConfigError(f"{name} must be a finite {dim}x{dim} matrix")
             if np.abs(m - m.T).max() > 1e-10:
                 raise InvalidConfigError(f"{name} must be symmetric")
             if np.linalg.eigvalsh(m)[0] < -1e-10:
                 raise InvalidConfigError(f"{name} must be positive semidefinite")
-        if np.asarray(self.prior_mean, dtype=float).shape != (6,):
-            raise InvalidConfigError("prior_mean must be a 6-vector")
-        if self.measurement_noise_cov is not None:
-            r = np.asarray(self.measurement_noise_cov, dtype=float)
-            if r.shape != (3, 3) or np.abs(r - r.T).max() > 1e-10:
-                raise InvalidConfigError("measurement_noise_cov must be symmetric 3x3")
-            if np.linalg.eigvalsh(r)[0] < -1e-10:
-                raise InvalidConfigError("measurement_noise_cov must be PSD")
 
     def measurement_noise(self) -> np.ndarray:
         if self.measurement_noise_cov is not None:
@@ -171,6 +173,14 @@ class FilterConfig:
                 return np.diag(np.asarray(mapping[diag_key], dtype=float).reshape(dim))
             return default
 
+        def count(key, default):
+            # Integral floats become ints; any other value reaches validate()
+            # unchanged, which rejects everything but integers.
+            value = mapping.get(key, default)
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+            return value
+
         noise = None
         if "measurement_noise" in mapping or "measurement_noise_diag" in mapping:
             noise = mat("measurement_noise", "measurement_noise_diag", None, 3)
@@ -178,24 +188,24 @@ class FilterConfig:
                         k=float(mapping.get("k", 2.0)),
                         beta=float(mapping.get("beta", 30.0)), n_x=6)
         cfg = cls(
-            n_particles=int(mapping.get("particles", 700)),
-            memory=int(mapping.get("memory", 10)),
+            n_particles=count("particles", 700),
+            memory=count("memory", 10),
             process_noise=mat("process_noise", "process_noise_diag",
                               _default_process_noise(), 6),
             prior_mean=np.asarray(mapping.get("prior_mean", np.zeros(6)),
                                   dtype=float).reshape(6),
             prior_cov=mat("prior_cov", "prior_cov_diag", _default_prior_cov(), 6),
             sigma_p=float(mapping.get("sigma_p", 1e-4)),
-            sigma_p_is_variance=bool(mapping.get("sigma_p_is_variance", False)),
+            sigma_p_is_variance=mapping.get("sigma_p_is_variance", False),
             measurement_noise_cov=noise,
             sut=sut,
-            resampling_delay=int(mapping.get("resampling_delay", 2)),
+            resampling_delay=count("resampling_delay", 2),
             resampling=str(mapping.get("resampling", "multinomial")),
-            prior_map_exponent=bool(mapping.get("prior_map_exponent", True)),
-            transition_density_in_weights=bool(
-                mapping.get("transition_density_in_weights", False)),
-            n_workers=int(mapping.get("workers", 1)),
-            seed=int(mapping.get("seed", 0)),
+            prior_map_exponent=mapping.get("prior_map_exponent", True),
+            transition_density_in_weights=mapping.get(
+                "transition_density_in_weights", False),
+            n_workers=count("workers", 1),
+            seed=count("seed", 0),
         )
         cfg.validate()
         return cfg
@@ -234,7 +244,6 @@ class StepSnapshot:
 
     t: int
     sampled: np.ndarray          # (N, 6) proposal draws xhat_t
-    ukf_means: np.ndarray        # (N, 6) corrected means xbar_t
     cov_vecs: np.ndarray         # (N, 6, 6) eigenvectors of P_t
     cov_evals: np.ndarray        # (N, 6) eigenvalues floored for densities
     log_proposal: np.ndarray     # (N,) log N(xhat; xbar, P)
@@ -256,12 +265,6 @@ class FilterState:
     @property
     def n_particles(self) -> int:
         return len(self.weights)
-
-    @property
-    def particles(self) -> list[Particle]:
-        return [Particle(weight=float(self.weights[i]), mean=self.means[i],
-                         cov=self.covs[i], sampled=self.sampled[i])
-                for i in range(self.n_particles)]
 
 
 @dataclass(frozen=True)
@@ -416,7 +419,7 @@ def _correct_and_sample(state: FilterState, y: np.ndarray, model,
     scale = vecs * np.sqrt(evals_sample)[:, None, :]
     sampled = ukf_means + np.einsum("bij,bj->bi", scale, z)
     log_q = _log_gauss_factored(sampled - ukf_means, vecs, evals_density)
-    return ukf_means, ukf_covs, vecs, evals_density, sampled, log_q
+    return ukf_covs, vecs, evals_density, sampled, log_q
 
 
 def _window_loglik(model, window: list, sampled: np.ndarray,
@@ -441,7 +444,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     rng = _rng_for_step(config.seed, t)
     window = (state.history + [(t, y)])[-config.memory:]
 
-    ukf_means, ukf_covs, vecs, evals_density, sampled, log_q = \
+    ukf_covs, vecs, evals_density, sampled, log_q = \
         _correct_and_sample(state, y, model, config, rng)
 
     ll = _window_loglik(model, window, sampled, config.n_workers)
@@ -456,7 +459,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
                        "resetting to uniform", t)
 
     snapshot = StepSnapshot(
-        t=t, sampled=sampled, ukf_means=ukf_means, cov_vecs=vecs,
+        t=t, sampled=sampled, cov_vecs=vecs,
         cov_evals=evals_density, log_proposal=log_q, weights=weights_t,
         log_weights=log_weights_t, window=list(window),
     )
@@ -482,55 +485,6 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     }
     new_state = FilterState(
         means=new_means, covs=new_covs,
-        weights=np.full(state.n_particles, 1.0 / state.n_particles),
-        sampled=sampled, t=t, history=list(window), last_update=snapshot,
-    )
-    return new_state, diagnostics
-
-
-def upf_step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
-    """Memoryless baseline step: plain unscented particle filter.
-
-    Rates only the newest measurement, includes the random-walk transition
-    density in the weight, and resamples on every step.  With ``memory=1``,
-    ``resampling_delay=0`` and ``transition_density_in_weights`` enabled,
-    :func:`step` reduces to exactly this recursion.
-    """
-    y = np.asarray(y, dtype=float).reshape(3)
-    t = state.t + 1
-    rng = _rng_for_step(config.seed, t)
-    window = [(t, y)]
-
-    ukf_means, ukf_covs, vecs, evals_density, sampled, log_q = \
-        _correct_and_sample(state, y, model, config, rng)
-
-    ll = _window_loglik(model, window, sampled, config.n_workers)
-    ll_sum = ll.sum(axis=1)
-    lw = np.log(state.weights) + ll_sum - log_q
-    lw = lw + _log_gauss_shared(sampled - state.means,
-                                np.asarray(config.process_noise, dtype=float))
-    weights_t, log_weights_t, degenerate = _normalize_log_weights(lw)
-    if degenerate:
-        logger.warning("upf step %d: all importance weights underflowed; "
-                       "resetting to uniform", t)
-
-    snapshot = StepSnapshot(
-        t=t, sampled=sampled, ukf_means=ukf_means, cov_vecs=vecs,
-        cov_evals=evals_density, log_proposal=log_q, weights=weights_t,
-        log_weights=log_weights_t, window=list(window),
-    )
-
-    idx = _resample_indices(rng, weights_t, config.resampling)
-    diagnostics = {
-        "t": t,
-        "window": [t],
-        "ess": float(1.0 / np.sum(weights_t ** 2)),
-        "resampled": True,
-        "degenerate": bool(degenerate),
-        "unique_parents": int(len(np.unique(idx))),
-    }
-    new_state = FilterState(
-        means=sampled[idx], covs=ukf_covs[idx],
         weights=np.full(state.n_particles, 1.0 / state.n_particles),
         sampled=sampled, t=t, history=list(window), last_update=snapshot,
     )
@@ -586,8 +540,10 @@ def run(measurements: np.ndarray, model, config: FilterConfig,
     switches the success criterion from index-based to pose-error-based.
     """
     measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-    if measurements.shape[0] < 1 or measurements.shape[1] != 3:
+    if measurements.ndim != 2 or measurements.shape[0] < 1 or measurements.shape[1] != 3:
         raise ValueError("measurements must have shape (L, 3) with L >= 1")
+    if not np.isfinite(measurements).all():
+        raise ValueError("measurements must be finite")
 
     started = time.perf_counter()
     state = init(config)

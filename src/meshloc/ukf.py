@@ -12,7 +12,7 @@ are normalized).  The predicted point depends on ``y`` itself, which makes
 the measurement map mildly state-and-measurement dependent; that is
 intentional and is what the unscented step linearizes around.
 
-``ukf_step`` performs one Kalman cycle per particle under identity motion
+``ukf_step_batch`` performs one Kalman cycle per particle under identity motion
 dynamics: time update adds the process noise ``Q`` to the covariance, the
 measurement prediction pushes sigma points through the nearest-point map,
 and the correction uses the standard gain ``K = Gamma S^-1``.
@@ -25,28 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularInnovationError
-from .geometry import Pose, TriMesh, points_into_object_frame, points_to_world_frame
+from .geometry import TriMesh, points_into_object_frame, points_to_world_frame
 from .unscented import SutParams, sigma_points_batch
 
 __all__ = [
-    "Particle",
     "MeasurementModel",
-    "log_likelihood",
     "log_likelihood_batch",
-    "predict_measurement",
-    "ukf_step",
     "ukf_step_batch",
 ]
-
-
-@dataclass
-class Particle:
-    """One mixture component: importance weight, Gaussian, drawn sample."""
-
-    weight: float
-    mean: np.ndarray          # (6,)
-    cov: np.ndarray           # (6, 6)
-    sampled: np.ndarray | None = None  # (6,) after the first step
 
 
 @dataclass(frozen=True)
@@ -85,28 +71,11 @@ class MeasurementModel:
         return points_to_world_frame(pts[:, None, :], poses)[:, 0, :]
 
 
-def _pose_rows(x) -> np.ndarray:
-    if isinstance(x, Pose):
-        return x.to_array()[None, :]
-    return np.atleast_2d(np.asarray(x, dtype=float))
-
-
-def log_likelihood(model: MeasurementModel, y: np.ndarray, x) -> float:
-    """Log proximity likelihood of one measurement under one pose (<= 0)."""
-    d = model.surface_distances(np.asarray(y, dtype=float)[None, :], _pose_rows(x))
-    return float(-0.5 * (d[0, 0] / model.sigma_p) ** 2)
-
-
 def log_likelihood_batch(model: MeasurementModel, ys: np.ndarray,
                          poses: np.ndarray) -> np.ndarray:
     """Log likelihoods for measurements (K, 3) under poses (B, 6) -> (B, K)."""
     d = model.surface_distances(ys, poses)
     return -0.5 * (d / model.sigma_p) ** 2
-
-
-def predict_measurement(model: MeasurementModel, y: np.ndarray, x) -> np.ndarray:
-    """World-frame surface point of the posed object nearest to ``y``."""
-    return model.predict_batch(np.asarray(y, dtype=float), _pose_rows(x))[0]
 
 
 def _solve_gain(S: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
@@ -194,14 +163,3 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     P_corr = P_corr + shift[:, None, None] * np.eye(n)
     return corrected, P_corr
 
-
-def ukf_step(particle: Particle, y: np.ndarray, model, Q: np.ndarray,
-             R: np.ndarray | None = None, sut: SutParams | None = None):
-    """Single-particle wrapper around :func:`ukf_step_batch`.
-
-    Returns ``(corrected_mean (6,), corrected_cov (6, 6))``; the particle
-    itself is not mutated.
-    """
-    m, P = ukf_step_batch(particle.mean[None, :], particle.cov[None, :, :],
-                          y, model, Q, R=R, sut=sut)
-    return m[0], P[0]

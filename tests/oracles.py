@@ -5,11 +5,18 @@ library: candidate-enumeration closest points instead of region
 classification, closed-form Kalman algebra instead of sigma points,
 quaternions instead of rotation-matrix traces.  Tests compare library
 output against these.
+
+The one exception is :func:`upf_step`, the plain unscented particle filter
+that the memory filter must reduce to.  It reuses the filter's numerical
+building blocks so that the comparison is bitwise, and spells out the
+memoryless recursion on its own instead of calling ``mupf.step``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from meshloc import mupf
 
 
 def closest_point_brute(queries: np.ndarray, vertices: np.ndarray,
@@ -148,3 +155,48 @@ def gaussian_logpdf(x, mean, cov) -> float:
     diff = x - mean
     maha = float(diff @ np.linalg.solve(cov, diff))
     return -0.5 * (k * np.log(2.0 * np.pi) + logdet + maha)
+
+
+def upf_step(state, y, model, config):
+    """One step of the plain unscented particle filter (van der Merwe et
+    al. 2000, "The unscented particle filter").
+
+    Rates only the newest measurement, includes the random-walk transition
+    density in the weight, and resamples on every step.  With ``memory=1``,
+    ``resampling_delay=0`` and ``transition_density_in_weights`` enabled,
+    ``mupf.step`` must reproduce this recursion bit for bit.
+    """
+    y = np.asarray(y, dtype=float).reshape(3)
+    t = state.t + 1
+    rng = mupf._rng_for_step(config.seed, t)
+    window = [(t, y)]
+
+    ukf_covs, vecs, evals_density, sampled, log_q = \
+        mupf._correct_and_sample(state, y, model, config, rng)
+
+    ll = mupf._window_loglik(model, window, sampled, config.n_workers)
+    lw = np.log(state.weights) + ll.sum(axis=1) - log_q
+    lw = lw + mupf._log_gauss_shared(sampled - state.means,
+                                     np.asarray(config.process_noise, dtype=float))
+    weights_t, log_weights_t, degenerate = mupf._normalize_log_weights(lw)
+    snapshot = mupf.StepSnapshot(
+        t=t, sampled=sampled, cov_vecs=vecs, cov_evals=evals_density,
+        log_proposal=log_q, weights=weights_t, log_weights=log_weights_t,
+        window=list(window),
+    )
+
+    idx = mupf._resample_indices(rng, weights_t, config.resampling)
+    diagnostics = {
+        "t": t,
+        "window": [t],
+        "ess": float(1.0 / np.sum(weights_t ** 2)),
+        "resampled": True,
+        "degenerate": bool(degenerate),
+        "unique_parents": int(len(np.unique(idx))),
+    }
+    new_state = mupf.FilterState(
+        means=sampled[idx], covs=ukf_covs[idx],
+        weights=np.full(state.n_particles, 1.0 / state.n_particles),
+        sampled=sampled, t=t, history=list(window), last_update=snapshot,
+    )
+    return new_state, diagnostics

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_soup
-from oracles import closest_point_brute, kalman_update
+from oracles import closest_point_brute, kalman_update, upf_step
 
 import meshloc.cli as cli
 from meshloc import (
@@ -30,7 +30,6 @@ from meshloc import (
     sample_contacts,
     step,
     ukf_step_batch,
-    upf_step,
 )
 
 

@@ -4,12 +4,10 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
 import meshloc.cli as cli
 from meshloc import InvalidConfigError, Pose
-
-
-BOX_OBJ = "assets/box_0.1x0.3x0.2.obj"
 
 
 @pytest.fixture()
@@ -180,6 +178,47 @@ class TestLocalize:
                        "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_p_is_variance", "false"),
+        ("prior_map_exponent", 0),
+        ("transition_density_in_weights", "yes"),
+        ("particles", 40.9),
+        ("memory", True),
+        ("resampling_delay", 1.5),
+        ("seed", 0.5),
+        ("workers", 1.5),
+        ("sigma_p", float("inf")),
+        ("alpha", float("nan")),
+        ("beta", float("inf")),
+        ("prior_mean", [0.0, float("nan"), 0.0, 0.0, 0.0, 0.0]),
+        ("prior_cov_diag", [0.01, float("nan"), 0.01, 0.2, 0.2, 0.2]),
+    ])
+    def test_malformed_config_value_exits_2(self, tmp_path, box_obj, tiny_config,
+                                            key, value):
+        meas = _simulate(tmp_path, box_obj)
+        mapping = yaml.safe_load(open(tiny_config))
+        mapping[key] = value
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(mapping))
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", str(cfg), "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+
+    def test_linalg_failure_exits_3(self, tmp_path, box_obj, tiny_config,
+                                    monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which otherwise means bad input.
+        meas = _simulate(tmp_path, box_obj)
+
+        def explode(*a, **k):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "run", explode)
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", tiny_config,
+                       "--output", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert "runtime failure" in capsys.readouterr().err
+
     def test_runtime_failure_exits_3(self, tmp_path, box_obj, tiny_config,
                                      monkeypatch, capsys):
         meas = _simulate(tmp_path, box_obj)
@@ -338,13 +377,13 @@ class TestShippedProfiles:
 
 
 class TestManifest:
-    def test_manifest_rejects_missing_measurement_file(self, tmp_path, tiny_config):
-        from meshloc import FilterConfig
+    def test_manifest_rejects_missing_measurement_file(self, tmp_path, box_obj):
+        args = cli.build_parser().parse_args(
+            ["batch", "--mesh", box_obj, "--trials", "1",
+             "--measurements", str(tmp_path / "nope.csv"),
+             "--output", str(tmp_path / "r.json")])
         with pytest.raises(InvalidConfigError):
-            cli.RunManifest(config=FilterConfig(), scenario=None,
-                            measurements_path=str(tmp_path / "nope.csv"),
-                            mesh_path=BOX_OBJ, trials=1,
-                            output=str(tmp_path / "r.json"))
+            cli.cmd_batch(args)
 
     def test_strip_timing_recurses(self):
         obj = {"elapsed": 1.0, "a": [{"mean_elapsed": 2.0, "keep": 3}],

@@ -10,7 +10,6 @@ from meshloc.geometry import (
     TriMesh,
     box_mesh,
     build_bvh,
-    closest_point_on_mesh,
     euler_from_matrix,
     load_obj,
     points_into_object_frame,
@@ -19,7 +18,6 @@ from meshloc.geometry import (
     rotation_matrices,
     save_obj,
     tetrahedron_mesh,
-    transform_point_into_object_frame,
 )
 
 from conftest import random_soup
@@ -100,12 +98,14 @@ class TestPoseMath:
 class TestFrameTransforms:
     def test_identity_pose_keeps_point(self):
         y = np.array([0.3, -0.1, 0.7])
-        npt.assert_array_equal(transform_point_into_object_frame(y, Pose()), y)
+        got = points_into_object_frame(y[None], Pose().to_array()[None])
+        npt.assert_array_equal(got[0, 0], y)
 
     def test_translation_only_shifts(self):
         y = np.array([1.0, 1.0, 1.0])
-        got = transform_point_into_object_frame(y, Pose(x=1.0, y=1.0, z=1.0))
-        npt.assert_allclose(got, np.zeros(3), atol=1e-15)
+        pose = Pose(x=1.0, y=1.0, z=1.0)
+        got = points_into_object_frame(y[None], pose.to_array()[None])
+        npt.assert_allclose(got[0, 0], np.zeros(3), atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(finite_coord, finite_coord, finite_coord,
@@ -114,7 +114,7 @@ class TestFrameTransforms:
     def test_round_trip(self, x, y, z, phi, theta, psi, px, py, pz):
         pose = Pose(x, y, z, phi, theta, psi)
         point = np.array([px, py, pz])
-        obj = transform_point_into_object_frame(point, pose)
+        obj = points_into_object_frame(point[None], pose.to_array()[None])[0, 0]
         back = pose.rotation() @ obj + pose.translation()
         npt.assert_allclose(back, point, atol=1e-12)
 
@@ -125,7 +125,8 @@ class TestFrameTransforms:
         batch = points_into_object_frame(pts, poses)
         for b in range(4):
             for k in range(3):
-                single = transform_point_into_object_frame(pts[k], poses[b])
+                R = rotation_matrices(poses[b])
+                single = R.T @ (pts[k] - poses[b, :3])
                 npt.assert_allclose(batch[b, k], single, atol=1e-14)
         back = points_to_world_frame(batch, poses)
         npt.assert_allclose(back, np.broadcast_to(pts, (4, 3, 3)), atol=1e-12)
@@ -233,9 +234,9 @@ class TestClosestPoint:
         with pytest.raises(EmptyMeshError):
             TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
 
-    def test_free_function(self, unit_box):
-        res = closest_point_on_mesh(unit_box, np.array([2.0, 0.0, 0.0]))
-        npt.assert_allclose(res.point, [0.5, 0.0, 0.0], atol=1e-12)
+    def test_batch_query_projects_onto_face(self, unit_box):
+        _, points, _ = unit_box.closest_points(np.array([[2.0, 0.0, 0.0]]))
+        npt.assert_allclose(points[0], [0.5, 0.0, 0.0], atol=1e-12)
 
 
 class TestBvh:

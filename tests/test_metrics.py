@@ -138,6 +138,7 @@ class TestAggregateReports:
         summary = aggregate_reports(reports)
         assert summary["trials"] == 2
         assert summary["successes"] == 1
+        assert summary["reliability"] == 0.5
         assert summary["mean_final_index"] == pytest.approx(0.016)
         assert summary["median_final_index"] == pytest.approx(0.016)
         assert summary["max_final_index"] == pytest.approx(0.03)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import gaussian_logpdf
+from oracles import gaussian_logpdf, upf_step
 
 from meshloc import (
     FilterConfig,
@@ -19,7 +19,6 @@ from meshloc import (
     run,
     sample_contacts,
     step,
-    upf_step,
     window_span,
 )
 from meshloc.mupf import (
@@ -91,6 +90,15 @@ class TestFilterConfig:
         dict(prior_cov=np.diag([1.0] * 5 + [-1.0])),
         dict(prior_mean=np.zeros(3)),
         dict(measurement_noise_cov=np.diag([1.0, 1.0, -1.0])),
+        dict(n_workers=1.5),
+        dict(n_particles=True),
+        dict(prior_map_exponent="false"),
+        dict(sigma_p=np.inf),
+        dict(prior_mean=np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0])),
+        dict(process_noise=np.diag([np.inf] + [1e-5] * 5)),
+        dict(prior_cov=np.diag([np.nan] + [0.04] * 5)),
+        dict(measurement_noise_cov=np.diag([np.nan, 1.0, 1.0])),
+        dict(sut=SutParams(beta=np.inf)),
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(InvalidConfigError):
@@ -392,7 +400,7 @@ class TestUpfReduction:
             assert np.array_equal(sa.covs, sb.covs)
             assert np.array_equal(sa.sampled, sb.sampled)
             assert np.array_equal(sa.last_update.weights, sb.last_update.weights)
-            assert da["unique_parents"] == db["unique_parents"]
+            assert da == db
 
     def test_memory_changes_the_recursion(self, box):
         cfg1 = _small_config(n_particles=40, memory=1, seed=11)
@@ -425,7 +433,7 @@ class TestExtraction:
         sampled = np.tile(pose_a, (n, 1))
         sampled[90:] = pose_b
         snap = StepSnapshot(
-            t=1, sampled=sampled, ukf_means=sampled.copy(),
+            t=1, sampled=sampled,
             cov_vecs=np.tile(np.eye(6), (n, 1, 1)),
             cov_evals=np.ones((n, 6)),
             log_proposal=np.zeros(n),
@@ -463,7 +471,7 @@ class TestExtraction:
         lw0 = rng.normal(size=n)
         lw0 -= logw_norm(lw0)
         ys = [(1, np.array([0.3, 0.0, 0.1])), (2, np.array([-0.2, 0.1, 0.0]))]
-        snap = StepSnapshot(t=t, sampled=sampled, ukf_means=sampled.copy(),
+        snap = StepSnapshot(t=t, sampled=sampled,
                             cov_vecs=vecs, cov_evals=evals,
                             log_proposal=log_proposal,
                             weights=np.exp(lw0), log_weights=lw0,
@@ -561,3 +569,10 @@ class TestRun:
             run(np.zeros((0, 3)), model, cfg)
         with pytest.raises(ValueError):
             run(np.zeros((4, 2)), model, cfg)
+
+    def test_rejects_non_finite_measurements(self, box):
+        cfg = _small_config()
+        meas = np.zeros((3, 3))
+        meas[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            run(meas, cfg.model_for(box), cfg)

@@ -4,15 +4,7 @@ import pytest
 
 from meshloc.errors import SingularInnovationError
 from meshloc.geometry import Pose, box_mesh
-from meshloc.ukf import (
-    MeasurementModel,
-    Particle,
-    log_likelihood,
-    log_likelihood_batch,
-    predict_measurement,
-    ukf_step,
-    ukf_step_batch,
-)
+from meshloc.ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
 from meshloc.unscented import SutParams
 
 from oracles import closest_point_brute, kalman_update
@@ -50,20 +42,21 @@ def model(box):
 class TestLogLikelihood:
     def test_on_surface_is_zero(self, model):
         y = np.array([0.05, 0.0, 0.0])  # on the +x face at zero pose
-        assert log_likelihood(model, y, Pose()) == 0.0
+        assert log_likelihood_batch(model, y[None], Pose().to_array()[None])[0, 0] == 0.0
 
     def test_one_sigma_distance(self, model):
         y = np.array([0.05 + model.sigma_p, 0.0, 0.0])
-        assert log_likelihood(model, y, Pose()) == pytest.approx(-0.5, rel=1e-12)
+        got = log_likelihood_batch(model, y[None], Pose().to_array()[None])[0, 0]
+        assert got == pytest.approx(-0.5, rel=1e-12)
 
     def test_matches_brute_force_distance(self, model, box):
         rng = np.random.default_rng(13)
         for _ in range(25):
             pose = rng.normal(scale=0.3, size=6)
             y = rng.normal(scale=0.3, size=3)
-            got = log_likelihood(model, y, pose)
-            from meshloc.geometry import transform_point_into_object_frame
-            local = transform_point_into_object_frame(y, Pose.from_array(pose))
+            got = log_likelihood_batch(model, y[None], pose[None])[0, 0]
+            p = Pose.from_array(pose)
+            local = p.rotation().T @ (y - p.translation())
             d, _, _ = closest_point_brute(local[None, :], box.vertices, box.faces)
             expected = -0.5 * (d[0] / model.sigma_p) ** 2
             npt.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
@@ -84,8 +77,10 @@ class TestLogLikelihood:
             y = rng.normal(scale=0.2, size=3)
             x_shifted = x.copy()
             x_shifted[:3] += shift
-            npt.assert_allclose(log_likelihood(model, y + shift, x_shifted),
-                                log_likelihood(model, y, x), rtol=1e-9, atol=1e-12)
+            npt.assert_allclose(
+                log_likelihood_batch(model, (y + shift)[None], x_shifted[None])[0, 0],
+                log_likelihood_batch(model, y[None], x[None])[0, 0],
+                rtol=1e-9, atol=1e-12)
 
     def test_batch_matches_single(self, model):
         rng = np.random.default_rng(29)
@@ -94,23 +89,25 @@ class TestLogLikelihood:
         batch = log_likelihood_batch(model, ys, poses)
         for b in range(6):
             for k in range(4):
-                assert batch[b, k] == log_likelihood(model, ys[k], poses[b])
+                single = log_likelihood_batch(model, ys[k:k + 1], poses[b:b + 1])
+                assert batch[b, k] == single[0, 0]
 
 
 class TestPredictMeasurement:
     def test_on_surface_returns_itself(self, model):
         y = np.array([0.02, 0.15, 0.05])  # on the +y face
-        npt.assert_allclose(predict_measurement(model, y, Pose()), y, atol=1e-12)
+        npt.assert_allclose(model.predict_batch(y, Pose().to_array()[None])[0], y,
+                            atol=1e-12)
 
     def test_unit_box_half_extent(self):
         m = MeasurementModel(mesh=box_mesh(1.0, 1.0, 1.0), sigma_p=0.01)
-        got = predict_measurement(m, np.array([2.0, 0.0, 0.0]), Pose())
+        got = m.predict_batch(np.array([2.0, 0.0, 0.0]), Pose().to_array()[None])[0]
         npt.assert_allclose(got, [0.5, 0.0, 0.0], atol=1e-12)
 
     def test_rotated_pose(self):
         m = MeasurementModel(mesh=box_mesh(0.2, 0.4, 0.2), sigma_p=0.01)
-        got = predict_measurement(m, np.array([2.0, 0.0, 0.0]),
-                                  Pose(psi=np.pi / 2))
+        got = m.predict_batch(np.array([2.0, 0.0, 0.0]),
+                              Pose(psi=np.pi / 2).to_array()[None])[0]
         npt.assert_allclose(got, [0.2, 0.0, 0.0], atol=1e-12)
 
     def test_distance_consistent_with_likelihood(self, model):
@@ -118,8 +115,8 @@ class TestPredictMeasurement:
         for _ in range(20):
             x = rng.normal(scale=0.3, size=6)
             y = rng.normal(scale=0.4, size=3)
-            h = predict_measurement(model, y, x)
-            ll = log_likelihood(model, y, x)
+            h = model.predict_batch(y, x[None])[0]
+            ll = log_likelihood_batch(model, y[None], x[None])[0, 0]
             npt.assert_allclose(np.sum((y - h) ** 2),
                                 -2.0 * model.sigma_p ** 2 * ll,
                                 rtol=1e-9, atol=1e-15)
@@ -138,29 +135,29 @@ class TestUkfStep:
             R = random_spd(rng, 3, scale=0.1)
             y = rng.normal(size=3)
             stub = AffineStub(A, b, R)
-            got_m, got_P = ukf_step(Particle(1.0, x, P), y, stub, Q, sut=sut)
+            got_m, got_P = ukf_step_batch(x[None], P[None], y, stub, Q, sut=sut)
             exp_m, exp_P = kalman_update(x, P, y, A, b, R, Q)
-            npt.assert_allclose(got_m, exp_m, rtol=1e-8, atol=1e-10)
-            npt.assert_allclose(got_P, exp_P, rtol=1e-8, atol=1e-10)
+            npt.assert_allclose(got_m[0], exp_m, rtol=1e-8, atol=1e-10)
+            npt.assert_allclose(got_P[0], exp_P, rtol=1e-8, atol=1e-10)
 
     def test_zero_cov_touching_particle_is_fixed_point(self, model):
         # Particle already explains the contact: no innovation, no motion.
         y = np.array([0.05, 0.0, 0.0])
-        p = Particle(1.0, np.zeros(6), np.zeros((6, 6)))
-        mean, cov = ukf_step(p, y, model, Q=np.zeros((6, 6)))
-        npt.assert_allclose(mean, np.zeros(6), atol=1e-9)
-        assert np.abs(cov).max() < 1e-9
+        mean, cov = ukf_step_batch(np.zeros((1, 6)), np.zeros((1, 6, 6)), y, model,
+                                   Q=np.zeros((6, 6)))
+        npt.assert_allclose(mean[0], np.zeros(6), atol=1e-9)
+        assert np.abs(cov[0]).max() < 1e-9
 
     def test_default_noise_is_sigma_sq_eye(self, model):
         rng = np.random.default_rng(41)
         x = rng.normal(scale=0.1, size=6)
         P = random_spd(rng, 6, scale=0.01)
         y = np.array([0.08, 0.02, 0.0])
-        m1, P1 = ukf_step(Particle(1.0, x, P), y, model, Q=np.zeros((6, 6)))
-        m2, P2 = ukf_step(Particle(1.0, x, P), y, model, Q=np.zeros((6, 6)),
-                          R=model.sigma_p ** 2 * np.eye(3))
-        npt.assert_array_equal(m1, m2)
-        npt.assert_array_equal(P1, P2)
+        m1, P1 = ukf_step_batch(x[None], P[None], y, model, Q=np.zeros((6, 6)))
+        m2, P2 = ukf_step_batch(x[None], P[None], y, model, Q=np.zeros((6, 6)),
+                                R=model.sigma_p ** 2 * np.eye(3))
+        npt.assert_array_equal(m1[0], m2[0])
+        npt.assert_array_equal(P1[0], P2[0])
 
     def test_covariance_never_grows_past_prediction(self, model):
         rng = np.random.default_rng(43)
@@ -169,8 +166,8 @@ class TestUkfStep:
             x = rng.normal(scale=0.2, size=6)
             P = random_spd(rng, 6, scale=0.05)
             y = rng.normal(scale=0.3, size=3)
-            _, P_corr = ukf_step(Particle(1.0, x, P), y, model, Q=Q)
-            gap_eigs = np.linalg.eigvalsh(P + Q - P_corr)
+            _, P_corr = ukf_step_batch(x[None], P[None], y, model, Q=Q)
+            gap_eigs = np.linalg.eigvalsh(P + Q - P_corr[0])
             assert gap_eigs.min() > -1e-9
 
     def test_correction_output_is_valid_covariance(self, model):
@@ -190,10 +187,9 @@ class TestUkfStep:
         y = np.array([0.2, 0.0, 0.0])
         x = np.zeros(6)
         P = np.diag([0.01] * 3 + [0.1] * 3)
-        mean, _ = ukf_step(Particle(1.0, x, P), y, model,
-                           Q=np.zeros((6, 6)))
+        mean, _ = ukf_step_batch(x[None], P[None], y, model, Q=np.zeros((6, 6)))
         d_before = model.surface_distances(y[None, :], x[None, :])[0, 0]
-        d_after = model.surface_distances(y[None, :], mean[None, :])[0, 0]
+        d_after = model.surface_distances(y[None, :], mean)[0, 0]
         assert d_after < d_before
 
     def test_batch_matches_single(self, model):
@@ -204,11 +200,11 @@ class TestUkfStep:
         y = np.array([0.07, -0.1, 0.04])
         bm, bP = ukf_step_batch(means, covs, y, model, Q)
         for i in range(8):
-            sm, sP = ukf_step(Particle(1.0, means[i], covs[i]), y, model, Q)
-            npt.assert_array_equal(bm[i], sm)
-            npt.assert_array_equal(bP[i], sP)
+            sm, sP = ukf_step_batch(means[i:i + 1], covs[i:i + 1], y, model, Q)
+            npt.assert_array_equal(bm[i], sm[0])
+            npt.assert_array_equal(bP[i], sP[0])
 
     def test_non_finite_innovation_raises(self):
         with pytest.raises(SingularInnovationError):
-            ukf_step(Particle(1.0, np.zeros(6), np.eye(6)),
-                     np.zeros(3), NanStub(), Q=np.zeros((6, 6)))
+            ukf_step_batch(np.zeros((1, 6)), np.eye(6)[None], np.zeros(3), NanStub(),
+                           Q=np.zeros((6, 6)))
