@@ -19,7 +19,6 @@ from .errors import (
 from .geometry import (
     EULER_CONVENTION,
     Bvh,
-    ClosestPointResult,
     Pose,
     TriMesh,
     box_mesh,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Bvh",
-    "ClosestPointResult",
     "EULER_CONVENTION",
     "EmptyMeshError",
     "FilterConfig",

@@ -197,7 +197,7 @@ def cmd_localize(args) -> int:
 
 def _batch_trial(payload: dict) -> TrialReport:
     """One batch trial; module-level so process pools can pickle it."""
-    mesh = load_obj(payload["mesh_path"])
+    mesh = payload["mesh"]
     config = FilterConfig.from_mapping(payload["config"])
     config = dataclasses.replace(config, seed=payload["filter_seed"])
     if payload.get("measurements_path"):
@@ -207,7 +207,7 @@ def _batch_trial(payload: dict) -> TrialReport:
     else:
         s = payload["scenario"]
         spec = ScenarioSpec(
-            mesh_path=payload["mesh_path"],
+            mesh_path=s["mesh_path"],
             true_pose=Pose.from_array(np.asarray(s["true_pose"])),
             n_measurements=int(s["n_measurements"]),
             noise_sigma=float(s["noise_sigma"]),
@@ -262,7 +262,7 @@ def cmd_batch(args) -> int:
     for memory in memories:
         cfg_m = dataclasses.replace(config, memory=memory)
         payloads = [{
-            "mesh_path": args.mesh,
+            "mesh": mesh,
             "config": {**cfg_m.to_dict(), "workers": cfg_m.n_workers},
             "filter_seed": config.seed + i,
             "measurements_path": args.measurements,

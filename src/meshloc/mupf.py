@@ -110,11 +110,16 @@ class FilterConfig:
         return float(np.sqrt(self.sigma_p)) if self.sigma_p_is_variance else float(self.sigma_p)
 
     def validate(self) -> None:
-        for name, low in (("n_particles", 1), ("memory", 1),
-                          ("resampling_delay", 0), ("seed", 0), ("n_workers", 1)):
+        """Raise `InvalidConfigError` naming the profile key at fault, with
+        the field name in parentheses where the two differ."""
+        for name, key, low in (("n_particles", "particles (n_particles)", 1),
+                               ("memory", "memory", 1),
+                               ("resampling_delay", "resampling_delay", 0),
+                               ("seed", "seed", 0),
+                               ("n_workers", "workers (n_workers)", 1)):
             value = getattr(self, name)
             if not (_is_int(value) and value >= low):
-                raise InvalidConfigError(f"{name} must be an integer >= {low}")
+                raise InvalidConfigError(f"{key} must be an integer >= {low}")
         for name in ("sigma_p_is_variance", "prior_map_exponent",
                      "transition_density_in_weights"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
@@ -125,15 +130,14 @@ class FilterConfig:
             raise InvalidConfigError("sigma_p must be positive and finite")
         if self.sut.n_x != 6:
             raise InvalidConfigError("sut.n_x must be 6 for pose filtering")
-        if not np.isfinite([self.sut.alpha, self.sut.k, self.sut.beta]).all():
-            raise InvalidConfigError("alpha, k and beta must be finite")
         mean = np.asarray(self.prior_mean, dtype=float)
         if mean.shape != (6,) or not np.isfinite(mean).all():
             raise InvalidConfigError("prior_mean must be a finite 6-vector")
-        matrices = [("process_noise", self.process_noise, 6),
-                    ("prior_cov", self.prior_cov, 6)]
+        matrices = [("process_noise[_diag]", self.process_noise, 6),
+                    ("prior_cov[_diag]", self.prior_cov, 6)]
         if self.measurement_noise_cov is not None:
-            matrices.append(("measurement_noise_cov", self.measurement_noise_cov, 3))
+            matrices.append(("measurement_noise[_diag] (measurement_noise_cov)",
+                             self.measurement_noise_cov, 3))
         for name, mat, dim in matrices:
             m = np.asarray(mat, dtype=float)
             if m.shape != (dim, dim) or not np.isfinite(m).all():

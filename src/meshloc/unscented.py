@@ -48,6 +48,8 @@ class SutParams:
     n_x: int = 6
 
     def __post_init__(self):
+        if not np.isfinite([self.alpha, self.k, self.beta]).all():
+            raise ValueError("alpha, k and beta must be finite")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.k < 0.0:

@@ -6,10 +6,13 @@ classification, closed-form Kalman algebra instead of sigma points,
 quaternions instead of rotation-matrix traces.  Tests compare library
 output against these.
 
-The one exception is :func:`upf_step`, the plain unscented particle filter
-that the memory filter must reduce to.  It reuses the filter's numerical
-building blocks so that the comparison is bitwise, and spells out the
-memoryless recursion on its own instead of calling ``mupf.step``.
+There are two exceptions, both compared bitwise.  :func:`upf_step` is the
+plain unscented particle filter that the memory filter must reduce to.  It
+reuses the filter's numerical building blocks and spells out the memoryless
+recursion on its own instead of calling ``mupf.step``.
+:func:`closest_points_exhaustive` runs the library's triangle kernel over
+every face, with no tree, so that ``TriMesh.closest_points`` can be held to
+the same argmin bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,34 @@ from __future__ import annotations
 import numpy as np
 
 from meshloc import mupf
+from meshloc.geometry import closest_point_on_triangles
+
+# Pairwise point-triangle evaluations per chunk; bounds peak memory.
+_PAIR_BUDGET = 4_000_000
+
+
+def closest_points_exhaustive(queries: np.ndarray, mesh):
+    """``closest_point_on_triangles`` against every face of ``mesh``.
+
+    Returns (distances (M,), points (M, 3), face_indices (M,)); ties on
+    distance resolve to the lowest face index (``argmin`` order).
+    """
+    Q = np.asarray(queries, dtype=float)
+    a, b, c = (mesh.vertices[mesh.faces[:, k]][None, :, :] for k in range(3))
+    M = len(Q)
+    chunk = max(1, _PAIR_BUDGET // mesh.n_faces)
+    dists = np.empty(M)
+    points = np.empty((M, 3))
+    faces = np.empty(M, dtype=np.int64)
+    for s in range(0, M, chunk):
+        e = min(M, s + chunk)
+        pts, d2 = closest_point_on_triangles(Q[s:e, None, :], a, b, c)
+        j = np.argmin(d2, axis=1)  # first occurrence: lowest face index
+        rows = np.arange(e - s)
+        dists[s:e] = np.sqrt(d2[rows, j])
+        points[s:e] = pts[rows, j]
+        faces[s:e] = j
+    return dists, points, faces
 
 
 def closest_point_brute(queries: np.ndarray, vertices: np.ndarray,

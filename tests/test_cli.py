@@ -204,6 +204,19 @@ class TestLocalize:
                        "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("key, value", [("particles", 0), ("workers", 1.5)])
+    def test_config_error_names_profile_key(self, tmp_path, box_obj, tiny_config,
+                                            capsys, key, value):
+        meas = _simulate(tmp_path, box_obj)
+        mapping = yaml.safe_load(open(tiny_config))
+        mapping[key] = value
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(mapping))
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", str(cfg), "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}")
+
     def test_linalg_failure_exits_3(self, tmp_path, box_obj, tiny_config,
                                     monkeypatch, capsys):
         # LinAlgError subclasses ValueError, which otherwise means bad input.
@@ -329,6 +342,21 @@ class TestBatch:
             assert rc == 0
             blobs.append(open(out, "rb").read())
         assert blobs[0] == blobs[1]
+
+    def test_sweep_loads_mesh_once(self, tmp_path, box_obj, tiny_config, monkeypatch):
+        calls = []
+        real = cli.load_obj
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_obj", counting)
+        rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                       "--trials", "3", "--count", "6", "--sweep-m", "1,2",
+                       "--output", str(tmp_path / "sweep.json")])
+        assert rc == 0
+        assert calls == [box_obj]
 
     def test_batch_on_measurement_file(self, tmp_path, box_obj, tiny_config):
         meas = _simulate(tmp_path, box_obj)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from meshloc.errors import EmptyMeshError
 from meshloc.geometry import (
+    LEAF_SIZE,
     Pose,
     TriMesh,
     box_mesh,
@@ -21,7 +22,7 @@ from meshloc.geometry import (
 )
 
 from conftest import random_soup
-from oracles import closest_point_brute
+from oracles import closest_point_brute, closest_points_exhaustive
 
 
 def _rx(a):
@@ -135,16 +136,16 @@ class TestFrameTransforms:
 class TestClosestPoint:
     def test_query_at_vertex(self, unit_box):
         q = unit_box.vertices[0]
-        res = unit_box.closest_point(q)
-        assert res.distance == 0.0
-        npt.assert_allclose(res.point, q, atol=1e-15)
+        d, p, _ = unit_box.closest_points(q[None])
+        assert d[0] == 0.0
+        npt.assert_allclose(p[0], q, atol=1e-15)
 
     def test_single_face_orthogonal_projection(self):
         mesh = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-        res = mesh.closest_point(np.array([0.2, 0.2, 1.0]))
-        npt.assert_allclose(res.point, [0.2, 0.2, 0.0], atol=1e-15)
-        npt.assert_allclose(res.distance, 1.0, rtol=1e-15)
-        assert res.face_index == 0
+        d, p, f = mesh.closest_points(np.array([0.2, 0.2, 1.0])[None])
+        npt.assert_allclose(p[0], [0.2, 0.2, 0.0], atol=1e-15)
+        npt.assert_allclose(d[0], 1.0, rtol=1e-15)
+        assert f[0] == 0
 
     def test_distance_consistent_with_point(self, box):
         rng = np.random.default_rng(17)
@@ -216,8 +217,8 @@ class TestClosestPoint:
         mesh = box_mesh(0.1, 0.3, 0.2)
         p = np.array([ax, ay, az])
         q = p + np.array([dx, dy, dz])
-        dp = mesh.closest_point(p).distance
-        dq = mesh.closest_point(q).distance
+        dp = mesh.closest_points(p[None])[0][0]
+        dq = mesh.closest_points(q[None])[0][0]
         assert abs(dp - dq) <= np.linalg.norm(p - q) + 1e-12
 
     def test_rigid_invariance(self, box):
@@ -246,11 +247,13 @@ class TestBvh:
         assert bvh.n_nodes == 1
         assert bvh.left[0] == -1 and bvh.count[0] == 1
 
-    def test_leaf_size_bound(self):
+    def test_leaf_size_bound(self, box):
         mesh = random_soup(300, seed=2)
         leaves = mesh.bvh.left < 0
-        assert mesh.bvh.count[leaves].max() <= 4
+        assert mesh.bvh.count[leaves].max() <= LEAF_SIZE == 16
         assert np.sort(mesh.bvh.order).tolist() == list(range(300))
+        # The 12-face box is one leaf: one triangle-kernel call per batch.
+        assert box.bvh.n_nodes == 1
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMeshError):
@@ -263,22 +266,80 @@ class TestBvh:
         got_d = np.empty(len(Q))
         got_f = np.empty(len(Q), dtype=np.int64)
         for i, q in enumerate(Q):
-            res = mesh.closest_point(q)
-            got_d[i] = res.distance
-            got_f[i] = res.face_index
+            d, _, f = mesh.closest_points(q[None])
+            got_d[i] = d[0]
+            got_f[i] = f[0]
         od, _, of = closest_point_brute(Q, mesh.vertices, mesh.faces)
         npt.assert_allclose(got_d, od, atol=1e-12)
         npt.assert_array_equal(got_f, of)
 
     def test_batch_path_equals_single_query_path(self, box):
+        # Each row queried alone equals its batch row bitwise, which is what
+        # lets workers split a batch without changing reports.
         rng = np.random.default_rng(47)
-        Q = rng.uniform(-0.4, 0.4, size=(100, 3))
-        d_batch, p_batch, f_batch = box.closest_points(Q)
-        for i, q in enumerate(Q):
-            res = box.closest_point(q)
-            assert res.distance == d_batch[i]
-            assert res.face_index == f_batch[i]
-            npt.assert_array_equal(res.point, p_batch[i])
+        for mesh, scale in ((box, 0.4), (random_soup(300, seed=1), 1.5)):
+            Q = rng.uniform(-scale, scale, size=(100, 3))
+            d_batch, p_batch, f_batch = mesh.closest_points(Q)
+            for i, q in enumerate(Q):
+                d, p, f = mesh.closest_points(q[None])
+                assert d[0] == d_batch[i]
+                assert f[0] == f_batch[i]
+                npt.assert_array_equal(p[0], p_batch[i])
+
+
+def _planar_grid(n: int) -> TriMesh:
+    """Unit square in z=0 cut into n x n cells, two triangles each."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    vertices = np.stack([X.ravel(), Y.ravel(), np.zeros(X.size)], axis=1)
+    cell = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    c00, c10, c11, c01 = cell[:-1, :-1], cell[1:, :-1], cell[1:, 1:], cell[:-1, 1:]
+    faces = np.concatenate([np.stack([c00, c10, c11], -1).reshape(-1, 3),
+                            np.stack([c00, c11, c01], -1).reshape(-1, 3)])
+    return TriMesh(vertices, faces)
+
+
+class TestExhaustiveParity:
+    """The BVH traversal equals the same kernel run over every face."""
+
+    @pytest.mark.parametrize("name", ["box", "soup300", "soup10k", "grid"])
+    def test_traversal_equals_exhaustive_kernel_bitwise(self, box, name):
+        rng = np.random.default_rng(53)
+        if name == "box":
+            mesh, Q = box, rng.uniform(-0.4, 0.4, size=(500, 3))
+        elif name == "soup300":
+            mesh, Q = random_soup(300, seed=1), rng.uniform(-1.5, 1.5, size=(500, 3))
+        elif name == "soup10k":
+            mesh, Q = random_soup(10_000, seed=3), rng.uniform(-1.5, 1.5, size=(300, 3))
+        else:
+            mesh, Q = _planar_grid(12), rng.uniform(-0.2, 1.2, size=(300, 3))
+        d, p, f = mesh.closest_points(Q)
+        od, op, of = closest_points_exhaustive(Q, mesh)
+        npt.assert_array_equal(d, od)
+        npt.assert_array_equal(p, op)
+        npt.assert_array_equal(f, of)
+
+    def test_exact_ties_go_to_lowest_face_across_leaves(self):
+        mesh = _planar_grid(12)
+        assert 250 <= mesh.n_faces <= 350
+        # Above an inner grid vertex up to six faces share the distance to
+        # that vertex exactly.
+        Q = mesh.vertices + np.array([0.0, 0.0, 0.05])
+        d, _, f = mesh.closest_points(Q)
+        _, _, of = closest_points_exhaustive(Q, mesh)
+        npt.assert_array_equal(f, of)
+        npt.assert_array_equal(d, 0.05)
+        incident = [np.flatnonzero((mesh.faces == v).any(axis=1))
+                    for v in range(len(mesh.vertices))]
+        assert max(len(ids) for ids in incident) == 6
+        npt.assert_array_equal(f, [ids.min() for ids in incident])
+        # Some tied faces sit in different leaves, so the lowest index wins
+        # across leaves, not only inside one.
+        leaf_of = np.empty(mesh.n_faces, dtype=np.int64)
+        for node in np.flatnonzero(mesh.bvh.left < 0):
+            s = mesh.bvh.start[node]
+            leaf_of[mesh.bvh.order[s:s + mesh.bvh.count[node]]] = node
+        assert any(len(set(leaf_of[ids])) > 1 for ids in incident)
 
 
 class TestMeshIo:

@@ -98,7 +98,7 @@ class TestFilterConfig:
         dict(process_noise=np.diag([np.inf] + [1e-5] * 5)),
         dict(prior_cov=np.diag([np.nan] + [0.04] * 5)),
         dict(measurement_noise_cov=np.diag([np.nan, 1.0, 1.0])),
-        dict(sut=SutParams(beta=np.inf)),
+        dict(sut=SutParams(n_x=3)),
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(InvalidConfigError):

@@ -61,6 +61,9 @@ class TestSutParams:
             SutParams(k=-1.0)
         with pytest.raises(ValueError):
             SutParams(n_x=0)
+        for bad in (dict(alpha=np.nan), dict(k=np.nan), dict(beta=np.inf)):
+            with pytest.raises(ValueError):
+                SutParams(**bad)
 
 
 class TestSigmaPoints:
