@@ -66,11 +66,9 @@ from .ukf import (
     ukf_step_batch,
 )
 from .unscented import (
-    SigmaPointSet,
     SutParams,
-    make_sigma_points,
-    propagate,
     sigma_points_batch,
+    unscented_transform,
 )
 
 __version__ = "0.1.0"
@@ -90,7 +88,6 @@ __all__ = [
     "Pose",
     "PoseEstimate",
     "ScenarioSpec",
-    "SigmaPointSet",
     "SingularInnovationError",
     "StepSnapshot",
     "SutParams",
@@ -106,13 +103,11 @@ __all__ = [
     "init",
     "load_obj",
     "log_likelihood_batch",
-    "make_sigma_points",
     "performance_index",
     "points_into_object_frame",
     "points_to_world_frame",
     "pose_error",
     "pose_to_transform",
-    "propagate",
     "read_ground_truth_json",
     "read_measurements_csv",
     "rotation_matrices",
@@ -124,6 +119,7 @@ __all__ = [
     "success_test",
     "tetrahedron_mesh",
     "ukf_step_batch",
+    "unscented_transform",
     "window_span",
     "write_ground_truth_json",
     "write_measurements_csv",

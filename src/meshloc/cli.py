@@ -87,7 +87,10 @@ def _load_config(path: str | None, overrides: dict) -> FilterConfig:
     mapping = {}
     if path is not None:
         with open(_require_file(path, "config")) as fh:
-            loaded = yaml.safe_load(fh) or {}
+            try:
+                loaded = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise InvalidConfigError(f"{path}: malformed YAML: {exc}") from None
         if not isinstance(loaded, dict):
             raise InvalidConfigError(f"{path}: config must be a mapping")
         mapping.update(loaded)
@@ -195,37 +198,26 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def _batch_trial(payload: dict) -> TrialReport:
-    """One batch trial; module-level so process pools can pickle it."""
-    mesh = payload["mesh"]
-    config = FilterConfig.from_mapping(payload["config"])
-    config = dataclasses.replace(config, seed=payload["filter_seed"])
-    if payload.get("measurements_path"):
-        measurements = read_measurements_csv(payload["measurements_path"])
-        truth = (Pose.from_array(np.asarray(payload["true_pose"]))
-                 if payload.get("true_pose") is not None else None)
+def _batch_trial(trial: tuple) -> TrialReport:
+    """One batch trial; module-level so process pools can pickle it.
+
+    ``trial`` is ``(mesh, config, source, truth)``, where ``source`` is
+    either a measurement array or a `ScenarioSpec` to sample contacts from.
+    """
+    mesh, config, source, truth = trial
+    if isinstance(source, ScenarioSpec):
+        measurements, _ = sample_contacts(source, mesh)
     else:
-        s = payload["scenario"]
-        spec = ScenarioSpec(
-            mesh_path=s["mesh_path"],
-            true_pose=Pose.from_array(np.asarray(s["true_pose"])),
-            n_measurements=int(s["n_measurements"]),
-            noise_sigma=float(s["noise_sigma"]),
-            face_subset=(None if s["face_subset"] is None
-                         else tuple(s["face_subset"])),
-            seed=int(s["seed"]) + payload["trial_index"],
-        )
-        measurements, _ = sample_contacts(spec, mesh)
-        truth = spec.true_pose if payload["use_truth"] else None
+        measurements = source
     _, report = run(measurements, config.model_for(mesh), config, truth=truth)
     return report
 
 
-def _run_batch(payloads: list[dict], trial_workers: int) -> list[TrialReport]:
-    if trial_workers <= 1 or len(payloads) <= 1:
-        return [_batch_trial(p) for p in payloads]
+def _run_batch(trials: list[tuple], trial_workers: int) -> list[TrialReport]:
+    if trial_workers <= 1 or len(trials) <= 1:
+        return [_batch_trial(t) for t in trials]
     with ProcessPoolExecutor(max_workers=trial_workers) as pool:
-        return list(pool.map(_batch_trial, payloads))
+        return list(pool.map(_batch_trial, trials))
 
 
 def cmd_batch(args) -> int:
@@ -244,37 +236,32 @@ def cmd_batch(args) -> int:
         )
     if args.trials < 1:
         raise InvalidConfigError("trials must be at least 1")
+    measurements = None
     if args.measurements is not None:
-        _require_file(args.measurements, "measurement")
+        measurements = read_measurements_csv(
+            _require_file(args.measurements, "measurement"))
     mesh = _load_mesh(args.mesh)
     if scenario is not None:
         scenario.resolved_subset(mesh)
 
-    truth_pose = None
-    if args.measurements and args.ground_truth:
-        spec, _ = read_ground_truth_json(args.ground_truth)
-        truth_pose = spec.true_pose.to_array().tolist()
+    truth = None
+    if scenario is None and args.ground_truth:
+        truth = read_ground_truth_json(args.ground_truth)[0].true_pose
+    elif scenario is not None and args.use_truth:
+        truth = scenario.true_pose
 
     sweep = _parse_sweep(args.sweep_m) if args.sweep_m else None
     memories = sweep if sweep is not None else [config.memory]
 
     per_m = []
     for memory in memories:
-        cfg_m = dataclasses.replace(config, memory=memory)
-        payloads = [{
-            "mesh": mesh,
-            "config": {**cfg_m.to_dict(), "workers": cfg_m.n_workers},
-            "filter_seed": config.seed + i,
-            "measurements_path": args.measurements,
-            "true_pose": truth_pose,
-            "scenario": scenario.to_dict() if scenario is not None else None,
-            "trial_index": i,
-            "use_truth": bool(args.use_truth),
-        } for i in range(args.trials)]
-        for p in payloads:
-            # from_mapping accepts every resolved key except this derived one
-            p["config"].pop("effective_sigma_p", None)
-        reports = _run_batch(payloads, args.trial_workers)
+        trials = [(mesh,
+                   dataclasses.replace(config, memory=memory, seed=config.seed + i),
+                   measurements if scenario is None
+                   else dataclasses.replace(scenario, seed=scenario.seed + i),
+                   truth)
+                  for i in range(args.trials)]
+        reports = _run_batch(trials, args.trial_workers)
         per_m.append({
             "memory": memory,
             "aggregate": aggregate_reports(reports),

@@ -128,8 +128,6 @@ class FilterConfig:
             raise InvalidConfigError(f"unknown resampling scheme {self.resampling!r}")
         if not (np.isfinite(self.sigma_p) and self.sigma_p > 0.0):
             raise InvalidConfigError("sigma_p must be positive and finite")
-        if self.sut.n_x != 6:
-            raise InvalidConfigError("sut.n_x must be 6 for pose filtering")
         mean = np.asarray(self.prior_mean, dtype=float)
         if mean.shape != (6,) or not np.isfinite(mean).all():
             raise InvalidConfigError("prior_mean must be a finite 6-vector")
@@ -170,12 +168,27 @@ class FilterConfig:
         if unknown:
             raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
 
+        def read(key, convert, default, what):
+            # Conversion failures name the profile key, not numpy's message.
+            if key not in mapping:
+                return default
+            try:
+                return convert(mapping[key])
+            except (TypeError, ValueError):
+                raise InvalidConfigError(
+                    f"{key} must be {what}, got {mapping[key]!r}") from None
+
+        def array(shape):
+            return lambda v: np.asarray(v, dtype=float).reshape(shape)
+
         def mat(full_key, diag_key, default, dim):
             if full_key in mapping:
-                return np.asarray(mapping[full_key], dtype=float).reshape(dim, dim)
-            if diag_key in mapping:
-                return np.diag(np.asarray(mapping[diag_key], dtype=float).reshape(dim))
-            return default
+                return read(full_key, array((dim, dim)), None, f"a {dim}x{dim} matrix")
+            return read(diag_key, lambda v: np.diag(array(dim)(v)), default,
+                        f"a list of {dim} numbers")
+
+        def number(key, default):
+            return read(key, float, default, "a number")
 
         def count(key, default):
             # Integral floats become ints; any other value reaches validate()
@@ -185,23 +198,19 @@ class FilterConfig:
                 return int(value)
             return value
 
-        noise = None
-        if "measurement_noise" in mapping or "measurement_noise_diag" in mapping:
-            noise = mat("measurement_noise", "measurement_noise_diag", None, 3)
-        sut = SutParams(alpha=float(mapping.get("alpha", 1.0)),
-                        k=float(mapping.get("k", 2.0)),
-                        beta=float(mapping.get("beta", 30.0)), n_x=6)
+        sut = SutParams(alpha=number("alpha", 1.0), k=number("k", 2.0),
+                        beta=number("beta", 30.0))
         cfg = cls(
             n_particles=count("particles", 700),
             memory=count("memory", 10),
             process_noise=mat("process_noise", "process_noise_diag",
                               _default_process_noise(), 6),
-            prior_mean=np.asarray(mapping.get("prior_mean", np.zeros(6)),
-                                  dtype=float).reshape(6),
+            prior_mean=read("prior_mean", array(6), np.zeros(6), "a list of 6 numbers"),
             prior_cov=mat("prior_cov", "prior_cov_diag", _default_prior_cov(), 6),
-            sigma_p=float(mapping.get("sigma_p", 1e-4)),
+            sigma_p=number("sigma_p", 1e-4),
             sigma_p_is_variance=mapping.get("sigma_p_is_variance", False),
-            measurement_noise_cov=noise,
+            measurement_noise_cov=mat("measurement_noise", "measurement_noise_diag",
+                                      None, 3),
             sut=sut,
             resampling_delay=count("resampling_delay", 2),
             resampling=str(mapping.get("resampling", "multinomial")),

@@ -51,8 +51,10 @@ class ScenarioSpec:
         if not (isinstance(self.n_measurements, (int, np.integer))
                 and self.n_measurements >= 1):
             raise InvalidConfigError("n_measurements must be a positive integer")
-        if not self.noise_sigma >= 0.0:
-            raise InvalidConfigError("noise_sigma must be non-negative")
+        if not np.isfinite(self.true_pose.to_array()).all():
+            raise InvalidConfigError("true_pose must be finite")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise InvalidConfigError("noise_sigma must be finite and non-negative")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise InvalidConfigError("seed must be a non-negative integer")
         if self.face_subset is not None:
@@ -159,16 +161,21 @@ def write_ground_truth_json(path, spec: ScenarioSpec, contacts: np.ndarray) -> N
 def read_ground_truth_json(path) -> tuple[ScenarioSpec, np.ndarray]:
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("schema") != GROUND_TRUTH_SCHEMA:
-        raise InvalidConfigError(f"{path}: unknown ground-truth schema")
-    s = payload["scenario"]
-    spec = ScenarioSpec(
-        mesh_path=s.get("mesh_path"),
-        true_pose=Pose.from_array(np.asarray(s["true_pose"], dtype=float)),
-        n_measurements=int(s["n_measurements"]),
-        noise_sigma=float(s["noise_sigma"]),
-        face_subset=(None if s.get("face_subset") is None
-                     else tuple(s["face_subset"])),
-        seed=int(s["seed"]),
-    )
-    return spec, np.asarray(payload["contacts"], dtype=float)
+    if not isinstance(payload, dict) or payload.get("schema") != GROUND_TRUTH_SCHEMA:
+        raise InvalidConfigError(f"{path}: not a {GROUND_TRUTH_SCHEMA} object")
+    try:
+        s = payload["scenario"]
+        spec = ScenarioSpec(
+            mesh_path=s.get("mesh_path"),
+            true_pose=Pose.from_array(np.asarray(s["true_pose"], dtype=float)),
+            n_measurements=int(s["n_measurements"]),
+            noise_sigma=float(s["noise_sigma"]),
+            face_subset=(None if s.get("face_subset") is None
+                         else tuple(s["face_subset"])),
+            seed=int(s["seed"]),
+        )
+        return spec, np.asarray(payload["contacts"], dtype=float)
+    except KeyError as exc:
+        raise InvalidConfigError(f"{path}: ground truth lacks key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"{path}: malformed ground truth: {exc}") from None

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SingularInnovationError
 from .geometry import TriMesh, points_into_object_frame, points_to_world_frame
-from .unscented import SutParams, sigma_points_batch
+from . import unscented
 
 __all__ = [
     "MeasurementModel",
@@ -40,7 +40,7 @@ class MeasurementModel:
     """Contact-point model: a mesh plus the likelihood scale ``sigma_p``.
 
     ``sigma_p`` is the standard deviation, in meters, of the surface
-    proximity likelihood (and the default measurement noise).
+    proximity likelihood.
     """
 
     mesh: TriMesh
@@ -49,9 +49,6 @@ class MeasurementModel:
     def __post_init__(self):
         if not self.sigma_p > 0.0:
             raise ValueError("sigma_p must be positive")
-
-    def default_noise_cov(self) -> np.ndarray:
-        return self.sigma_p ** 2 * np.eye(3)
 
     def surface_distances(self, ys: np.ndarray, poses: np.ndarray) -> np.ndarray:
         """Distances from world points ``ys`` (K, 3) to the surface posed at
@@ -107,18 +104,18 @@ def _solve_gain(S: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
 
 
 def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
-                   model, Q: np.ndarray, R: np.ndarray | None = None,
-                   sut: SutParams | None = None):
+                   model, Q: np.ndarray, *, R: np.ndarray,
+                   sut: unscented.SutParams):
     """One unscented Kalman cycle for a batch of particle Gaussians.
 
     Parameters
     ----------
     means, covs : (B, 6) and (B, 6, 6) particle Gaussians at time t-1.
     y : (3,) current measurement.
-    model : object with ``predict_batch(y, poses)`` (and, for the default
-        model, ``default_noise_cov``).
+    model : object with ``predict_batch(y, poses)``.
     Q : (6, 6) process noise added in the time update.
-    R : (3, 3) measurement noise; defaults to ``model.default_noise_cov()``.
+    R : (3, 3) measurement noise.
+    sut : sigma-point parameters.
 
     Returns
     -------
@@ -130,26 +127,13 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     y = np.asarray(y, dtype=float)
-    if sut is None:
-        sut = SutParams(n_x=means.shape[1])
-    if R is None:
-        R = model.default_noise_cov()
-    B, n = means.shape
+    n = means.shape[1]
 
     # Time update: identity dynamics, additive process noise.
     P_pred = covs + Q
 
-    X = sigma_points_batch(means, P_pred, sut)           # (B, S, n)
-    S_count = X.shape[1]
-    w_mean, w_cov = sut.weights()
-
-    Y = model.predict_batch(y, X.reshape(B * S_count, n)).reshape(B, S_count, -1)
-    y_hat = np.einsum("s,bsp->bp", w_mean, Y)
-    dY = Y - y_hat[:, None, :]
-    dX = X - means[:, None, :]
-    S = np.einsum("s,bsi,bsj->bij", w_cov, dY, dY) + R
-    S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    Gamma = np.einsum("s,bsi,bsj->bij", w_cov, dX, dY)
+    y_hat, S, Gamma = unscented.unscented_transform(
+        means, P_pred, lambda X: model.predict_batch(y, X), sut, noise=R)
 
     K = _solve_gain(S, Gamma)                            # (B, n, p)
     innov = y[None, :] - y_hat
@@ -162,4 +146,3 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     shift = np.where(min_eig < -1e-10, -min_eig, 0.0)
     P_corr = P_corr + shift[:, None, None] * np.eye(n)
     return corrected, P_corr
-

@@ -17,18 +17,21 @@ only positive semidefinite, a diagonal jitter of ``1e-12 * trace / n`` is
 added and escalated by factors of 10 up to ``1e-6 * trace / n`` before
 giving up (an exactly zero matrix falls back to an absolute ladder from
 1e-18 to 1e-12).
+
+``unscented_transform`` pushes the sigma points of a batch of Gaussians
+through a map ``g`` and returns the weighted output moments; it is the one
+place the filter forms them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
 
-__all__ = ["SutParams", "SigmaPointSet", "make_sigma_points", "propagate",
-           "sigma_points_batch"]
+__all__ = ["SutParams", "sigma_points_batch", "unscented_transform"]
 
 _JITTER_STEPS = 7  # 1e-12 .. 1e-6 relative, factor 10 per step
 
@@ -45,40 +48,28 @@ class SutParams:
     alpha: float = 1.0
     k: float = 2.0
     beta: float = 30.0
-    n_x: int = 6
 
     def __post_init__(self):
+        # alpha > 0 and k >= 0 keep n + lam = alpha^2 (n + k) positive.
         if not np.isfinite([self.alpha, self.k, self.beta]).all():
             raise ValueError("alpha, k and beta must be finite")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.k < 0.0:
             raise ValueError("k must be non-negative")
-        if self.n_x < 1:
-            raise ValueError("n_x must be at least 1")
-        if self.n_x + self.lam <= 0.0:
-            raise ValueError("n_x + lambda must be positive")
 
-    @property
-    def lam(self) -> float:
-        return self.alpha ** 2 * (self.n_x + self.k) - self.n_x
+    def lam(self, n: int) -> float:
+        """Scaling ``lambda`` for n-dimensional Gaussians."""
+        return self.alpha ** 2 * (n + self.k) - n
 
-    def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance weight vectors of length 2 n_x + 1."""
-        n = self.n_x
-        lam = self.lam
+    def weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and covariance weight vectors of length 2 n + 1."""
+        lam = self.lam(n)
         w_mean = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
         w_cov = w_mean.copy()
         w_mean[0] = lam / (n + lam)
         w_cov[0] = lam / (n + lam) + (1.0 - self.alpha ** 2 + self.beta)
         return w_mean, w_cov
-
-
-@dataclass(frozen=True)
-class SigmaPointSet:
-    points: np.ndarray  # (2n+1, n)
-    w_mean: np.ndarray  # (2n+1,)
-    w_cov: np.ndarray   # (2n+1,)
 
 
 def _cholesky_jittered(mat: np.ndarray) -> np.ndarray:
@@ -111,9 +102,7 @@ def sigma_points_batch(means: np.ndarray, covs: np.ndarray,
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     B, n = means.shape
-    if n != params.n_x:
-        raise ValueError(f"dimension mismatch: means are {n}-d, params expect {params.n_x}")
-    scaled = (params.n_x + params.lam) * 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    scaled = (n + params.lam(n)) * 0.5 * (covs + np.swapaxes(covs, -1, -2))
     try:
         L = np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
@@ -126,30 +115,25 @@ def sigma_points_batch(means: np.ndarray, covs: np.ndarray,
     return points
 
 
-def make_sigma_points(mean: np.ndarray, cov: np.ndarray,
-                      params: SutParams) -> SigmaPointSet:
-    """Sigma point set for a single Gaussian (see module docstring)."""
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov = np.asarray(cov, dtype=float)
-    pts = sigma_points_batch(mean[None, :], cov[None, :, :], params)[0]
-    w_mean, w_cov = params.weights()
-    return SigmaPointSet(points=pts, w_mean=w_mean, w_cov=w_cov)
+def unscented_transform(means: np.ndarray, covs: np.ndarray, g,
+                        params: SutParams, noise=0.0):
+    """Output moments of ``g`` for a batch of Gaussians.
 
-
-def propagate(sigma: SigmaPointSet, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Push sigma points through ``g`` and form output moments.
-
-    ``g`` maps one n-vector to one p-vector.  Returns ``(y_mean, P_y,
-    P_xy)`` where ``P_y`` is explicitly symmetrized and ``P_xy`` is the
-    input-output cross covariance about the weighted input mean.
+    ``means`` is (B, n) and ``covs`` (B, n, n); ``g`` maps an (M, n) stack
+    of inputs to (M, p) outputs.  Returns ``(y_mean, P_y, P_xy)`` of shapes
+    (B, p), (B, p, p) and (B, n, p).  ``noise`` is added to ``P_y``, which
+    is symmetrized afterwards; ``P_xy`` is taken about ``means``.
     """
-    X = sigma.points
-    Y = np.asarray([np.asarray(g(x), dtype=float).reshape(-1) for x in X])
-    y_mean = sigma.w_mean @ Y
-    x_mean = sigma.w_mean @ X
-    dY = Y - y_mean
-    dX = X - x_mean
-    P_y = np.einsum("s,si,sj->ij", sigma.w_cov, dY, dY)
-    P_y = 0.5 * (P_y + P_y.T)
-    P_xy = np.einsum("s,si,sj->ij", sigma.w_cov, dX, dY)
+    means = np.asarray(means, dtype=float)
+    X = sigma_points_batch(means, covs, params)          # (B, S, n)
+    B, S_count, n = X.shape
+    w_mean, w_cov = params.weights(n)
+
+    Y = g(X.reshape(B * S_count, n)).reshape(B, S_count, -1)
+    y_mean = np.einsum("s,bsp->bp", w_mean, Y)
+    dY = Y - y_mean[:, None, :]
+    dX = X - means[:, None, :]
+    P_y = np.einsum("s,bsi,bsj->bij", w_cov, dY, dY) + noise
+    P_y = 0.5 * (P_y + np.swapaxes(P_y, -1, -2))
+    P_xy = np.einsum("s,bsi,bsj->bij", w_cov, dX, dY)
     return y_mean, P_y, P_xy

@@ -9,6 +9,7 @@ trials per memory setting, scenario seeds 100..119 and filter seeds 0..19.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +25,11 @@ from meshloc import (
     SutParams,
     box_mesh,
     init,
-    make_sigma_points,
-    propagate,
     run,
     sample_contacts,
     step,
     ukf_step_batch,
+    unscented_transform,
 )
 
 
@@ -88,12 +88,12 @@ def test_criterion_1_unscented_affine_exactness():
         cov = g @ g.T + 0.1 * np.eye(6)
         a = rng.normal(size=(3, 6))
         b = rng.normal(size=3)
-        sigma = make_sigma_points(mean, cov, SutParams())
-        y_mean, p_y, p_xy = propagate(sigma, lambda x: a @ x + b)
+        y_mean, p_y, p_xy = unscented_transform(mean[None], cov[None],
+                                                lambda X: X @ a.T + b, SutParams())
         worst = max(worst,
-                    _rel_err(y_mean, a @ mean + b),
-                    _rel_err(p_y, a @ cov @ a.T),
-                    _rel_err(p_xy, cov @ a.T))
+                    _rel_err(y_mean[0], a @ mean + b),
+                    _rel_err(p_y[0], a @ cov @ a.T),
+                    _rel_err(p_xy[0], cov @ a.T))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 5.0
     _gate(1, "unscented affine exactness",
@@ -273,7 +273,7 @@ def test_criterion_9_reports_identical_across_scheduling(tmp_path):
                          "--measurements", meas_path,
                          "--config", str(cfg_path), "--workers", workers,
                          "--omit-timing", "--output", out]) == 0
-        loc_blobs.append(open(out, "rb").read())
+        loc_blobs.append(Path(out).read_bytes())
 
     bat_blobs = []
     for name, tw in (("bat1.json", "1"), ("bat2.json", "2")):
@@ -283,7 +283,7 @@ def test_criterion_9_reports_identical_across_scheduling(tmp_path):
                          "--count", "6", "--noise-sigma", "5e-4",
                          "--trial-workers", tw, "--omit-timing",
                          "--output", out]) == 0
-        bat_blobs.append(open(out, "rb").read())
+        bat_blobs.append(Path(out).read_bytes())
 
     loc_ok = loc_blobs[0] == loc_blobs[1]
     bat_ok = bat_blobs[0] == bat_blobs[1]

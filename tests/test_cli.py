@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,10 +79,10 @@ class TestParsers:
 class TestSimulate:
     def test_writes_csv_and_truth_sidecar(self, tmp_path, box_obj):
         out = _simulate(tmp_path, box_obj, count=12)
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "x,y,z"
         assert len(lines) == 13
-        truth = json.load(open(tmp_path / "meas.truth.json"))
+        truth = json.loads((tmp_path / "meas.truth.json").read_text())
         assert truth["schema"] == "meshloc-ground-truth-1"
         assert truth["scenario"]["n_measurements"] == 12
         assert len(truth["contacts"]) == 12
@@ -89,9 +90,9 @@ class TestSimulate:
     def test_rerun_is_byte_identical(self, tmp_path, box_obj):
         a = _simulate(tmp_path, box_obj, name="a.csv", seed=7)
         b = _simulate(tmp_path, box_obj, name="b.csv", seed=7)
-        assert open(a, "rb").read() == open(b, "rb").read()
-        assert (open(tmp_path / "a.truth.json", "rb").read()
-                == open(tmp_path / "b.truth.json", "rb").read())
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+        assert ((tmp_path / "a.truth.json").read_bytes()
+                == (tmp_path / "b.truth.json").read_bytes())
 
     def test_zero_count_exits_2(self, tmp_path, box_obj, capsys):
         rc = cli.main(["simulate", "--mesh", box_obj, "--count", "0",
@@ -109,6 +110,19 @@ class TestSimulate:
                        "--output", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--true-pose", "nan,0,0,0,0,0", "true_pose"),
+        ("--noise-sigma", "inf", "noise_sigma"),
+    ])
+    def test_non_finite_scenario_exits_2(self, tmp_path, box_obj, capsys,
+                                         flag, value, field):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["simulate", "--mesh", box_obj, flag, value,
+                       "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+        assert not out.exists()
+
 
 class TestLocalize:
     def test_report_schema_and_config_echo(self, tmp_path, box_obj, tiny_config):
@@ -117,7 +131,7 @@ class TestLocalize:
         rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
                        "--config", tiny_config, "--output", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = json.loads(Path(out).read_text())
         assert rep["schema"] == "meshloc-report-1"
         assert rep["kind"] == "localize"
         cfg = rep["config"]
@@ -139,7 +153,7 @@ class TestLocalize:
         rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
                        "--config", tiny_config, "--output", out, "--emit-trace"])
         assert rc == 0
-        lines = open(tmp_path / "report.trace.csv").read().strip().splitlines()
+        lines = (tmp_path / "report.trace.csv").read_text().strip().splitlines()
         assert lines[0] == "t,index"
         assert len(lines) == 11
 
@@ -150,7 +164,7 @@ class TestLocalize:
                        "--config", tiny_config, "--output", out,
                        "--ground-truth", str(tmp_path / "meas.truth.json")])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = json.loads(Path(out).read_text())
         assert rep["report"]["position_error"] is not None
         assert rep["report"]["orientation_error"] is not None
         assert rep["scenario"]["true_pose"] == [0, 0, 0, 0, 0, 0]
@@ -192,11 +206,15 @@ class TestLocalize:
         ("beta", float("inf")),
         ("prior_mean", [0.0, float("nan"), 0.0, 0.0, 0.0, 0.0]),
         ("prior_cov_diag", [0.01, float("nan"), 0.01, 0.2, 0.2, 0.2]),
+        ("sigma_p", None),
+        ("alpha", [1]),
+        ("process_noise_diag", {"a": 1}),
+        ("prior_mean", [1, 2]),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, box_obj, tiny_config,
                                             key, value):
         meas = _simulate(tmp_path, box_obj)
-        mapping = yaml.safe_load(open(tiny_config))
+        mapping = yaml.safe_load(Path(tiny_config).read_text())
         mapping[key] = value
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(yaml.safe_dump(mapping))
@@ -204,11 +222,12 @@ class TestLocalize:
                        "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         assert rc == 2
 
-    @pytest.mark.parametrize("key, value", [("particles", 0), ("workers", 1.5)])
+    @pytest.mark.parametrize("key, value", [("particles", 0), ("workers", 1.5),
+                                            ("prior_mean", [1, 2])])
     def test_config_error_names_profile_key(self, tmp_path, box_obj, tiny_config,
                                             capsys, key, value):
         meas = _simulate(tmp_path, box_obj)
-        mapping = yaml.safe_load(open(tiny_config))
+        mapping = yaml.safe_load(Path(tiny_config).read_text())
         mapping[key] = value
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(yaml.safe_dump(mapping))
@@ -216,6 +235,27 @@ class TestLocalize:
                        "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {key}")
+
+    def test_malformed_yaml_exits_2(self, tmp_path, box_obj, capsys):
+        meas = _simulate(tmp_path, box_obj)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("particles: [\n")
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", str(cfg), "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "malformed YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [{"schema": "meshloc-ground-truth-1"}, [1, 2]])
+    def test_malformed_ground_truth_exits_2(self, tmp_path, box_obj, tiny_config,
+                                            capsys, payload):
+        meas = _simulate(tmp_path, box_obj)
+        truth = tmp_path / "bad.truth.json"
+        truth.write_text(json.dumps(payload))
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", tiny_config, "--ground-truth", str(truth),
+                       "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {truth}")
 
     def test_linalg_failure_exits_3(self, tmp_path, box_obj, tiny_config,
                                     monkeypatch, capsys):
@@ -254,7 +294,7 @@ class TestLocalize:
             cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
                       "--config", tiny_config, "--seed", str(seed),
                       "--output", out])
-            outs.append(json.load(open(out))["report"]["estimate"])
+            outs.append(json.loads(Path(out).read_text())["report"]["estimate"])
         assert outs[0] != outs[1]
 
 
@@ -268,7 +308,7 @@ class TestReproducibleReports:
                            "--config", tiny_config, "--output", out,
                            "--omit-timing"])
             assert rc == 0
-            blobs.append(open(out, "rb").read())
+            blobs.append(Path(out).read_bytes())
         assert blobs[0] == blobs[1]
         assert b"elapsed" not in blobs[0]
 
@@ -282,7 +322,7 @@ class TestReproducibleReports:
                            "--config", tiny_config, "--output", out,
                            "--workers", workers, "--omit-timing"])
             assert rc == 0
-            blobs.append(open(out, "rb").read())
+            blobs.append(Path(out).read_bytes())
         assert blobs[0] == blobs[1]
 
 
@@ -293,7 +333,7 @@ class TestBatch:
                        "--trials", "2", "--count", "6", "--noise-sigma", "5e-4",
                        "--use-truth", "--output", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = json.loads(Path(out).read_text())
         assert rep["kind"] == "batch"
         agg = rep["aggregate"]
         assert agg["trials"] == 2
@@ -310,7 +350,7 @@ class TestBatch:
         rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
                        "--trials", "1", "--count", "6", "--output", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = json.loads(Path(out).read_text())
         assert rep["aggregate"]["trials"] == 1
         report = rep["reports"][0]
         assert rep["aggregate"]["mean_final_index"] == report["final_index"]
@@ -322,10 +362,10 @@ class TestBatch:
                        "--trials", "1", "--count", "6", "--sweep-m", "1,3",
                        "--output", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = json.loads(Path(out).read_text())
         assert rep["kind"] == "sweep"
         assert [e["memory"] for e in rep["per_memory"]] == [1, 3]
-        lines = open(tmp_path / "sweep.sweep.csv").read().strip().splitlines()
+        lines = (tmp_path / "sweep.sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "m,mean_final_index,median_final_index,reliability,mean_elapsed"
         assert len(lines) == 3
         assert lines[1].startswith("1,")
@@ -340,7 +380,7 @@ class TestBatch:
                            "--trial-workers", tw, "--omit-timing",
                            "--output", out])
             assert rc == 0
-            blobs.append(open(out, "rb").read())
+            blobs.append(Path(out).read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_sweep_loads_mesh_once(self, tmp_path, box_obj, tiny_config, monkeypatch):
@@ -358,6 +398,23 @@ class TestBatch:
         assert rc == 0
         assert calls == [box_obj]
 
+    def test_sweep_reads_measurements_once(self, tmp_path, box_obj, tiny_config,
+                                           monkeypatch):
+        meas = _simulate(tmp_path, box_obj, count=6)
+        calls = []
+        real = cli.read_measurements_csv
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "read_measurements_csv", counting)
+        rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                       "--trials", "3", "--measurements", meas, "--sweep-m", "1,2",
+                       "--output", str(tmp_path / "sweep.json")])
+        assert rc == 0
+        assert calls == [meas]
+
     def test_batch_on_measurement_file(self, tmp_path, box_obj, tiny_config):
         meas = _simulate(tmp_path, box_obj)
         out = str(tmp_path / "fixed.json")
@@ -366,7 +423,7 @@ class TestBatch:
                        "--ground-truth", str(tmp_path / "meas.truth.json"),
                        "--output", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = json.loads(Path(out).read_text())
         # same data, different filter seeds
         assert rep["reports"][0]["estimate"] != rep["reports"][1]["estimate"]
         assert rep["reports"][0]["position_error"] is not None
@@ -381,7 +438,6 @@ class TestShippedProfiles:
     # guards the checked-in YAML profiles against key drift
     @pytest.fixture()
     def configs_dir(self):
-        from pathlib import Path
         return Path(__file__).resolve().parents[1] / "configs"
 
     def test_simulation_profile_parses(self, configs_dir):

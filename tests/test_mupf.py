@@ -98,7 +98,6 @@ class TestFilterConfig:
         dict(process_noise=np.diag([np.inf] + [1e-5] * 5)),
         dict(prior_cov=np.diag([np.nan] + [0.04] * 5)),
         dict(measurement_noise_cov=np.diag([np.nan, 1.0, 1.0])),
-        dict(sut=SutParams(n_x=3)),
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(InvalidConfigError):
@@ -117,7 +116,7 @@ class TestFilterConfig:
     def test_from_mapping_round_trip(self):
         cfg = FilterConfig(n_particles=40, memory=4, sigma_p=5e-4, seed=7,
                            resampling="systematic",
-                           sut=SutParams(alpha=0.9, k=2.0, beta=10.0, n_x=6))
+                           sut=SutParams(alpha=0.9, k=2.0, beta=10.0))
         d = cfg.to_dict()
         d.pop("effective_sigma_p")   # derived, not an input key
         cfg2 = FilterConfig.from_mapping(d)

@@ -111,7 +111,7 @@ class TestMeasurementFiles:
         meas, _ = sample_contacts(_spec(noise_sigma=0.01, seed=1), box)
         path = tmp_path / "meas.csv"
         write_measurements_csv(path, meas)
-        assert open(path).readline().strip() == "x,y,z"
+        assert path.read_text().splitlines()[0].strip() == "x,y,z"
         back = read_measurements_csv(path)
         assert back.shape == meas.shape
         assert np.allclose(back, meas, rtol=1e-8, atol=1e-12)

@@ -10,16 +10,17 @@ PUBLIC = [
     "Bvh", "EULER_CONVENTION", "EmptyMeshError",
     "FilterConfig", "FilterState", "InvalidConfigError", "InvalidFaceSubsetError",
     "MeasurementModel", "MeshlocError", "NotPositiveDefiniteError", "Pose",
-    "PoseEstimate", "ScenarioSpec", "SigmaPointSet", "SingularInnovationError",
+    "PoseEstimate", "ScenarioSpec", "SingularInnovationError",
     "StepSnapshot", "SutParams", "TriMesh", "TrialReport", "aggregate_reports",
     "box_mesh", "build_bvh", "closest_point_on_triangles", "euler_from_matrix",
     "extract_pose", "extraction_exponents", "init", "load_obj",
-    "log_likelihood_batch", "make_sigma_points", "performance_index",
+    "log_likelihood_batch", "performance_index",
     "points_into_object_frame", "points_to_world_frame", "pose_error",
-    "pose_to_transform", "propagate", "read_ground_truth_json",
+    "pose_to_transform", "read_ground_truth_json",
     "read_measurements_csv", "rotation_matrices", "run", "sample_contacts",
     "save_obj", "sigma_points_batch", "step", "success_test", "tetrahedron_mesh",
-    "ukf_step_batch", "window_span", "write_ground_truth_json",
+    "ukf_step_batch", "unscented_transform", "window_span",
+    "write_ground_truth_json",
     "write_measurements_csv",
 ]
 
@@ -28,7 +29,7 @@ MODULE_ONLY = {"cli": {"main"}}
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC) == 50
+    assert len(PUBLIC) == 48
     assert sorted(meshloc.__all__) == sorted(PUBLIC + ["__version__"])
     for name in meshloc.__all__:
         assert hasattr(meshloc, name), name

@@ -14,29 +14,27 @@ from test_unscented import random_spd
 class AffineStub:
     """Affine measurement map for exactness checks: h(x) = A x + b."""
 
-    def __init__(self, A, b, R):
+    def __init__(self, A, b):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        self.R = np.asarray(R, dtype=float)
 
     def predict_batch(self, y, poses):
         return np.atleast_2d(poses) @ self.A.T + self.b
-
-    def default_noise_cov(self):
-        return self.R
 
 
 class NanStub:
     def predict_batch(self, y, poses):
         return np.full((len(np.atleast_2d(poses)), 3), np.nan)
 
-    def default_noise_cov(self):
-        return np.eye(3)
-
 
 @pytest.fixture
 def model(box):
     return MeasurementModel(mesh=box, sigma_p=0.01)
+
+
+def noise(model):
+    """The filter's default measurement noise, sigma_p^2 I."""
+    return model.sigma_p ** 2 * np.eye(3)
 
 
 class TestLogLikelihood:
@@ -125,7 +123,7 @@ class TestPredictMeasurement:
 class TestUkfStep:
     def test_affine_map_matches_kalman_oracle(self):
         rng = np.random.default_rng(37)
-        sut = SutParams(alpha=1.0, k=2.0, beta=0.0, n_x=6)
+        sut = SutParams(alpha=1.0, k=2.0, beta=0.0)
         for _ in range(20):
             x = rng.normal(size=6)
             P = random_spd(rng, 6, scale=0.5)
@@ -134,8 +132,8 @@ class TestUkfStep:
             b = rng.normal(size=3)
             R = random_spd(rng, 3, scale=0.1)
             y = rng.normal(size=3)
-            stub = AffineStub(A, b, R)
-            got_m, got_P = ukf_step_batch(x[None], P[None], y, stub, Q, sut=sut)
+            stub = AffineStub(A, b)
+            got_m, got_P = ukf_step_batch(x[None], P[None], y, stub, Q, R=R, sut=sut)
             exp_m, exp_P = kalman_update(x, P, y, A, b, R, Q)
             npt.assert_allclose(got_m[0], exp_m, rtol=1e-8, atol=1e-10)
             npt.assert_allclose(got_P[0], exp_P, rtol=1e-8, atol=1e-10)
@@ -144,20 +142,9 @@ class TestUkfStep:
         # Particle already explains the contact: no innovation, no motion.
         y = np.array([0.05, 0.0, 0.0])
         mean, cov = ukf_step_batch(np.zeros((1, 6)), np.zeros((1, 6, 6)), y, model,
-                                   Q=np.zeros((6, 6)))
+                                   Q=np.zeros((6, 6)), R=noise(model), sut=SutParams())
         npt.assert_allclose(mean[0], np.zeros(6), atol=1e-9)
         assert np.abs(cov[0]).max() < 1e-9
-
-    def test_default_noise_is_sigma_sq_eye(self, model):
-        rng = np.random.default_rng(41)
-        x = rng.normal(scale=0.1, size=6)
-        P = random_spd(rng, 6, scale=0.01)
-        y = np.array([0.08, 0.02, 0.0])
-        m1, P1 = ukf_step_batch(x[None], P[None], y, model, Q=np.zeros((6, 6)))
-        m2, P2 = ukf_step_batch(x[None], P[None], y, model, Q=np.zeros((6, 6)),
-                                R=model.sigma_p ** 2 * np.eye(3))
-        npt.assert_array_equal(m1[0], m2[0])
-        npt.assert_array_equal(P1[0], P2[0])
 
     def test_covariance_never_grows_past_prediction(self, model):
         rng = np.random.default_rng(43)
@@ -166,7 +153,8 @@ class TestUkfStep:
             x = rng.normal(scale=0.2, size=6)
             P = random_spd(rng, 6, scale=0.05)
             y = rng.normal(scale=0.3, size=3)
-            _, P_corr = ukf_step_batch(x[None], P[None], y, model, Q=Q)
+            _, P_corr = ukf_step_batch(x[None], P[None], y, model, Q=Q,
+                                       R=noise(model), sut=SutParams())
             gap_eigs = np.linalg.eigvalsh(P + Q - P_corr[0])
             assert gap_eigs.min() > -1e-9
 
@@ -177,7 +165,7 @@ class TestUkfStep:
         poses = rng.normal(scale=0.3, size=(30, 6))
         covs = np.stack([random_spd(rng, 6, scale=0.05) for _ in range(30)])
         y = np.array([0.1, 0.05, -0.02])
-        means, P_corr = ukf_step_batch(poses, covs, y, model, Q, sut=sut)
+        means, P_corr = ukf_step_batch(poses, covs, y, model, Q, R=noise(model), sut=sut)
         assert np.isfinite(means).all()
         npt.assert_allclose(P_corr, np.swapaxes(P_corr, -1, -2), atol=1e-10)
         assert np.linalg.eigvalsh(P_corr)[:, 0].min() >= -1e-10
@@ -187,7 +175,8 @@ class TestUkfStep:
         y = np.array([0.2, 0.0, 0.0])
         x = np.zeros(6)
         P = np.diag([0.01] * 3 + [0.1] * 3)
-        mean, _ = ukf_step_batch(x[None], P[None], y, model, Q=np.zeros((6, 6)))
+        mean, _ = ukf_step_batch(x[None], P[None], y, model, Q=np.zeros((6, 6)),
+                                 R=noise(model), sut=SutParams())
         d_before = model.surface_distances(y[None, :], x[None, :])[0, 0]
         d_after = model.surface_distances(y[None, :], mean)[0, 0]
         assert d_after < d_before
@@ -198,13 +187,15 @@ class TestUkfStep:
         means = rng.normal(scale=0.2, size=(8, 6))
         covs = np.stack([random_spd(rng, 6, scale=0.02) for _ in range(8)])
         y = np.array([0.07, -0.1, 0.04])
-        bm, bP = ukf_step_batch(means, covs, y, model, Q)
+        R, sut = noise(model), SutParams()
+        bm, bP = ukf_step_batch(means, covs, y, model, Q, R=R, sut=sut)
         for i in range(8):
-            sm, sP = ukf_step_batch(means[i:i + 1], covs[i:i + 1], y, model, Q)
+            sm, sP = ukf_step_batch(means[i:i + 1], covs[i:i + 1], y, model, Q,
+                                    R=R, sut=sut)
             npt.assert_array_equal(bm[i], sm[0])
             npt.assert_array_equal(bP[i], sP[0])
 
     def test_non_finite_innovation_raises(self):
         with pytest.raises(SingularInnovationError):
             ukf_step_batch(np.zeros((1, 6)), np.eye(6)[None], np.zeros(3), NanStub(),
-                           Q=np.zeros((6, 6)))
+                           Q=np.zeros((6, 6)), R=np.eye(3), sut=SutParams())
