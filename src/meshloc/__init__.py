@@ -18,20 +18,14 @@ from .errors import (
 )
 from .geometry import (
     EULER_CONVENTION,
-    Bvh,
     Pose,
     TriMesh,
     box_mesh,
-    build_bvh,
-    closest_point_on_triangles,
     euler_from_matrix,
     load_obj,
     points_into_object_frame,
     points_to_world_frame,
-    pose_to_transform,
     rotation_matrices,
-    save_obj,
-    tetrahedron_mesh,
 )
 from .metrics import (
     TrialReport,
@@ -44,13 +38,10 @@ from .mupf import (
     FilterConfig,
     FilterState,
     PoseEstimate,
-    StepSnapshot,
     extract_pose,
-    extraction_exponents,
     init,
     run,
     step,
-    window_span,
 )
 from .simulate import (
     ScenarioSpec,
@@ -75,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Bvh",
     "EULER_CONVENTION",
     "EmptyMeshError",
     "FilterConfig",
@@ -89,17 +79,13 @@ __all__ = [
     "PoseEstimate",
     "ScenarioSpec",
     "SingularInnovationError",
-    "StepSnapshot",
     "SutParams",
     "TriMesh",
     "TrialReport",
     "aggregate_reports",
     "box_mesh",
-    "build_bvh",
-    "closest_point_on_triangles",
     "euler_from_matrix",
     "extract_pose",
-    "extraction_exponents",
     "init",
     "load_obj",
     "log_likelihood_batch",
@@ -107,20 +93,16 @@ __all__ = [
     "points_into_object_frame",
     "points_to_world_frame",
     "pose_error",
-    "pose_to_transform",
     "read_ground_truth_json",
     "read_measurements_csv",
     "rotation_matrices",
     "run",
     "sample_contacts",
-    "save_obj",
     "sigma_points_batch",
     "step",
     "success_test",
-    "tetrahedron_mesh",
     "ukf_step_batch",
     "unscented_transform",
-    "window_span",
     "write_ground_truth_json",
     "write_measurements_csv",
 ]

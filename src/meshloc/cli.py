@@ -224,8 +224,6 @@ def cmd_batch(args) -> int:
     config = _load_config(args.config, {"seed": args.seed, "workers": args.workers})
     scenario = None
     if args.measurements is None:
-        if args.mesh is None:
-            raise InvalidConfigError("batch needs --mesh")
         scenario = ScenarioSpec(
             mesh_path=args.mesh,
             true_pose=_parse_pose(args.true_pose),

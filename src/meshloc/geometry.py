@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,18 +31,12 @@ __all__ = [
     "EULER_CONVENTION",
     "Pose",
     "TriMesh",
-    "Bvh",
-    "build_bvh",
     "rotation_matrices",
     "euler_from_matrix",
-    "pose_to_transform",
     "points_into_object_frame",
     "points_to_world_frame",
-    "closest_point_on_triangles",
     "load_obj",
-    "save_obj",
     "box_mesh",
-    "tetrahedron_mesh",
 ]
 
 logger = logging.getLogger(__name__)
@@ -149,15 +142,6 @@ class Pose:
         """Same rigid placement with angles in their canonical ranges."""
         phi, theta, psi = euler_from_matrix(self.rotation())
         return Pose(self.x, self.y, self.z, phi, theta, psi)
-
-
-def pose_to_transform(pose) -> np.ndarray:
-    """Homogeneous 4x4 object-to-world transform for a pose."""
-    v = pose.to_array() if isinstance(pose, Pose) else np.asarray(pose, dtype=float)
-    T = np.eye(4)
-    T[:3, :3] = rotation_matrices(v)
-    T[:3, 3] = v[:3]
-    return T
 
 
 def points_into_object_frame(points: np.ndarray, poses: np.ndarray) -> np.ndarray:
@@ -479,19 +463,25 @@ def load_obj(path) -> TriMesh:
 
     Polygon faces are fan-triangulated; texture and normal indices are
     ignored; negative vertex references resolve relative to the vertices
-    seen so far.
+    seen so far.  A ``v`` record with fewer than 3 coordinates or an ``f``
+    record with fewer than 3 vertices raises ``ValueError`` naming the file
+    and line: skipping a vertex would shift every later face index.
     """
     vertices: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "v" and len(parts) >= 4:
+            if parts[0] in ("v", "f") and len(parts) < 4:
+                what = "coordinates" if parts[0] == "v" else "vertices"
+                raise ValueError(f"{path}:{lineno}: '{parts[0]}' record needs "
+                                 f"at least 3 {what}")
+            if parts[0] == "v":
                 vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            elif parts[0] == "f" and len(parts) >= 4:
+            elif parts[0] == "f":
                 ids = []
                 for token in parts[1:]:
                     idx = int(token.split("/")[0])
@@ -501,16 +491,6 @@ def load_obj(path) -> TriMesh:
     if not faces:
         raise EmptyMeshError(f"no faces found in {path}")
     return TriMesh(np.asarray(vertices), np.asarray(faces))
-
-
-def save_obj(mesh: TriMesh, path) -> None:
-    """Write a mesh as a minimal OBJ file (9 significant digits)."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
 
 
 def box_mesh(size_x: float, size_y: float, size_z: float) -> TriMesh:
@@ -528,14 +508,4 @@ def box_mesh(size_x: float, size_y: float, size_z: float) -> TriMesh:
         [0, 4, 7], [0, 7, 3],  # x-
         [1, 2, 6], [1, 6, 5],  # x+
     ])
-    return TriMesh(v, f)
-
-
-def tetrahedron_mesh(base_side: float, height: float) -> TriMesh:
-    """Tetrahedron: equilateral base (side ``base_side``) in z=0, apex on +z."""
-    r = base_side / np.sqrt(3.0)
-    angles = np.deg2rad([90.0, 210.0, 330.0])
-    base = np.stack([r * np.cos(angles), r * np.sin(angles), np.zeros(3)], axis=1)
-    v = np.vstack([base, [0.0, 0.0, height]])
-    f = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]])
     return TriMesh(v, f)

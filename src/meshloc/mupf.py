@@ -46,13 +46,10 @@ __all__ = [
     "FilterConfig",
     "FilterState",
     "PoseEstimate",
-    "StepSnapshot",
     "init",
     "step",
     "extract_pose",
     "run",
-    "window_span",
-    "extraction_exponents",
 ]
 
 logger = logging.getLogger(__name__)
@@ -166,7 +163,8 @@ class FilterConfig:
         }
         unknown = set(mapping) - known
         if unknown:
-            raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise InvalidConfigError(
+                f"unknown config keys: {sorted(unknown, key=str)}")
 
         def read(key, convert, default, what):
             # Conversion failures name the profile key, not numpy's message.
@@ -252,32 +250,28 @@ class FilterConfig:
 
 
 @dataclass(frozen=True)
-class StepSnapshot:
-    """Pre-resampling quantities of the latest step, kept for extraction."""
-
-    t: int
-    sampled: np.ndarray          # (N, 6) proposal draws xhat_t
-    cov_vecs: np.ndarray         # (N, 6, 6) eigenvectors of P_t
-    cov_evals: np.ndarray        # (N, 6) eigenvalues floored for densities
-    log_proposal: np.ndarray     # (N,) log N(xhat; xbar, P)
-    weights: np.ndarray          # (N,) normalized propagated weights w~_t
-    log_weights: np.ndarray      # (N,) log of the above, -inf where zero
-    window: list                 # [(k, y_k)] covering kbar(t)..t
-
-
-@dataclass
 class FilterState:
+    """The filter between two measurements.
+
+    The prior weights of the next step are always 1/N (resampling or not),
+    so they are not stored.  The last five fields are step ``t``'s
+    pre-resampling quantities, which :func:`extract_pose` rates; they are
+    ``None`` before the first step.
+    """
+
     means: np.ndarray            # (N, 6) particle means x_{t|t}
     covs: np.ndarray             # (N, 6, 6) particle covariances P_{t|t}
-    weights: np.ndarray          # (N,) importance weights (sum to 1)
-    sampled: np.ndarray          # (N, 6) latest proposal draws
     t: int
-    history: list                # [(k, y_k)] last <= memory measurements
-    last_update: StepSnapshot | None = None
+    window: list                 # [(k, y_k)] covering kbar(t)..t
+    sampled: np.ndarray | None = None       # (N, 6) proposal draws xhat_t
+    cov_vecs: np.ndarray | None = None      # (N, 6, 6) eigenvectors of P_t
+    cov_evals: np.ndarray | None = None     # (N, 6) eigenvalues floored for densities
+    log_proposal: np.ndarray | None = None  # (N,) log N(xhat; xbar, P)
+    log_weights: np.ndarray | None = None   # (N,) normalized log w~_t, -inf where zero
 
     @property
     def n_particles(self) -> int:
-        return len(self.weights)
+        return len(self.means)
 
 
 @dataclass(frozen=True)
@@ -328,16 +322,6 @@ def _log_gauss_factored(diff: np.ndarray, vecs: np.ndarray,
     maha = np.einsum("bj,bj->b", u * u, 1.0 / evals)
     logdet = np.log(evals).sum(axis=-1)
     return -0.5 * (dim * _LN_2PI + logdet + maha)
-
-
-def _log_gauss_shared(diff: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """log N(diff; 0, cov) for one shared covariance, floored spectrum."""
-    dim = diff.shape[-1]
-    evals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    evals = np.clip(evals, _DENSITY_EIG_FLOOR, None)
-    u = diff @ vecs
-    maha = ((u * u) / evals).sum(axis=-1)
-    return -0.5 * (dim * _LN_2PI + float(np.log(evals).sum()) + maha)
 
 
 def _normalize_log_weights(lw: np.ndarray):
@@ -406,11 +390,8 @@ def init(config: FilterConfig) -> FilterState:
     return FilterState(
         means=draws,
         covs=np.tile(np.asarray(config.prior_cov, dtype=float), (n, 1, 1)),
-        weights=np.full(n, 1.0 / n),
-        sampled=draws.copy(),
         t=0,
-        history=[],
-        last_update=None,
+        window=[],
     )
 
 
@@ -453,29 +434,30 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     reset to uniform and flagged rather than raised).
     """
     y = np.asarray(y, dtype=float).reshape(3)
+    n = state.n_particles
     t = state.t + 1
     rng = _rng_for_step(config.seed, t)
-    window = (state.history + [(t, y)])[-config.memory:]
+    window = (state.window + [(t, y)])[-config.memory:]
 
     ukf_covs, vecs, evals_density, sampled, log_q = \
         _correct_and_sample(state, y, model, config, rng)
 
     ll = _window_loglik(model, window, sampled, config.n_workers)
     ll_sum = ll.sum(axis=1)
-    lw = np.log(state.weights) + ll_sum - log_q
+    # The prior weights are all 1/N.  This scalar equals every element of
+    # np.log(np.full(n, 1.0 / n)) (numpy 2.4, n < 5000), so lw is bitwise
+    # the weight recursion with a uniform weight vector.
+    lw = np.log(1.0 / n) + ll_sum - log_q
     if config.transition_density_in_weights:
-        lw = lw + _log_gauss_shared(sampled - state.means,
-                                    np.asarray(config.process_noise, dtype=float))
+        q_vecs, _, q_evals = _factor_covariances(
+            np.asarray(config.process_noise, dtype=float)[None])
+        lw = lw + _log_gauss_factored(sampled - state.means,
+                                      np.broadcast_to(q_vecs, (n, 6, 6)),
+                                      np.broadcast_to(q_evals, (n, 6)))
     weights_t, log_weights_t, degenerate = _normalize_log_weights(lw)
     if degenerate:
         logger.warning("step %d: all importance weights underflowed; "
                        "resetting to uniform", t)
-
-    snapshot = StepSnapshot(
-        t=t, sampled=sampled, cov_vecs=vecs,
-        cov_evals=evals_density, log_proposal=log_q, weights=weights_t,
-        log_weights=log_weights_t, window=list(window),
-    )
 
     resampled = t > config.resampling_delay
     if resampled:
@@ -486,7 +468,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     else:
         new_means = sampled
         new_covs = ukf_covs
-        unique_parents = state.n_particles
+        unique_parents = n
 
     diagnostics = {
         "t": t,
@@ -497,41 +479,40 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
         "unique_parents": unique_parents,
     }
     new_state = FilterState(
-        means=new_means, covs=new_covs,
-        weights=np.full(state.n_particles, 1.0 / state.n_particles),
-        sampled=sampled, t=t, history=list(window), last_update=snapshot,
+        means=new_means, covs=new_covs, t=t, window=window,
+        sampled=sampled, cov_vecs=vecs, cov_evals=evals_density,
+        log_proposal=log_q, log_weights=log_weights_t,
     )
     return new_state, diagnostics
 
 
 def extract_pose(state: FilterState, model, config: FilterConfig) -> PoseEstimate:
-    """MAP pose readout from the latest step's pre-resampling snapshot.
+    """MAP pose readout from the latest step's pre-resampling candidates.
 
     Re-rates the sampled candidates with the extraction exponents, then
     evaluates the weighted Gaussian-mixture density at every candidate and
     returns the maximizer.  Does not modify the filter state.
     """
-    snap = state.last_update
-    if snap is None:
+    if state.t == 0:
         raise ValueError("extract_pose needs at least one processed measurement")
 
-    exps = extraction_exponents(snap.t, config.memory)
-    exp_vec = np.asarray([float(exps[k]) for k, _ in snap.window])
-    ll = _window_loglik(model, snap.window, snap.sampled, config.n_workers)
-    lw = snap.log_weights + ll @ exp_vec - snap.log_proposal
+    exps = extraction_exponents(state.t, config.memory)
+    exp_vec = np.asarray([float(exps[k]) for k, _ in state.window])
+    ll = _window_loglik(model, state.window, state.sampled, config.n_workers)
+    lw = state.log_weights + ll @ exp_vec - state.log_proposal
     wbar, log_wbar, degenerate = _normalize_log_weights(lw)
     if degenerate:
         logger.warning("extraction weights underflowed at step %d; "
-                       "falling back to uniform", snap.t)
+                       "falling back to uniform", state.t)
 
-    n = len(snap.sampled)
-    logdet = np.log(snap.cov_evals).sum(axis=1)       # (N,) per component
-    inv_evals = 1.0 / snap.cov_evals
+    n = len(state.sampled)
+    logdet = np.log(state.cov_evals).sum(axis=1)      # (N,) per component
+    inv_evals = 1.0 / state.cov_evals
     log_density = np.empty(n)
     for lo in range(0, n, _EXTRACT_CHUNK):
         hi = min(n, lo + _EXTRACT_CHUNK)
-        diff = snap.sampled[None, lo:hi, :] - snap.sampled[:, None, :]
-        u = np.einsum("iab,ija->ijb", snap.cov_vecs, diff)
+        diff = state.sampled[None, lo:hi, :] - state.sampled[:, None, :]
+        u = np.einsum("iab,ija->ijb", state.cov_vecs, diff)
         maha = np.einsum("ijb,ib->ij", u * u, inv_evals)
         logcomp = -0.5 * (6.0 * _LN_2PI + logdet[:, None] + maha)
         mix = log_wbar[:, None] + logcomp
@@ -539,7 +520,7 @@ def extract_pose(state: FilterState, model, config: FilterConfig) -> PoseEstimat
         log_density[lo:hi] = top + np.log(np.exp(mix - top[None, :]).sum(axis=0))
 
     best = int(np.argmax(log_density))
-    return PoseEstimate(pose=Pose.from_array(snap.sampled[best]),
+    return PoseEstimate(pose=Pose.from_array(state.sampled[best]),
                         map_score=float(log_density[best]),
                         extraction_weights=wbar)
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,12 @@ def random_soup(n_faces: int, seed: int, scale: float = 1.0) -> TriMesh:
     vertices = corners.reshape(-1, 3)
     faces = np.arange(3 * n_faces, dtype=np.int64).reshape(-1, 3)
     return TriMesh(vertices, faces)
+
+
+def save_obj(mesh: TriMesh, path) -> None:
+    """Write a mesh as a minimal OBJ file (9 significant digits)."""
+    with open(Path(path), "w", encoding="utf-8") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        for f in mesh.faces:
+            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")

@@ -198,6 +198,7 @@ def upf_step(state, y, model, config):
     ``mupf.step`` must reproduce this recursion bit for bit.
     """
     y = np.asarray(y, dtype=float).reshape(3)
+    n = state.n_particles
     t = state.t + 1
     rng = mupf._rng_for_step(config.seed, t)
     window = [(t, y)]
@@ -206,15 +207,13 @@ def upf_step(state, y, model, config):
         mupf._correct_and_sample(state, y, model, config, rng)
 
     ll = mupf._window_loglik(model, window, sampled, config.n_workers)
-    lw = np.log(state.weights) + ll.sum(axis=1) - log_q
-    lw = lw + mupf._log_gauss_shared(sampled - state.means,
-                                     np.asarray(config.process_noise, dtype=float))
+    lw = np.log(1.0 / n) + ll.sum(axis=1) - log_q
+    q_vecs, _, q_evals = mupf._factor_covariances(
+        np.asarray(config.process_noise, dtype=float)[None])
+    lw = lw + mupf._log_gauss_factored(sampled - state.means,
+                                       np.broadcast_to(q_vecs, (n, 6, 6)),
+                                       np.broadcast_to(q_evals, (n, 6)))
     weights_t, log_weights_t, degenerate = mupf._normalize_log_weights(lw)
-    snapshot = mupf.StepSnapshot(
-        t=t, sampled=sampled, cov_vecs=vecs, cov_evals=evals_density,
-        log_proposal=log_q, weights=weights_t, log_weights=log_weights_t,
-        window=list(window),
-    )
 
     idx = mupf._resample_indices(rng, weights_t, config.resampling)
     diagnostics = {
@@ -226,8 +225,8 @@ def upf_step(state, y, model, config):
         "unique_parents": int(len(np.unique(idx))),
     }
     new_state = mupf.FilterState(
-        means=sampled[idx], covs=ukf_covs[idx],
-        weights=np.full(state.n_particles, 1.0 / state.n_particles),
-        sampled=sampled, t=t, history=list(window), last_update=snapshot,
+        means=sampled[idx], covs=ukf_covs[idx], t=t, window=window,
+        sampled=sampled, cov_vecs=vecs, cov_evals=evals_density,
+        log_proposal=log_q, log_weights=log_weights_t,
     )
     return new_state, diagnostics

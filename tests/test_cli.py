@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import save_obj
+
 import meshloc.cli as cli
 from meshloc import InvalidConfigError, Pose
 
 
 @pytest.fixture()
 def box_obj(tmp_path, box):
-    from meshloc import save_obj
     path = tmp_path / "box.obj"
     save_obj(box, path)
     return str(path)
@@ -191,6 +192,15 @@ class TestLocalize:
         rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
                        "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         assert rc == 2
+
+    def test_unknown_keys_of_mixed_types_exit_2(self, tmp_path, box_obj, capsys):
+        meas = _simulate(tmp_path, box_obj)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("1: 2\nfoo: 3\n")
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", str(cfg), "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "unknown config keys: [1, 'foo']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("sigma_p_is_variance", "false"),

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,13 +17,10 @@ from meshloc.geometry import (
     load_obj,
     points_into_object_frame,
     points_to_world_frame,
-    pose_to_transform,
     rotation_matrices,
-    save_obj,
-    tetrahedron_mesh,
 )
 
-from conftest import random_soup
+from conftest import random_soup, save_obj
 from oracles import closest_point_brute, closest_points_exhaustive
 
 
@@ -46,12 +45,13 @@ finite_coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
 class TestPoseMath:
     def test_zero_pose_is_identity(self):
-        npt.assert_array_equal(pose_to_transform(Pose()), np.eye(4))
+        npt.assert_array_equal(Pose().rotation(), np.eye(3))
+        npt.assert_array_equal(Pose().translation(), np.zeros(3))
 
     def test_translation_only(self):
-        T = pose_to_transform(Pose(x=1.0, y=-2.0, z=0.5))
-        npt.assert_array_equal(T[:3, :3], np.eye(3))
-        npt.assert_array_equal(T[:3, 3], [1.0, -2.0, 0.5])
+        pose = Pose(x=1.0, y=-2.0, z=0.5)
+        npt.assert_array_equal(pose.rotation(), np.eye(3))
+        npt.assert_array_equal(pose.translation(), [1.0, -2.0, 0.5])
 
     def test_rotation_matches_elementary_composition(self):
         rng = np.random.default_rng(7)
@@ -382,6 +382,20 @@ class TestMeshIo:
         assert mesh.n_faces == 1
         assert any("degenerate" in r.message for r in caplog.records)
 
+    def test_short_vertex_record_raises(self, tmp_path):
+        # Skipping the short record would shift face 1 2 3 onto the wrong
+        # vertices without any error.
+        path = tmp_path / "short_v.obj"
+        path.write_text("v 0 0 0\nv 1 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        with pytest.raises(ValueError, match=r"short_v\.obj:2: 'v' record"):
+            load_obj(path)
+
+    def test_short_face_record_raises(self, tmp_path):
+        path = tmp_path / "short_f.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2\n")
+        with pytest.raises(ValueError, match=r"short_f\.obj:5: 'f' record"):
+            load_obj(path)
+
     def test_all_faces_degenerate_raises(self):
         with pytest.raises(EmptyMeshError):
             TriMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
@@ -395,9 +409,13 @@ class TestPrimitives:
         npt.assert_allclose(mesh.vertices.max(axis=0), [0.05, 0.15, 0.1])
 
     def test_tetrahedron(self):
-        mesh = tetrahedron_mesh(0.33, 0.2)
+        # The shipped asset: an equilateral base of side 0.2 in z = 0, apex
+        # on +z, written with 9 significant digits.
+        path = Path(__file__).resolve().parent.parent / "assets" / "tetrahedron_0.2.obj"
+        mesh = load_obj(path)
         assert mesh.n_faces == 4
         base = mesh.vertices[:3]
+        npt.assert_array_equal(base[:, 2], 0.0)
         sides = np.linalg.norm(base - np.roll(base, 1, axis=0), axis=1)
-        npt.assert_allclose(sides, 0.33, rtol=1e-12)
-        npt.assert_allclose(mesh.vertices[3], [0, 0, 0.2], atol=1e-15)
+        npt.assert_allclose(sides, 0.2, rtol=1e-8)
+        npt.assert_array_equal(mesh.vertices[3], [0, 0, 0.2])

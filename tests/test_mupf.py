@@ -1,5 +1,7 @@
 """Tests for the memory particle filter: config, bookkeeping, reductions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,19 +16,18 @@ from meshloc import (
     SutParams,
     box_mesh,
     extract_pose,
-    extraction_exponents,
     init,
     run,
     sample_contacts,
     step,
-    window_span,
 )
 from meshloc.mupf import (
     FilterState,
-    StepSnapshot,
     _normalize_log_weights,
     _resample_indices,
     _rng_for_step,
+    extraction_exponents,
+    window_span,
 )
 
 
@@ -258,9 +259,9 @@ class TestInit:
         state = init(cfg)
         assert state.means.shape == (64, 6)
         assert state.covs.shape == (64, 6, 6)
-        assert np.allclose(state.weights, 1 / 64)
-        assert np.array_equal(state.sampled, state.means)
-        assert state.t == 0 and state.history == [] and state.last_update is None
+        assert state.n_particles == 64
+        assert state.t == 0 and state.window == []
+        assert state.sampled is None and state.log_weights is None
 
     def test_per_particle_covs_start_at_prior(self):
         cfg = _small_config(n_particles=16)
@@ -314,16 +315,23 @@ class TestStepBookkeeping:
             state, diag = step(state, y, model, cfg)
             assert diag["t"] == t
             assert diag["window"] == list(window_span(t, cfg.memory))
-            assert len(state.history) == min(t, cfg.memory)
-            assert [k for k, _ in state.history] == list(window_span(t, cfg.memory))
+            assert len(state.window) == min(t, cfg.memory)
+            assert [k for k, _ in state.window] == list(window_span(t, cfg.memory))
 
     def test_weights_reset_uniform_after_every_step(self, setup):
+        # The next step's prior weight is 1/N whatever this step's weights
+        # were: with the same population and draws, a state that carries
+        # other step-t weights takes the identical next step.
         cfg, model, meas = setup
         state = init(cfg)
-        for y in meas:
+        for y in meas[:-1]:
             state, _ = step(state, y, model, cfg)
-            assert np.allclose(state.weights, 1 / cfg.n_particles)
-            assert state.last_update.weights.sum() == pytest.approx(1.0)
+            assert np.exp(state.log_weights).sum() == pytest.approx(1.0)
+        skewed = replace(state, log_weights=np.zeros(cfg.n_particles))
+        a, _ = step(state, meas[-1], model, cfg)
+        b, _ = step(skewed, meas[-1], model, cfg)
+        assert np.array_equal(a.log_weights, b.log_weights)
+        assert np.array_equal(a.means, b.means)
 
     def test_resampling_delayed_then_always_on(self, setup):
         cfg, model, meas = setup
@@ -338,22 +346,25 @@ class TestStepBookkeeping:
         cfg, model, meas = setup
         state = init(cfg)
         means_before = state.means.copy()
-        weights_before = state.weights.copy()
+        covs_before = state.covs.copy()
         step(state, meas[0], model, cfg)
         assert np.array_equal(state.means, means_before)
-        assert np.array_equal(state.weights, weights_before)
-        assert state.t == 0
+        assert np.array_equal(state.covs, covs_before)
+        assert state.t == 0 and state.window == [] and state.sampled is None
 
     def test_snapshot_consistency(self, setup):
         cfg, model, meas = setup
         state = init(cfg)
         state, _ = step(state, meas[0], model, cfg)
-        snap = state.last_update
-        assert isinstance(snap, StepSnapshot)
-        assert snap.t == 1
-        assert snap.sampled.shape == (cfg.n_particles, 6)
-        assert np.array_equal(state.sampled, snap.sampled)
-        assert np.allclose(np.exp(snap.log_weights), snap.weights, rtol=1e-12)
+        n = cfg.n_particles
+        assert state.t == 1
+        assert state.sampled.shape == (n, 6)
+        assert state.cov_vecs.shape == (n, 6, 6)
+        assert state.cov_evals.shape == (n, 6) and (state.cov_evals > 0).all()
+        assert state.log_proposal.shape == (n,)
+        # No resampling at step 1: the particles are the proposal draws.
+        assert np.array_equal(state.means, state.sampled)
+        assert np.exp(state.log_weights).sum() == pytest.approx(1.0)
 
     def test_all_underflow_flags_degenerate_and_resets(self, box):
         class _HopelessModel:
@@ -372,7 +383,7 @@ class TestStepBookkeeping:
         state = init(cfg)
         state, diag = step(state, np.array([0.0, 0.0, 0.11]), _HopelessModel(), cfg)
         assert diag["degenerate"] is True
-        assert np.allclose(state.last_update.weights, 1 / cfg.n_particles)
+        assert np.allclose(np.exp(state.log_weights), 1 / cfg.n_particles)
 
     def test_transition_density_flag_changes_weights(self, setup):
         cfg, model, meas = setup
@@ -381,8 +392,8 @@ class TestStepBookkeeping:
         s_off, _ = step(s_off, meas[0], model, cfg)
         s_on, _ = step(s_on, meas[0], model, cfg_on)
         # same draws (same rng stream), different weighting rule
-        assert np.array_equal(s_off.last_update.sampled, s_on.last_update.sampled)
-        assert not np.allclose(s_off.last_update.weights, s_on.last_update.weights)
+        assert np.array_equal(s_off.sampled, s_on.sampled)
+        assert not np.allclose(np.exp(s_off.log_weights), np.exp(s_on.log_weights))
 
 
 class TestUpfReduction:
@@ -398,7 +409,7 @@ class TestUpfReduction:
             assert np.array_equal(sa.means, sb.means)
             assert np.array_equal(sa.covs, sb.covs)
             assert np.array_equal(sa.sampled, sb.sampled)
-            assert np.array_equal(sa.last_update.weights, sb.last_update.weights)
+            assert np.array_equal(sa.log_weights, sb.log_weights)
             assert da == db
 
     def test_memory_changes_the_recursion(self, box):
@@ -411,7 +422,7 @@ class TestUpfReduction:
         for y in meas:
             s1, _ = step(s1, y, model, cfg1)
             s3, _ = step(s3, y, model, cfg3)
-            if not np.array_equal(s1.last_update.weights, s3.last_update.weights):
+            if not np.array_equal(s1.log_weights, s3.log_weights):
                 diverged = True
         assert diverged
 
@@ -431,18 +442,14 @@ class TestExtraction:
         pose_b = np.array([50.0, 0, 0, 0, 0, 0])
         sampled = np.tile(pose_a, (n, 1))
         sampled[90:] = pose_b
-        snap = StepSnapshot(
-            t=1, sampled=sampled,
+        state = FilterState(
+            means=sampled, covs=np.tile(np.eye(6), (n, 1, 1)),
+            t=1, window=[(1, np.zeros(3))], sampled=sampled,
             cov_vecs=np.tile(np.eye(6), (n, 1, 1)),
             cov_evals=np.ones((n, 6)),
             log_proposal=np.zeros(n),
-            weights=np.full(n, 1 / n),
             log_weights=np.full(n, -np.log(n)),
-            window=[(1, np.zeros(3))],
         )
-        state = FilterState(means=sampled, covs=np.tile(np.eye(6), (n, 1, 1)),
-                            weights=np.full(n, 1 / n), sampled=sampled,
-                            t=1, history=list(snap.window), last_update=snap)
 
         class _FlatModel:
             mesh = None
@@ -457,7 +464,7 @@ class TestExtraction:
         assert np.array_equal(est.pose.to_array(), pose_a)
 
     def test_mixture_density_matches_direct_evaluation(self):
-        # small handcrafted snapshot checked against a direct mixture sum
+        # small handcrafted state checked against a direct mixture sum
         rng = np.random.default_rng(7)
         n, t, m = 6, 2, 3
         sampled = rng.normal(size=(n, 6))
@@ -470,14 +477,9 @@ class TestExtraction:
         lw0 = rng.normal(size=n)
         lw0 -= logw_norm(lw0)
         ys = [(1, np.array([0.3, 0.0, 0.1])), (2, np.array([-0.2, 0.1, 0.0]))]
-        snap = StepSnapshot(t=t, sampled=sampled,
-                            cov_vecs=vecs, cov_evals=evals,
-                            log_proposal=log_proposal,
-                            weights=np.exp(lw0), log_weights=lw0,
-                            window=ys)
-        state = FilterState(means=sampled, covs=covs,
-                            weights=np.exp(lw0), sampled=sampled,
-                            t=t, history=list(ys), last_update=snap)
+        state = FilterState(means=sampled, covs=covs, t=t, window=ys,
+                            sampled=sampled, cov_vecs=vecs, cov_evals=evals,
+                            log_proposal=log_proposal, log_weights=lw0)
 
         class _RadialModel:
             # distance of the measurement to a sphere of radius 1 around
