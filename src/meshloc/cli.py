@@ -234,6 +234,13 @@ def cmd_batch(args) -> int:
         )
     if args.trials < 1:
         raise InvalidConfigError("trials must be at least 1")
+    if args.trial_workers < 1:
+        raise InvalidConfigError("--trial-workers must be at least 1")
+    if args.ground_truth and args.measurements is None:
+        raise InvalidConfigError("--ground-truth needs --measurements; "
+                                 "simulated trials take --use-truth")
+    if args.use_truth and args.measurements is not None and not args.ground_truth:
+        raise InvalidConfigError("--use-truth with --measurements needs --ground-truth")
     measurements = None
     if args.measurements is not None:
         measurements = read_measurements_csv(
@@ -243,9 +250,9 @@ def cmd_batch(args) -> int:
         scenario.resolved_subset(mesh)
 
     truth = None
-    if scenario is None and args.ground_truth:
+    if args.ground_truth:
         truth = read_ground_truth_json(args.ground_truth)[0].true_pose
-    elif scenario is not None and args.use_truth:
+    elif args.use_truth:
         truth = scenario.true_pose
 
     sweep = _parse_sweep(args.sweep_m) if args.sweep_m else None
@@ -278,13 +285,14 @@ def cmd_batch(args) -> int:
     if sweep is not None:
         payload["per_memory"] = per_m
         sweep_csv = str(Path(args.output).with_suffix(".sweep.csv"))
+        columns = [c for c in ("mean_final_index", "median_final_index",
+                               "reliability", "mean_elapsed")
+                   if not (args.omit_timing and c in _TIMING_KEYS)]
         with open(sweep_csv, "w") as fh:
-            fh.write("m,mean_final_index,median_final_index,reliability,mean_elapsed\n")
+            fh.write(",".join(["m", *columns]) + "\n")
             for entry in per_m:
-                a = entry["aggregate"]
-                fh.write(f"{entry['memory']},{a['mean_final_index']:.9g},"
-                         f"{a['median_final_index']:.9g},{a['reliability']:.9g},"
-                         f"{a['mean_elapsed']:.9g}\n")
+                fh.write(",".join([str(entry["memory"]), *(
+                    f"{entry['aggregate'][c]:.9g}" for c in columns)]) + "\n")
         logger.info("wrote sweep table to %s", sweep_csv)
     else:
         payload["aggregate"] = per_m[0]["aggregate"]

@@ -227,34 +227,43 @@ def closest_point_on_triangles(q, a, b, c):
     return p, d2_out
 
 
+@dataclass(frozen=True, eq=False)
 class Bvh:
-    """Flat axis-aligned bounding-box tree over mesh faces.
+    """Complete axis-aligned bounding-box tree over mesh faces, stored level
+    by level (Ericson 2004, 6.6.1).
 
-    Built by median split of face centroids along the longest box axis;
-    leaves hold at most ``LEAF_SIZE`` faces, listed in ascending face index.
-    Node 0 is the root; an inner node has children ``left`` and ``right``,
-    a leaf has ``left == -1`` and owns ``order[start:start + count]``.
+    Node 0 is the root and node ``i`` has children ``2i + 1`` and ``2i + 2``.
+    All leaves sit at depth ``depth``, the smallest at which median halving
+    leaves at most ``LEAF_SIZE`` faces per leaf; they are the last
+    ``2**depth`` nodes, and leaf ``j`` owns ``order[bounds[j]:bounds[j + 1]]``
+    in ascending face index.  Leaf sizes differ by at most one.
     """
 
-    __slots__ = ("bbox_min", "bbox_max", "left", "right", "start", "count",
-                 "order")
-
-    def __init__(self, bbox_min, bbox_max, left, right, start, count, order):
-        self.bbox_min = bbox_min
-        self.bbox_max = bbox_max
-        self.left = left
-        self.right = right
-        self.start = start
-        self.count = count
-        self.order = order
+    bbox_min: np.ndarray
+    bbox_max: np.ndarray
+    bounds: np.ndarray
+    order: np.ndarray
 
     @property
-    def n_nodes(self) -> int:
-        return len(self.left)
+    def n_inner(self) -> int:
+        return len(self.bounds) - 2
+
+    @property
+    def depth(self) -> int:
+        return self.n_inner.bit_length()
+
+    @property
+    def leaf_width(self) -> int:
+        return int(np.diff(self.bounds).max())
 
 
 def build_bvh(vertices: np.ndarray, faces: np.ndarray) -> Bvh:
-    """Build a bounding-box tree over ``faces`` (at least one required)."""
+    """Build a bounding-box tree over ``faces`` (at least one required).
+
+    Each level splits every segment of ``order`` by a stable sort of face
+    centroids along the longest axis of the segment's box, the first half
+    (rounded down) going left.
+    """
     vertices = np.asarray(vertices, dtype=float)
     faces = np.asarray(faces, dtype=np.int64)
     if len(faces) == 0:
@@ -264,45 +273,28 @@ def build_bvh(vertices: np.ndarray, faces: np.ndarray) -> Bvh:
     face_max = tri.max(axis=1)
     centroid = tri.mean(axis=1)
 
-    bbox_min: list[np.ndarray] = []
-    bbox_max: list[np.ndarray] = []
-    left: list[int] = []
-    right: list[int] = []
-    start: list[int] = []
-    count: list[int] = []
-    order: list[int] = []
-
-    def rec(idx: np.ndarray) -> int:
-        node = len(left)
-        bbox_min.append(face_min[idx].min(axis=0))
-        bbox_max.append(face_max[idx].max(axis=0))
-        left.append(-1)
-        right.append(-1)
-        start.append(-1)
-        count.append(0)
-        if len(idx) <= LEAF_SIZE:
-            # Leaf faces kept ascending so within-leaf argmin ties pick the
+    depth = (-(-len(faces) // LEAF_SIZE) - 1).bit_length()
+    order = np.arange(len(faces))
+    bounds = np.array([0, len(faces)])
+    bbox_min, bbox_max = [], []
+    for level in range(depth + 1):
+        # reduceat needs non-empty segments: below the root each segment
+        # holds more than LEAF_SIZE / 2 faces.
+        seg = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        lo = np.minimum.reduceat(face_min[order], bounds[:-1])
+        hi = np.maximum.reduceat(face_max[order], bounds[:-1])
+        bbox_min.append(lo)
+        bbox_max.append(hi)
+        if level == depth:
+            # Leaf faces ascending so within-leaf argmin ties pick the
             # lowest face index.
-            ordered = np.sort(idx)
-            start[node] = len(order)
-            count[node] = len(ordered)
-            order.extend(int(i) for i in ordered)
-        else:
-            extent = bbox_max[node] - bbox_min[node]
-            axis = int(np.argmax(extent))
-            ordered = idx[np.argsort(centroid[idx, axis], kind="stable")]
-            mid = len(ordered) // 2
-            left[node] = rec(ordered[:mid])
-            right[node] = rec(ordered[mid:])
-        return node
-
-    rec(np.arange(len(faces)))
-    return Bvh(
-        np.asarray(bbox_min), np.asarray(bbox_max),
-        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
-        np.asarray(start, dtype=np.int64), np.asarray(count, dtype=np.int64),
-        np.asarray(order, dtype=np.int64),
-    )
+            order = order[np.lexsort((order, seg))]
+            break
+        axis = np.argmax(hi - lo, axis=1)
+        order = order[np.lexsort((centroid[order, axis[seg]], seg))]
+        mid = bounds[:-1] + np.diff(bounds) // 2
+        bounds = np.append(np.stack([bounds[:-1], mid], axis=1).ravel(), len(faces))
+    return Bvh(np.concatenate(bbox_min), np.concatenate(bbox_max), bounds, order)
 
 
 class TriMesh:
@@ -385,7 +377,7 @@ class TriMesh:
         d2 = np.empty(M)
         points = np.empty((M, 3))
         faces = np.empty(M, dtype=np.int64)
-        chunk = max(1, min(_KERNEL_BLOCK // self.bvh.count.max(),
+        chunk = max(1, min(_KERNEL_BLOCK // self.bvh.leaf_width,
                            _PAIR_BUDGET // self.n_faces))
         for s in range(0, M, chunk):
             e = min(M, s + chunk)
@@ -404,12 +396,9 @@ class TriMesh:
         # Each query follows the nearer child box down to one leaf, whose
         # faces give it an upper bound on its distance.
         first = np.zeros(m, dtype=np.int64)
-        rows = np.flatnonzero(bvh.left[first] >= 0)
-        while len(rows):
-            lo, hi = bvh.left[first[rows]], bvh.right[first[rows]]
-            q = Q[rows]
-            first[rows] = np.where(box_dist2(hi, q) < box_dist2(lo, q), hi, lo)
-            rows = rows[bvh.left[first[rows]] >= 0]
+        for _ in range(bvh.depth):
+            lo = 2 * first + 1
+            first = np.where(box_dist2(lo + 1, Q) < box_dist2(lo, Q), lo + 1, lo)
         best_d2, best_face, best_pt = self._leaf_minima(Q, np.arange(m), first)
 
         # Breadth-first frontier of (query, node) pairs.  A box is pruned
@@ -418,38 +407,40 @@ class TriMesh:
         # differently.  A NaN distance prunes nothing.
         fq = np.arange(m)
         fn = np.zeros(m, dtype=np.int64)
-        while len(fq):
+        for level in range(bvh.depth + 1):
             keep = ~(box_dist2(fn, Q[fq]) > best_d2[fq] * (1.0 + 1e-12))
             fq, fn = fq[keep], fn[keep]
-            leaf = bvh.left[fn] < 0
-            new = leaf & (fn != first[fq])
-            if new.any():
-                # Lexicographic minimum of (d2, face) per query over the
-                # incumbents and the new leaves; lexsort puts NaN last.
-                qi = fq[new]
-                d2, face, pt = self._leaf_minima(Q, qi, fn[new])
-                seen = np.unique(qi)
-                owner = np.concatenate([seen, qi])
-                d2 = np.concatenate([best_d2[seen], d2])
-                face = np.concatenate([best_face[seen], face])
-                order = np.lexsort((face, d2, owner))
-                owner = owner[order]
-                win = order[np.r_[True, owner[1:] != owner[:-1]]]
-                best_d2[seen] = d2[win]
-                best_face[seen] = face[win]
-                best_pt[seen] = np.concatenate([best_pt[seen], pt])[win]
-            fq = np.repeat(fq[~leaf], 2)
-            fn = np.stack([bvh.left[fn[~leaf]], bvh.right[fn[~leaf]]], axis=1).ravel()
+            if level < bvh.depth:
+                fq = np.repeat(fq, 2)
+                fn = (2 * fn[:, None] + [1, 2]).ravel()
+        new = fn != first[fq]
+        if new.any():
+            # Lexicographic minimum of (d2, face) per query over the
+            # incumbents and the surviving leaves; lexsort puts NaN last.
+            qi = fq[new]
+            d2, face, pt = self._leaf_minima(Q, qi, fn[new])
+            seen = np.unique(qi)
+            owner = np.concatenate([seen, qi])
+            d2 = np.concatenate([best_d2[seen], d2])
+            face = np.concatenate([best_face[seen], face])
+            order = np.lexsort((face, d2, owner))
+            owner = owner[order]
+            win = order[np.r_[True, owner[1:] != owner[:-1]]]
+            best_d2[seen] = d2[win]
+            best_face[seen] = face[win]
+            best_pt[seen] = np.concatenate([best_pt[seen], pt])[win]
         return best_d2, best_face, best_pt
 
     def _leaf_minima(self, Q, qi, nodes):
         """Nearest face of leaf ``nodes[i]`` to query ``Q[qi[i]]``, as
         ``(d2, face, point)``; ties go to the lowest face index."""
         bvh = self.bvh
+        start = bvh.bounds[nodes - bvh.n_inner]
+        count = bvh.bounds[nodes - bvh.n_inner + 1] - start
         # Rows padded to the widest leaf by repeating a leaf's last face; a
         # repeat never wins, since argmin takes the first minimum.
-        slot = np.minimum(np.arange(bvh.count.max()), bvh.count[nodes, None] - 1)
-        ids = bvh.order[bvh.start[nodes, None] + slot]
+        slot = np.minimum(np.arange(bvh.leaf_width), count[:, None] - 1)
+        ids = bvh.order[start[:, None] + slot]
         pts, d2 = closest_point_on_triangles(
             Q[qi, None, :], np.take(self._a, ids, axis=0),
             np.take(self._b, ids, axis=0), np.take(self._c, ids, axis=0))
@@ -463,31 +454,34 @@ def load_obj(path) -> TriMesh:
 
     Polygon faces are fan-triangulated; texture and normal indices are
     ignored; negative vertex references resolve relative to the vertices
-    seen so far.  A ``v`` record with fewer than 3 coordinates or an ``f``
-    record with fewer than 3 vertices raises ``ValueError`` naming the file
+    seen so far.  A ``v`` record with fewer than 3 coordinates, an ``f``
+    record with fewer than 3 vertices, a non-numeric token or a face index
+    outside the vertices read so far raises ``ValueError`` naming the file
     and line: skipping a vertex would shift every later face index.
     """
     vertices: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = raw.split("#", 1)[0].split()
+            if not parts or parts[0] not in ("v", "f"):
                 continue
-            parts = line.split()
-            if parts[0] in ("v", "f") and len(parts) < 4:
+            where = f"{path}:{lineno}"
+            if len(parts) < 4:
                 what = "coordinates" if parts[0] == "v" else "vertices"
-                raise ValueError(f"{path}:{lineno}: '{parts[0]}' record needs "
-                                 f"at least 3 {what}")
-            if parts[0] == "v":
-                vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            elif parts[0] == "f":
-                ids = []
-                for token in parts[1:]:
-                    idx = int(token.split("/")[0])
-                    ids.append(len(vertices) + idx if idx < 0 else idx - 1)
-                for t in range(1, len(ids) - 1):
-                    faces.append((ids[0], ids[t], ids[t + 1]))
+                raise ValueError(f"{where}: '{parts[0]}' record needs at least 3 {what}")
+            try:
+                if parts[0] == "v":
+                    vertices.append([float(t) for t in parts[1:4]])
+                    continue
+                ids = [int(t.split("/")[0]) for t in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            ids = [len(vertices) + i if i < 0 else i - 1 for i in ids]
+            if min(ids) < 0 or max(ids) >= len(vertices):
+                raise ValueError(f"{where}: face index out of range for "
+                                 f"{len(vertices)} vertices read so far")
+            faces.extend((ids[0], ids[t], ids[t + 1]) for t in range(1, len(ids) - 1))
     if not faces:
         raise EmptyMeshError(f"no faces found in {path}")
     return TriMesh(np.asarray(vertices), np.asarray(faces))

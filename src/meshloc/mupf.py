@@ -64,6 +64,12 @@ def _is_int(value) -> bool:
             and not isinstance(value, (bool, np.bool_)))
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, (bool, np.bool_))
+
+
 def _default_process_noise() -> np.ndarray:
     return np.diag([1e-5, 1e-5, 1e-5, 1e-4, 1e-4, 1e-4])
 
@@ -168,18 +174,24 @@ class FilterConfig:
 
         def read(key, convert, default, what):
             # Conversion failures name the profile key, not numpy's message.
+            # A bool is refused: float() and numpy read a YAML true as 1.0.
             if key not in mapping:
                 return default
+            value = mapping[key]
             try:
-                return convert(mapping[key])
+                if not _holds_bool(value):
+                    return convert(value)
             except (TypeError, ValueError):
-                raise InvalidConfigError(
-                    f"{key} must be {what}, got {mapping[key]!r}") from None
+                pass
+            raise InvalidConfigError(f"{key} must be {what}, got {value!r}")
 
         def array(shape):
             return lambda v: np.asarray(v, dtype=float).reshape(shape)
 
         def mat(full_key, diag_key, default, dim):
+            if full_key in mapping and diag_key in mapping:
+                raise InvalidConfigError(
+                    f"{full_key} and {diag_key} are both given; keep one")
             if full_key in mapping:
                 return read(full_key, array((dim, dim)), None, f"a {dim}x{dim} matrix")
             return read(diag_key, lambda v: np.diag(array(dim)(v)), default,

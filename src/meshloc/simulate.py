@@ -136,15 +136,20 @@ def read_measurements_csv(path) -> np.ndarray:
         if header is None or tuple(h.strip() for h in header) != MEASUREMENT_HEADER:
             raise InvalidConfigError(
                 f"{path}: expected header {','.join(MEASUREMENT_HEADER)}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 3:
+                raise InvalidConfigError(f"{where}: expected 3 values, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise InvalidConfigError(f"{where}: {exc}") from None
+            if not np.isfinite(rows[-1]).all():
+                raise InvalidConfigError(f"{where}: non-finite measurement values")
     if not rows:
         raise InvalidConfigError(f"{path}: no measurement rows")
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape[1] != 3:
-        raise InvalidConfigError(f"{path}: rows must have 3 columns")
-    if not np.isfinite(arr).all():
-        raise InvalidConfigError(f"{path}: non-finite measurement values")
-    return arr
+    return np.asarray(rows, dtype=float)
 
 
 def write_ground_truth_json(path, spec: ScenarioSpec, contacts: np.ndarray) -> None:

@@ -185,6 +185,35 @@ class TestLocalize:
                        "--output", str(tmp_path / "r.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("body, message", [
+        ("0.1,0.2,0.3\n0.1,0.2\n", "expected 3 values, got 2"),
+        ("0.1,abc,0.3\n", "could not convert string to float: 'abc'"),
+    ], ids=["short-row", "non-numeric"])
+    def test_bad_measurement_row_names_line(self, tmp_path, box_obj, tiny_config,
+                                            capsys, body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y,z\n\n" + body)
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", str(bad),
+                       "--config", tiny_config, "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        line = 2 + body.count("\n")
+        assert capsys.readouterr().err == f"error: {bad}:{line}: {message}\n"
+
+    @pytest.mark.parametrize("record, message", [
+        ("v 1 x 0", "could not convert string to float: 'x'"),
+        ("f 1 2 0", "face index out of range for 3 vertices read so far"),
+    ])
+    def test_bad_mesh_record_names_line(self, tmp_path, tiny_config, capsys,
+                                        record, message):
+        mesh = tmp_path / "bad.obj"
+        mesh.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{record}\nf 1 2 3\n")
+        meas = tmp_path / "meas.csv"
+        meas.write_text("x,y,z\n0.1,0.2,0.3\n")
+        rc = cli.main(["localize", "--mesh", str(mesh), "--measurements", str(meas),
+                       "--config", tiny_config, "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {mesh}:4: {message}\n"
+
     def test_unknown_config_key_exits_2(self, tmp_path, box_obj):
         meas = _simulate(tmp_path, box_obj)
         cfg = tmp_path / "bad.yaml"
@@ -220,6 +249,10 @@ class TestLocalize:
         ("alpha", [1]),
         ("process_noise_diag", {"a": 1}),
         ("prior_mean", [1, 2]),
+        ("sigma_p", True),
+        ("alpha", True),
+        ("prior_mean", [True, 0, 0, 0, 0, 0]),
+        ("prior_cov", np.eye(6).tolist()),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, box_obj, tiny_config,
                                             key, value):
@@ -233,7 +266,8 @@ class TestLocalize:
         assert rc == 2
 
     @pytest.mark.parametrize("key, value", [("particles", 0), ("workers", 1.5),
-                                            ("prior_mean", [1, 2])])
+                                            ("prior_mean", [1, 2]), ("sigma_p", True),
+                                            ("prior_cov", np.eye(6).tolist())])
     def test_config_error_names_profile_key(self, tmp_path, box_obj, tiny_config,
                                             capsys, key, value):
         meas = _simulate(tmp_path, box_obj)
@@ -381,6 +415,18 @@ class TestBatch:
         assert lines[1].startswith("1,")
         assert lines[2].startswith("3,")
 
+    def test_sweep_omit_timing_csv_reruns_byte_identical(self, tmp_path, box_obj,
+                                                         tiny_config):
+        blobs = []
+        for name in ("a.json", "b.json"):
+            rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                           "--trials", "1", "--count", "6", "--sweep-m", "1,2",
+                           "--omit-timing", "--output", str(tmp_path / name)])
+            assert rc == 0
+            blobs.append(Path(tmp_path / name).with_suffix(".sweep.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].splitlines()[0] == b"m,mean_final_index,median_final_index,reliability"
+
     def test_trial_workers_reports_identical(self, tmp_path, box_obj, tiny_config):
         blobs = []
         for name, tw in (("tw1.json", "1"), ("tw2.json", "2")):
@@ -442,6 +488,32 @@ class TestBatch:
         rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
                        "--trials", "0", "--output", str(tmp_path / "x.json")])
         assert rc == 2
+
+    def test_negative_trial_workers_exits_2(self, tmp_path, box_obj, tiny_config,
+                                            capsys):
+        rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                       "--trials", "2", "--trial-workers", "-3",
+                       "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --trial-workers")
+
+    def test_ground_truth_without_measurements_exits_2(self, tmp_path, box_obj,
+                                                       tiny_config, capsys):
+        _simulate(tmp_path, box_obj)
+        rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                       "--trials", "1", "--ground-truth", str(tmp_path / "meas.truth.json"),
+                       "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --ground-truth")
+
+    def test_use_truth_on_measurements_needs_ground_truth(self, tmp_path, box_obj,
+                                                          tiny_config, capsys):
+        meas = _simulate(tmp_path, box_obj)
+        rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                       "--trials", "1", "--measurements", meas, "--use-truth",
+                       "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --use-truth")
 
 
 class TestShippedProfiles:

@@ -244,16 +244,15 @@ class TestBvh:
     def test_single_face_is_single_leaf(self):
         bvh = build_bvh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]),
                         np.array([[0, 1, 2]]))
-        assert bvh.n_nodes == 1
-        assert bvh.left[0] == -1 and bvh.count[0] == 1
+        assert len(bvh.bbox_min) == 1
+        assert bvh.bounds.tolist() == [0, 1]
 
     def test_leaf_size_bound(self, box):
         mesh = random_soup(300, seed=2)
-        leaves = mesh.bvh.left < 0
-        assert mesh.bvh.count[leaves].max() <= LEAF_SIZE == 16
+        assert np.diff(mesh.bvh.bounds).max() <= LEAF_SIZE == 16
         assert np.sort(mesh.bvh.order).tolist() == list(range(300))
         # The 12-face box is one leaf: one triangle-kernel call per batch.
-        assert box.bvh.n_nodes == 1
+        assert len(box.bvh.bbox_min) == 1
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMeshError):
@@ -336,10 +335,54 @@ class TestExhaustiveParity:
         # Some tied faces sit in different leaves, so the lowest index wins
         # across leaves, not only inside one.
         leaf_of = np.empty(mesh.n_faces, dtype=np.int64)
-        for node in np.flatnonzero(mesh.bvh.left < 0):
-            s = mesh.bvh.start[node]
-            leaf_of[mesh.bvh.order[s:s + mesh.bvh.count[node]]] = node
+        bounds = mesh.bvh.bounds
+        leaf_of[mesh.bvh.order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
         assert any(len(set(leaf_of[ids])) > 1 for ids in incident)
+
+
+class TestBvhInvariants:
+    """Structure of the complete tree, checked without running a query."""
+
+    @pytest.fixture(params=["box", "soup33", "grid", "soup300", "soup10k"])
+    def mesh(self, request, box):
+        return {
+            "box": lambda: box,
+            "soup33": lambda: random_soup(33, seed=4),
+            "grid": lambda: _planar_grid(12),
+            "soup300": lambda: random_soup(300, seed=1),
+            "soup10k": lambda: random_soup(10_000, seed=3),
+        }[request.param]()
+
+    def test_leaves_partition_faces_in_ascending_runs(self, mesh):
+        bvh = mesh.bvh
+        assert bvh.bounds[0] == 0 and bvh.bounds[-1] == mesh.n_faces
+        assert np.sort(bvh.order).tolist() == list(range(mesh.n_faces))
+        for j in range(len(bvh.bounds) - 1):
+            assert np.all(np.diff(bvh.order[bvh.bounds[j]:bvh.bounds[j + 1]]) > 0)
+
+    def test_depth_is_the_least_that_bounds_leaf_size(self, mesh):
+        bvh = mesh.bvh
+        sizes = np.diff(bvh.bounds)
+        assert len(sizes) == 2 ** bvh.depth
+        assert len(bvh.bbox_min) == len(bvh.bbox_max) == 2 * len(sizes) - 1
+        assert sizes.max() <= LEAF_SIZE
+        assert sizes.max() - sizes.min() <= 1
+        if bvh.depth:
+            # Merging sibling leaves, i.e. one level less, overfills one.
+            assert (sizes[0::2] + sizes[1::2]).max() > LEAF_SIZE
+
+    def test_boxes_enclose_faces_tightly(self, mesh):
+        bvh = mesh.bvh
+        tri = mesh.vertices[mesh.faces]
+        for j in range(len(bvh.bounds) - 1):
+            ids = bvh.order[bvh.bounds[j]:bvh.bounds[j + 1]]
+            npt.assert_array_equal(bvh.bbox_min[bvh.n_inner + j], tri[ids].min(axis=(0, 1)))
+            npt.assert_array_equal(bvh.bbox_max[bvh.n_inner + j], tri[ids].max(axis=(0, 1)))
+        inner = np.arange(bvh.n_inner)
+        npt.assert_array_equal(bvh.bbox_min[inner], np.minimum(
+            bvh.bbox_min[2 * inner + 1], bvh.bbox_min[2 * inner + 2]))
+        npt.assert_array_equal(bvh.bbox_max[inner], np.maximum(
+            bvh.bbox_max[2 * inner + 1], bvh.bbox_max[2 * inner + 2]))
 
 
 class TestMeshIo:
@@ -394,6 +437,18 @@ class TestMeshIo:
         path = tmp_path / "short_f.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2\n")
         with pytest.raises(ValueError, match=r"short_f\.obj:5: 'f' record"):
+            load_obj(path)
+
+    @pytest.mark.parametrize("record, message", [
+        ("v 1 x 0", "could not convert string to float: 'x'"),
+        ("f 1 2 0", "face index out of range for 3 vertices"),
+        ("f -4 -2 -1", "face index out of range for 3 vertices"),
+        ("f 1/1 2.5 3", "invalid literal for int"),
+    ])
+    def test_bad_record_names_file_and_line(self, tmp_path, record, message):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{record}\nf 1 2 3\n")
+        with pytest.raises(ValueError, match=rf"bad\.obj:4: {message}"):
             load_obj(path)
 
     def test_all_faces_degenerate_raises(self):

@@ -136,6 +136,20 @@ class TestFilterConfig:
         assert np.array_equal(np.diag(cfg.prior_cov), [6, 5, 4, 3, 2, 1])
         assert np.array_equal(cfg.measurement_noise(), 1e-6 * np.eye(3))
 
+    @pytest.mark.parametrize("full, diag, dim", [
+        ("process_noise", "process_noise_diag", 6),
+        ("prior_cov", "prior_cov_diag", 6),
+        ("measurement_noise", "measurement_noise_diag", 3),
+    ])
+    def test_from_mapping_rejects_full_and_diag_together(self, full, diag, dim):
+        with pytest.raises(InvalidConfigError, match=f"^{full} and {diag} "):
+            FilterConfig.from_mapping({full: np.eye(dim).tolist(), diag: [1.0] * dim})
+
+    def test_from_mapping_reads_numeric_strings(self):
+        # PyYAML reads 1e-3, which has no dot, as the string '1e-3'.
+        cfg = FilterConfig.from_mapping({"sigma_p": "1e-3", "alpha": "0.5"})
+        assert (cfg.sigma_p, cfg.sut.alpha) == (1e-3, 0.5)
+
     def test_workers_accepted_but_not_echoed(self):
         cfg = FilterConfig.from_mapping({"workers": 4})
         assert cfg.n_workers == 4
