@@ -11,6 +11,7 @@ repeated runs can be compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -48,17 +49,24 @@ _TIMING_KEYS = ("elapsed", "mean_elapsed", "max_elapsed")
 
 
 def _parse_pose(text: str) -> Pose:
-    parts = [float(v) for v in text.split(",")]
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 6:
-        raise InvalidConfigError(
-            "pose must be x,y,z,phi,theta,psi (6 comma-separated numbers)")
+        raise InvalidConfigError("--true-pose must be x,y,z,phi,theta,psi "
+                                 f"(6 comma-separated numbers), got {text!r}")
     return Pose.from_array(np.asarray(parts))
 
 
 def _parse_face_subset(text: str | None) -> tuple[int, ...] | None:
     if text is None or text.strip() == "":
         return None
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise InvalidConfigError("--face-subset must be comma-separated face "
+                                 f"indices, got {text!r}") from None
 
 
 def _parse_sweep(text: str) -> list[int]:
@@ -127,41 +135,40 @@ def _strip_timing(obj):
     return obj
 
 
-def _write_json(path: str, payload: dict, omit_timing: bool) -> None:
-    if omit_timing:
-        payload = _strip_timing(payload)
+@contextlib.contextmanager
+def _replacing(path):
+    """Create the directory of ``path``; replace ``path`` by the yielded ``.tmp`` file."""
     out = Path(path)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    yield tmp
     tmp.replace(out)
 
 
-def _write_trace_csv(path: str, index_trace) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,index\n")
-        for t, v in enumerate(index_trace, start=1):
-            fh.write(f"{t},{v:.9g}\n")
+def _write_text(path, text: str) -> None:
+    with _replacing(path) as tmp:
+        tmp.write_text(text)
+
+
+def _write_json(path, payload: dict, omit_timing: bool) -> None:
+    payload = _strip_timing(payload) if omit_timing else payload
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _scenario(args, seed: int) -> ScenarioSpec:
+    return ScenarioSpec(mesh_path=args.mesh, true_pose=_parse_pose(args.true_pose),
+                        n_measurements=args.count, noise_sigma=args.noise_sigma,
+                        face_subset=_parse_face_subset(args.face_subset), seed=seed)
 
 
 def cmd_simulate(args) -> int:
-    mesh = _load_mesh(args.mesh)
-    spec = ScenarioSpec(
-        mesh_path=args.mesh,
-        true_pose=_parse_pose(args.true_pose),
-        n_measurements=args.count,
-        noise_sigma=args.noise_sigma,
-        face_subset=_parse_face_subset(args.face_subset),
-        seed=args.seed,
-    )
-    spec.resolved_subset(mesh)
-    measurements, contacts = sample_contacts(spec, mesh)
-    write_measurements_csv(args.output, measurements)
-    truth_path = args.ground_truth or str(Path(args.output).with_suffix(".truth.json"))
-    write_ground_truth_json(truth_path, spec, contacts)
+    spec = _scenario(args, args.seed)
+    measurements, contacts = sample_contacts(spec, _load_mesh(args.mesh))
+    truth_path = args.ground_truth or Path(args.output).with_suffix(".truth.json")
+    with _replacing(args.output) as tmp:
+        write_measurements_csv(tmp, measurements)
+    with _replacing(truth_path) as tmp:
+        write_ground_truth_json(tmp, spec, contacts)
     logger.info("wrote %d measurements to %s (ground truth: %s)",
                 len(measurements), args.output, truth_path)
     return 0
@@ -172,43 +179,32 @@ def cmd_localize(args) -> int:
     mesh = _load_mesh(args.mesh)
     measurements = read_measurements_csv(_require_file(args.measurements, "measurement"))
 
-    truth = None
-    truth_scenario = None
-    if args.ground_truth:
-        spec, _ = read_ground_truth_json(args.ground_truth)
-        truth = spec.true_pose
-        truth_scenario = spec.to_dict()
-
-    _, report = run(measurements, config.model_for(mesh), config, truth=truth)
+    spec = read_ground_truth_json(args.ground_truth)[0] if args.ground_truth else None
+    _, report = run(measurements, config.model_for(mesh), config,
+                    truth=None if spec is None else spec.true_pose)
     payload = {
         "schema": REPORT_SCHEMA,
         "kind": "localize",
         "mesh": args.mesh,
         "measurements": args.measurements,
         "config": config.to_dict(),
-        "scenario": truth_scenario,
+        "scenario": None if spec is None else spec.to_dict(),
         "report": _report_to_dict(report),
     }
     _write_json(args.output, payload, args.omit_timing)
     if args.emit_trace:
-        trace_path = str(Path(args.output).with_suffix(".trace.csv"))
-        _write_trace_csv(trace_path, report.index_trace)
+        trace_path = Path(args.output).with_suffix(".trace.csv")
+        _write_text(trace_path, "t,index\n" + "".join(
+            f"{t},{v:.9g}\n" for t, v in enumerate(report.index_trace, start=1)))
         logger.info("wrote index trace to %s", trace_path)
     logger.info("final index %.6g m, success=%s", report.final_index, report.success)
     return 0
 
 
 def _batch_trial(trial: tuple) -> TrialReport:
-    """One batch trial; module-level so process pools can pickle it.
-
-    ``trial`` is ``(mesh, config, source, truth)``, where ``source`` is
-    either a measurement array or a `ScenarioSpec` to sample contacts from.
-    """
-    mesh, config, source, truth = trial
-    if isinstance(source, ScenarioSpec):
-        measurements, _ = sample_contacts(source, mesh)
-    else:
-        measurements = source
+    """One batch trial ``(mesh, config, measurements, truth)``; module-level
+    so process pools can pickle it."""
+    mesh, config, measurements, truth = trial
     _, report = run(measurements, config.model_for(mesh), config, truth=truth)
     return report
 
@@ -222,16 +218,7 @@ def _run_batch(trials: list[tuple], trial_workers: int) -> list[TrialReport]:
 
 def cmd_batch(args) -> int:
     config = _load_config(args.config, {"seed": args.seed, "workers": args.workers})
-    scenario = None
-    if args.measurements is None:
-        scenario = ScenarioSpec(
-            mesh_path=args.mesh,
-            true_pose=_parse_pose(args.true_pose),
-            n_measurements=args.count,
-            noise_sigma=args.noise_sigma,
-            face_subset=_parse_face_subset(args.face_subset),
-            seed=args.scenario_seed,
-        )
+    scenario = _scenario(args, args.scenario_seed) if args.measurements is None else None
     if args.trials < 1:
         raise InvalidConfigError("trials must be at least 1")
     if args.trial_workers < 1:
@@ -241,13 +228,13 @@ def cmd_batch(args) -> int:
                                  "simulated trials take --use-truth")
     if args.use_truth and args.measurements is not None and not args.ground_truth:
         raise InvalidConfigError("--use-truth with --measurements needs --ground-truth")
-    measurements = None
-    if args.measurements is not None:
-        measurements = read_measurements_csv(
-            _require_file(args.measurements, "measurement"))
     mesh = _load_mesh(args.mesh)
-    if scenario is not None:
-        scenario.resolved_subset(mesh)
+    if scenario is None:
+        per_trial = [read_measurements_csv(
+            _require_file(args.measurements, "measurement"))] * args.trials
+    else:  # trial i draws scenario seed + i, once for every memory value
+        per_trial = [sample_contacts(dataclasses.replace(scenario, seed=scenario.seed + i),
+                                     mesh)[0] for i in range(args.trials)]
 
     truth = None
     if args.ground_truth:
@@ -262,10 +249,8 @@ def cmd_batch(args) -> int:
     for memory in memories:
         trials = [(mesh,
                    dataclasses.replace(config, memory=memory, seed=config.seed + i),
-                   measurements if scenario is None
-                   else dataclasses.replace(scenario, seed=scenario.seed + i),
-                   truth)
-                  for i in range(args.trials)]
+                   measurements, truth)
+                  for i, measurements in enumerate(per_trial)]
         reports = _run_batch(trials, args.trial_workers)
         per_m.append({
             "memory": memory,
@@ -284,15 +269,13 @@ def cmd_batch(args) -> int:
     }
     if sweep is not None:
         payload["per_memory"] = per_m
-        sweep_csv = str(Path(args.output).with_suffix(".sweep.csv"))
+        sweep_csv = Path(args.output).with_suffix(".sweep.csv")
         columns = [c for c in ("mean_final_index", "median_final_index",
                                "reliability", "mean_elapsed")
                    if not (args.omit_timing and c in _TIMING_KEYS)]
-        with open(sweep_csv, "w") as fh:
-            fh.write(",".join(["m", *columns]) + "\n")
-            for entry in per_m:
-                fh.write(",".join([str(entry["memory"]), *(
-                    f"{entry['aggregate'][c]:.9g}" for c in columns)]) + "\n")
+        _write_text(sweep_csv, ",".join(["m", *columns]) + "\n" + "".join(
+            ",".join([str(e["memory"]), *(f"{e['aggregate'][c]:.9g}" for c in columns)])
+            + "\n" for e in per_m))
         logger.info("wrote sweep table to %s", sweep_csv)
     else:
         payload["aggregate"] = per_m[0]["aggregate"]
@@ -309,63 +292,60 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log progress at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="generate noisy contact measurements")
-    sim.add_argument("--mesh", required=True, help="OBJ mesh file")
-    sim.add_argument("--true-pose", default="0,0,0,0,0,0",
-                     help="x,y,z,phi,theta,psi of the object")
-    sim.add_argument("--count", type=int, default=15,
-                     help="number of measurements")
-    sim.add_argument("--noise-sigma", type=float, default=0.001,
-                     help="measurement noise std in meters")
-    sim.add_argument("--face-subset", default=None,
-                     help="comma-separated face indices to sample from")
-    sim.add_argument("--seed", type=int, default=0)
+    # Flags shared by several subcommands, each stated once.
+    mesh = argparse.ArgumentParser(add_help=False)
+    mesh.add_argument("--mesh", required=True, help="OBJ mesh file")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--true-pose", default="0,0,0,0,0,0",
+                          help="x,y,z,phi,theta,psi of the object")
+    scenario.add_argument("--count", type=int, default=15,
+                          help="number of measurements")
+    scenario.add_argument("--noise-sigma", type=float, default=0.001,
+                          help="measurement noise std in meters")
+    scenario.add_argument("--face-subset", default=None,
+                          help="comma-separated face indices to sample from")
+    filt = argparse.ArgumentParser(add_help=False)
+    filt.add_argument("--config", default=None, help="YAML parameter profile")
+    filt.add_argument("--seed", type=int, default=None,
+                      help="override the profile seed (batch trial i adds i)")
+    filt.add_argument("--workers", type=int, default=None,
+                      help="threads for the particle batches inside each filter run")
+    filt.add_argument("--omit-timing", action="store_true",
+                      help="strip wall-clock fields from the report")
+
+    sim = sub.add_parser("simulate", parents=[mesh, scenario],
+                         help="generate noisy contact measurements")
+    sim.add_argument("--seed", type=int, default=0, help="scenario seed")
     sim.add_argument("--output", required=True, help="measurement CSV path")
     sim.add_argument("--ground-truth", default=None,
                      help="ground-truth JSON path (default: alongside output)")
     sim.set_defaults(func=cmd_simulate)
 
-    loc = sub.add_parser("localize", help="run the filter on a measurement file")
-    loc.add_argument("--mesh", required=True)
+    loc = sub.add_parser("localize", parents=[mesh, filt],
+                         help="run the filter on a measurement file")
     loc.add_argument("--measurements", required=True, help="measurement CSV")
-    loc.add_argument("--config", default=None, help="YAML parameter profile")
-    loc.add_argument("--seed", type=int, default=None, help="override config seed")
-    loc.add_argument("--workers", type=int, default=None,
-                     help="threads for in-filter particle batches")
     loc.add_argument("--ground-truth", default=None,
                      help="ground-truth JSON; enables pose-error reporting")
     loc.add_argument("--emit-trace", action="store_true",
                      help="also write the per-step index trace CSV")
-    loc.add_argument("--omit-timing", action="store_true",
-                     help="strip wall-clock fields from the report")
     loc.add_argument("--output", required=True, help="report JSON path")
     loc.set_defaults(func=cmd_localize)
 
-    bat = sub.add_parser("batch", help="run repeated trials, optionally sweeping m")
-    bat.add_argument("--mesh", required=True)
-    bat.add_argument("--config", default=None)
+    bat = sub.add_parser("batch", parents=[mesh, scenario, filt],
+                         help="run repeated trials, optionally sweeping m")
     bat.add_argument("--trials", type=int, default=20)
-    bat.add_argument("--seed", type=int, default=None,
-                     help="base filter seed (trial i adds i)")
-    bat.add_argument("--workers", type=int, default=None,
-                     help="threads inside each filter run")
     bat.add_argument("--trial-workers", type=int, default=1,
                      help="processes running whole trials in parallel")
     bat.add_argument("--measurements", default=None,
                      help="reuse one measurement CSV for every trial")
     bat.add_argument("--ground-truth", default=None,
                      help="ground-truth JSON for --measurements")
-    bat.add_argument("--true-pose", default="0,0,0,0,0,0")
-    bat.add_argument("--count", type=int, default=15)
-    bat.add_argument("--noise-sigma", type=float, default=0.001)
-    bat.add_argument("--face-subset", default=None)
     bat.add_argument("--scenario-seed", type=int, default=0,
                      help="base measurement seed (trial i adds i)")
     bat.add_argument("--use-truth", action="store_true",
                      help="classify success by pose error instead of index")
     bat.add_argument("--sweep-m", default=None,
                      help="memory values: '1..15' or '1,5,10'")
-    bat.add_argument("--omit-timing", action="store_true")
     bat.add_argument("--output", required=True, help="summary JSON path")
     bat.set_defaults(func=cmd_batch)
     return parser

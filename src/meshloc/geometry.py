@@ -300,9 +300,10 @@ def build_bvh(vertices: np.ndarray, faces: np.ndarray) -> Bvh:
 class TriMesh:
     """Indexed triangle mesh with a BVH for closest-point queries.
 
-    Zero-area faces (repeated vertex indices or collinear corners) are
-    dropped at construction with a warning; at least one usable face must
-    remain.  All arrays are read-only after construction.
+    Non-finite vertex coordinates raise ``ValueError``.  Zero-area faces
+    (repeated vertex indices or collinear corners) are dropped at
+    construction with a warning; at least one usable face must remain.
+    All arrays are read-only after construction.
     """
 
     __slots__ = ("vertices", "faces", "bvh", "_a", "_b", "_c")
@@ -314,6 +315,8 @@ class TriMesh:
             raise ValueError("vertices must have shape (V, 3)")
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise ValueError("faces must have shape (F, 3)")
+        if not np.isfinite(vertices).all():
+            raise ValueError("vertex coordinates must be finite")
         if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
             raise ValueError("face indices out of range")
 
@@ -455,9 +458,10 @@ def load_obj(path) -> TriMesh:
     Polygon faces are fan-triangulated; texture and normal indices are
     ignored; negative vertex references resolve relative to the vertices
     seen so far.  A ``v`` record with fewer than 3 coordinates, an ``f``
-    record with fewer than 3 vertices, a non-numeric token or a face index
-    outside the vertices read so far raises ``ValueError`` naming the file
-    and line: skipping a vertex would shift every later face index.
+    record with fewer than 3 vertices, a non-numeric or non-finite token or
+    a face index outside the vertices read so far raises ``ValueError``
+    naming the file and line: skipping a vertex would shift every later
+    face index.
     """
     vertices: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
@@ -473,6 +477,8 @@ def load_obj(path) -> TriMesh:
             try:
                 if parts[0] == "v":
                     vertices.append([float(t) for t in parts[1:4]])
+                    if not np.isfinite(vertices[-1]).all():
+                        raise ValueError(f"non-finite vertex coordinate in {' '.join(parts)!r}")
                     continue
                 ids = [int(t.split("/")[0]) for t in parts[1:]]
             except ValueError as exc:

@@ -70,13 +70,18 @@ def _holds_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def _default_process_noise() -> np.ndarray:
-    return np.diag([1e-5, 1e-5, 1e-5, 1e-4, 1e-4, 1e-4])
-
-
-def _default_prior_cov() -> np.ndarray:
-    return np.diag([0.04, 0.04, 0.04,
-                    np.pi ** 2, (np.pi / 2.0) ** 2, np.pi ** 2])
+# Profile keys that `FilterConfig.from_mapping` reads, grouped by how it
+# reads them: counts map to fields, flags go to validate() as given,
+# matrices may also be given as their ``_diag``.
+_PROFILE_COUNTS = {"particles": "n_particles", "memory": "memory",
+                   "resampling_delay": "resampling_delay", "workers": "n_workers",
+                   "seed": "seed"}
+_PROFILE_FLAGS = ("sigma_p_is_variance", "prior_map_exponent",
+                  "transition_density_in_weights")
+_PROFILE_MATRICES = (("process_noise", "process_noise", 6),
+                     ("prior_cov", "prior_cov", 6),
+                     ("measurement_noise", "measurement_noise_cov", 3))
+_SUT_KEYS = ("alpha", "k", "beta")
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,11 @@ class FilterConfig:
 
     n_particles: int = 700
     memory: int = 10
-    process_noise: np.ndarray = field(default_factory=_default_process_noise)
+    process_noise: np.ndarray = field(
+        default_factory=lambda: np.diag([1e-5, 1e-5, 1e-5, 1e-4, 1e-4, 1e-4]))
     prior_mean: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    prior_cov: np.ndarray = field(default_factory=_default_prior_cov)
+    prior_cov: np.ndarray = field(default_factory=lambda: np.diag(
+        [0.04, 0.04, 0.04, np.pi ** 2, (np.pi / 2.0) ** 2, np.pi ** 2]))
     sigma_p: float = 1e-4
     sigma_p_is_variance: bool = False
     measurement_noise_cov: np.ndarray | None = None
@@ -158,25 +165,23 @@ class FilterConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "FilterConfig":
-        """Build a config from a flat mapping (the on-disk profile format)."""
-        known = {
-            "particles", "memory", "process_noise", "process_noise_diag",
-            "prior_mean", "prior_cov", "prior_cov_diag", "sigma_p",
-            "sigma_p_is_variance", "measurement_noise", "measurement_noise_diag",
-            "alpha", "k", "beta", "resampling_delay", "resampling",
-            "prior_map_exponent", "transition_density_in_weights", "workers",
-            "seed",
-        }
+        """Build a config from a flat mapping (the on-disk profile format).
+
+        Only the keys the mapping sets are passed on; the defaults of
+        `FilterConfig` and `SutParams` fill in the rest.
+        """
+        known = {*_PROFILE_COUNTS, *_PROFILE_FLAGS, *_SUT_KEYS, "sigma_p",
+                 "prior_mean", "resampling",
+                 *(key + suffix for key, _, _ in _PROFILE_MATRICES
+                   for suffix in ("", "_diag"))}
         unknown = set(mapping) - known
         if unknown:
             raise InvalidConfigError(
                 f"unknown config keys: {sorted(unknown, key=str)}")
 
-        def read(key, convert, default, what):
+        def read(key, convert, what):
             # Conversion failures name the profile key, not numpy's message.
             # A bool is refused: float() and numpy read a YAML true as 1.0.
-            if key not in mapping:
-                return default
             value = mapping[key]
             try:
                 if not _holds_bool(value):
@@ -188,48 +193,32 @@ class FilterConfig:
         def array(shape):
             return lambda v: np.asarray(v, dtype=float).reshape(shape)
 
-        def mat(full_key, diag_key, default, dim):
-            if full_key in mapping and diag_key in mapping:
-                raise InvalidConfigError(
-                    f"{full_key} and {diag_key} are both given; keep one")
-            if full_key in mapping:
-                return read(full_key, array((dim, dim)), None, f"a {dim}x{dim} matrix")
-            return read(diag_key, lambda v: np.diag(array(dim)(v)), default,
-                        f"a list of {dim} numbers")
-
-        def number(key, default):
-            return read(key, float, default, "a number")
-
-        def count(key, default):
+        def count(value):
             # Integral floats become ints; any other value reaches validate()
             # unchanged, which rejects everything but integers.
-            value = mapping.get(key, default)
-            if isinstance(value, float) and value.is_integer():
-                return int(value)
-            return value
+            return int(value) if isinstance(value, float) and value.is_integer() else value
 
-        sut = SutParams(alpha=number("alpha", 1.0), k=number("k", 2.0),
-                        beta=number("beta", 30.0))
-        cfg = cls(
-            n_particles=count("particles", 700),
-            memory=count("memory", 10),
-            process_noise=mat("process_noise", "process_noise_diag",
-                              _default_process_noise(), 6),
-            prior_mean=read("prior_mean", array(6), np.zeros(6), "a list of 6 numbers"),
-            prior_cov=mat("prior_cov", "prior_cov_diag", _default_prior_cov(), 6),
-            sigma_p=number("sigma_p", 1e-4),
-            sigma_p_is_variance=mapping.get("sigma_p_is_variance", False),
-            measurement_noise_cov=mat("measurement_noise", "measurement_noise_diag",
-                                      None, 3),
-            sut=sut,
-            resampling_delay=count("resampling_delay", 2),
-            resampling=str(mapping.get("resampling", "multinomial")),
-            prior_map_exponent=mapping.get("prior_map_exponent", True),
-            transition_density_in_weights=mapping.get(
-                "transition_density_in_weights", False),
-            n_workers=count("workers", 1),
-            seed=count("seed", 0),
-        )
+        kwargs = {"sut": SutParams(**{key: read(key, float, "a number")
+                                      for key in _SUT_KEYS if key in mapping})}
+        for key, name, dim in _PROFILE_MATRICES:
+            diag_key = key + "_diag"
+            if key in mapping and diag_key in mapping:
+                raise InvalidConfigError(f"{key} and {diag_key} are both given; keep one")
+            if key in mapping:
+                kwargs[name] = read(key, array((dim, dim)), f"a {dim}x{dim} matrix")
+            elif diag_key in mapping:
+                kwargs[name] = read(diag_key, lambda v: np.diag(array(dim)(v)),
+                                    f"a list of {dim} numbers")
+        if "prior_mean" in mapping:
+            kwargs["prior_mean"] = read("prior_mean", array(6), "a list of 6 numbers")
+        if "sigma_p" in mapping:
+            kwargs["sigma_p"] = read("sigma_p", float, "a number")
+        if "resampling" in mapping:
+            kwargs["resampling"] = str(mapping["resampling"])
+        kwargs.update({key: mapping[key] for key in _PROFILE_FLAGS if key in mapping})
+        kwargs.update({name: count(mapping[key])
+                       for key, name in _PROFILE_COUNTS.items() if key in mapping})
+        cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 

@@ -1,6 +1,8 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,17 @@ class TestParsers:
         with pytest.raises(InvalidConfigError):
             cli._parse_pose("1,2,3")
 
+    @pytest.mark.parametrize("text", ["1,2,3,4,5,x", "", "1,,2,3,4,5"])
+    def test_parse_pose_names_flag_and_value(self, text):
+        with pytest.raises(InvalidConfigError, match=f"^--true-pose .*got '{text}'$"):
+            cli._parse_pose(text)
+
+    @pytest.mark.parametrize("text", ["2,x", "1.5", "2,,3"])
+    def test_parse_face_subset_names_flag_and_value(self, text):
+        with pytest.raises(InvalidConfigError,
+                           match=f"^--face-subset .*got '{re.escape(text)}'$"):
+            cli._parse_face_subset(text)
+
     def test_parse_face_subset(self):
         assert cli._parse_face_subset(None) is None
         assert cli._parse_face_subset("2,3") == (2, 3)
@@ -114,6 +127,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value, field", [
         ("--true-pose", "nan,0,0,0,0,0", "true_pose"),
         ("--noise-sigma", "inf", "noise_sigma"),
+        ("--true-pose", "1,2,3,4,5,x", "--true-pose"),
+        ("--face-subset", "2,x", "--face-subset"),
     ])
     def test_non_finite_scenario_exits_2(self, tmp_path, box_obj, capsys,
                                          flag, value, field):
@@ -123,6 +138,19 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {field}")
         assert not out.exists()
+
+
+    def test_creates_output_directories(self, tmp_path, box_obj):
+        out = tmp_path / "new" / "c.csv"
+        truth = tmp_path / "other" / "t.json"
+        rc = cli.main(["simulate", "--mesh", box_obj, "--output", str(out)])
+        assert rc == 0
+        assert out.is_file() and (tmp_path / "new" / "c.truth.json").is_file()
+        rc = cli.main(["simulate", "--mesh", box_obj, "--output", str(out),
+                       "--ground-truth", str(truth)])
+        assert rc == 0
+        assert truth.is_file()
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestLocalize:
@@ -202,6 +230,8 @@ class TestLocalize:
     @pytest.mark.parametrize("record, message", [
         ("v 1 x 0", "could not convert string to float: 'x'"),
         ("f 1 2 0", "face index out of range for 3 vertices read so far"),
+        ("v nan 0 1", "non-finite vertex coordinate in 'v nan 0 1'"),
+        ("v inf 0 0", "non-finite vertex coordinate in 'v inf 0 0'"),
     ])
     def test_bad_mesh_record_names_line(self, tmp_path, tiny_config, capsys,
                                         record, message):
@@ -540,6 +570,21 @@ class TestShippedProfiles:
         assert cfg.n_particles == 1200
         assert cfg.sigma_p == 4e-4
         assert np.array_equal(np.diag(cfg.process_noise)[3:], [1e-3] * 3)
+
+
+class TestReadme:
+    # guards the documented commands against flag drift
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv[:1] == ["meshloc"]:
+                    commands.append(argv[1:])
+        assert [argv[0] for argv in commands] == ["simulate", "localize", "batch"]
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
 
 
 class TestManifest:

@@ -444,12 +444,21 @@ class TestMeshIo:
         ("f 1 2 0", "face index out of range for 3 vertices"),
         ("f -4 -2 -1", "face index out of range for 3 vertices"),
         ("f 1/1 2.5 3", "invalid literal for int"),
+        ("v nan 0 1", "non-finite vertex coordinate in 'v nan 0 1'"),
+        ("v inf 0 0", "non-finite vertex coordinate in 'v inf 0 0'"),
     ])
     def test_bad_record_names_file_and_line(self, tmp_path, record, message):
         path = tmp_path / "bad.obj"
         path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{record}\nf 1 2 3\n")
         with pytest.raises(ValueError, match=rf"bad\.obj:4: {message}"):
             load_obj(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_raises(self, bad):
+        # Not dropped as a degenerate face: the coordinate is at fault.
+        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+            TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [bad, 0, 1]],
+                    [[0, 1, 2], [0, 1, 3]])
 
     def test_all_faces_degenerate_raises(self):
         with pytest.raises(EmptyMeshError):

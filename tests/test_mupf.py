@@ -150,6 +150,12 @@ class TestFilterConfig:
         cfg = FilterConfig.from_mapping({"sigma_p": "1e-3", "alpha": "0.5"})
         assert (cfg.sigma_p, cfg.sut.alpha) == (1e-3, 0.5)
 
+    def test_empty_profile_is_library_default(self):
+        # from_mapping holds no defaults of its own, so none can drift.
+        cfg = FilterConfig.from_mapping({})
+        assert cfg.to_dict() == FilterConfig().to_dict()
+        assert cfg.n_workers == FilterConfig().n_workers
+
     def test_workers_accepted_but_not_echoed(self):
         cfg = FilterConfig.from_mapping({"workers": 4})
         assert cfg.n_workers == 4
