@@ -110,20 +110,8 @@ def _load_mesh(path: str):
     return load_obj(_require_file(path, "mesh"))
 
 
-def _report_to_dict(report) -> dict:
-    return {
-        "estimate": report.estimate.to_array().tolist(),
-        "final_index": float(report.final_index),
-        "index_trace": [float(v) for v in report.index_trace],
-        "position_error": (None if report.position_error is None
-                           else float(report.position_error)),
-        "orientation_error": (None if report.orientation_error is None
-                              else float(report.orientation_error)),
-        "elapsed": float(report.elapsed),
-        "success": bool(report.success),
-        "seed": int(report.seed),
-        "degenerate_steps": [int(k) for k in report.degenerate_steps],
-    }
+def _report_to_dict(report: TrialReport) -> dict:
+    return dataclasses.asdict(report) | {"estimate": report.estimate.to_array().tolist()}
 
 
 def _strip_timing(obj):
@@ -155,10 +143,20 @@ def _write_json(path, payload: dict, omit_timing: bool) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _scenario(args, seed: int) -> ScenarioSpec:
-    return ScenarioSpec(mesh_path=args.mesh, true_pose=_parse_pose(args.true_pose),
-                        n_measurements=args.count, noise_sigma=args.noise_sigma,
-                        face_subset=_parse_face_subset(args.face_subset), seed=seed)
+# Scenario flag destinations.  Their parsers default them to None, so that
+# `batch --measurements` can name the ones given; `_scenario` applies the
+# defaults.
+_SCENARIO_DESTS = ("true_pose", "count", "noise_sigma", "face_subset", "scenario_seed")
+
+
+def _scenario(args, seed: int | None) -> ScenarioSpec:
+    return ScenarioSpec(
+        mesh_path=args.mesh,
+        true_pose=_parse_pose("0,0,0,0,0,0" if args.true_pose is None else args.true_pose),
+        n_measurements=15 if args.count is None else args.count,
+        noise_sigma=0.001 if args.noise_sigma is None else args.noise_sigma,
+        face_subset=_parse_face_subset(args.face_subset),
+        seed=0 if seed is None else seed)
 
 
 def cmd_simulate(args) -> int:
@@ -218,6 +216,11 @@ def _run_batch(trials: list[tuple], trial_workers: int) -> list[TrialReport]:
 
 def cmd_batch(args) -> int:
     config = _load_config(args.config, {"seed": args.seed, "workers": args.workers})
+    given = [f"--{dest.replace('_', '-')}" for dest in _SCENARIO_DESTS
+             if getattr(args, dest) is not None]
+    if args.measurements is not None and given:
+        raise InvalidConfigError(f"{', '.join(given)}: scenario flags do not apply "
+                                 "to --measurements")
     scenario = _scenario(args, args.scenario_seed) if args.measurements is None else None
     if args.trials < 1:
         raise InvalidConfigError("trials must be at least 1")
@@ -296,13 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     mesh = argparse.ArgumentParser(add_help=False)
     mesh.add_argument("--mesh", required=True, help="OBJ mesh file")
     scenario = argparse.ArgumentParser(add_help=False)
-    scenario.add_argument("--true-pose", default="0,0,0,0,0,0",
-                          help="x,y,z,phi,theta,psi of the object")
-    scenario.add_argument("--count", type=int, default=15,
-                          help="number of measurements")
-    scenario.add_argument("--noise-sigma", type=float, default=0.001,
+    scenario.add_argument("--true-pose", help="x,y,z,phi,theta,psi of the object")
+    scenario.add_argument("--count", type=int, help="number of measurements")
+    scenario.add_argument("--noise-sigma", type=float,
                           help="measurement noise std in meters")
-    scenario.add_argument("--face-subset", default=None,
+    scenario.add_argument("--face-subset",
                           help="comma-separated face indices to sample from")
     filt = argparse.ArgumentParser(add_help=False)
     filt.add_argument("--config", default=None, help="YAML parameter profile")
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="reuse one measurement CSV for every trial")
     bat.add_argument("--ground-truth", default=None,
                      help="ground-truth JSON for --measurements")
-    bat.add_argument("--scenario-seed", type=int, default=0,
+    bat.add_argument("--scenario-seed", type=int,
                      help="base measurement seed (trial i adds i)")
     bat.add_argument("--use-truth", action="store_true",
                      help="classify success by pose error instead of index")

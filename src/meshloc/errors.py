@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
+
+import numpy as np
+
+__all__ = ["MeshlocError", "EmptyMeshError", "NotPositiveDefiniteError",
+           "SingularInnovationError", "InvalidConfigError", "InvalidFaceSubsetError"]
+
+
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool, which `int` subclasses, is not one."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, (bool, np.bool_)))
 
 
 class MeshlocError(Exception):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, is_int
 from .geometry import Pose
 from .metrics import TrialReport, performance_index, pose_error, success_test
 from .ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
@@ -57,11 +57,6 @@ logger = logging.getLogger(__name__)
 _LN_2PI = float(np.log(2.0 * np.pi))
 _DENSITY_EIG_FLOOR = 1e-12
 _EXTRACT_CHUNK = 256
-
-
-def _is_int(value) -> bool:
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, (bool, np.bool_)))
 
 
 def _holds_bool(value) -> bool:
@@ -128,7 +123,7 @@ class FilterConfig:
                                ("seed", "seed", 0),
                                ("n_workers", "workers (n_workers)", 1)):
             value = getattr(self, name)
-            if not (_is_int(value) and value >= low):
+            if not (is_int(value) and value >= low):
                 raise InvalidConfigError(f"{key} must be an integer >= {low}")
         for name in ("sigma_p_is_variance", "prior_map_exponent",
                      "transition_density_in_weights"):

@@ -15,12 +15,13 @@ contacts for a given seed are identical across noise levels.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidFaceSubsetError
+from .errors import InvalidConfigError, InvalidFaceSubsetError, is_int
 from .geometry import Pose, TriMesh
 
 __all__ = [
@@ -36,7 +37,7 @@ MEASUREMENT_HEADER = ("x", "y", "z")
 GROUND_TRUTH_SCHEMA = "meshloc-ground-truth-1"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ScenarioSpec:
     """One synthetic measurement scenario."""
 
@@ -48,18 +49,26 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n_measurements, (int, np.integer))
-                and self.n_measurements >= 1):
+        # Each field is checked once and stored in its JSON type, so that
+        # `to_dict` writes the fields as they are; a bool or a fraction where
+        # an integer belongs is refused, never cut.
+        if not (is_int(self.n_measurements) and self.n_measurements >= 1):
             raise InvalidConfigError("n_measurements must be a positive integer")
         if not np.isfinite(self.true_pose.to_array()).all():
             raise InvalidConfigError("true_pose must be finite")
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise InvalidConfigError("noise_sigma must be finite and non-negative")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        sigma = self.noise_sigma
+        if not (isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
+                and np.isfinite(sigma) and sigma >= 0.0):
+            raise InvalidConfigError("noise_sigma must be a finite non-negative number")
+        if not (is_int(self.seed) and self.seed >= 0):
             raise InvalidConfigError("seed must be a non-negative integer")
+        if self.face_subset is not None and not all(map(is_int, self.face_subset)):
+            raise InvalidConfigError("face_subset must hold integer face indices")
+        object.__setattr__(self, "n_measurements", int(self.n_measurements))
+        object.__setattr__(self, "noise_sigma", float(sigma))
+        object.__setattr__(self, "seed", int(self.seed))
         if self.face_subset is not None:
-            object.__setattr__(self, "face_subset",
-                               tuple(int(i) for i in self.face_subset))
+            object.__setattr__(self, "face_subset", tuple(map(int, self.face_subset)))
 
     def resolved_subset(self, mesh: TriMesh) -> np.ndarray:
         """Validated face indices to sample from (all faces by default)."""
@@ -77,15 +86,7 @@ class ScenarioSpec:
         return subset
 
     def to_dict(self) -> dict:
-        return {
-            "mesh_path": self.mesh_path,
-            "true_pose": self.true_pose.to_array().tolist(),
-            "n_measurements": int(self.n_measurements),
-            "noise_sigma": float(self.noise_sigma),
-            "face_subset": (None if self.face_subset is None
-                            else [int(i) for i in self.face_subset]),
-            "seed": int(self.seed),
-        }
+        return dataclasses.asdict(self) | {"true_pose": self.true_pose.to_array().tolist()}
 
 
 def sample_contacts(spec: ScenarioSpec, mesh: TriMesh):
@@ -169,18 +170,12 @@ def read_ground_truth_json(path) -> tuple[ScenarioSpec, np.ndarray]:
     if not isinstance(payload, dict) or payload.get("schema") != GROUND_TRUTH_SCHEMA:
         raise InvalidConfigError(f"{path}: not a {GROUND_TRUTH_SCHEMA} object")
     try:
-        s = payload["scenario"]
-        spec = ScenarioSpec(
-            mesh_path=s.get("mesh_path"),
-            true_pose=Pose.from_array(np.asarray(s["true_pose"], dtype=float)),
-            n_measurements=int(s["n_measurements"]),
-            noise_sigma=float(s["noise_sigma"]),
-            face_subset=(None if s.get("face_subset") is None
-                         else tuple(s["face_subset"])),
-            seed=int(s["seed"]),
-        )
-        return spec, np.asarray(payload["contacts"], dtype=float)
+        # Every field is required: the defaults must not fill in a truncated file.
+        kwargs = {f.name: payload["scenario"][f.name]
+                  for f in dataclasses.fields(ScenarioSpec)}
+        kwargs["true_pose"] = Pose.from_array(np.asarray(kwargs["true_pose"], dtype=float))
+        return ScenarioSpec(**kwargs), np.asarray(payload["contacts"], dtype=float)
     except KeyError as exc:
         raise InvalidConfigError(f"{path}: ground truth lacks key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (InvalidConfigError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"{path}: malformed ground truth: {exc}") from None

@@ -25,7 +25,7 @@ place the filter forms them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,8 +51,9 @@ class SutParams:
 
     def __post_init__(self):
         # alpha > 0 and k >= 0 keep n + lam = alpha^2 (n + k) positive.
-        if not np.isfinite([self.alpha, self.k, self.beta]).all():
-            raise ValueError("alpha, k and beta must be finite")
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
         if self.k < 0.0:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -12,7 +13,7 @@ import yaml
 from conftest import save_obj
 
 import meshloc.cli as cli
-from meshloc import InvalidConfigError, Pose
+from meshloc import InvalidConfigError, Pose, ScenarioSpec, TrialReport
 
 
 @pytest.fixture()
@@ -197,6 +198,23 @@ class TestLocalize:
         assert rep["report"]["position_error"] is not None
         assert rep["report"]["orientation_error"] is not None
         assert rep["scenario"]["true_pose"] == [0, 0, 0, 0, 0, 0]
+        assert set(rep["report"]) == {f.name for f in dataclasses.fields(TrialReport)}
+        assert set(rep["scenario"]) == {f.name for f in dataclasses.fields(ScenarioSpec)}
+
+    @pytest.mark.parametrize("field, value", [("seed", 1.7), ("n_measurements", True),
+                                              ("face_subset", [2.5, 3])])
+    def test_cut_ground_truth_value_exits_2(self, tmp_path, box_obj, tiny_config,
+                                            capsys, field, value):
+        meas = _simulate(tmp_path, box_obj)
+        truth = tmp_path / "meas.truth.json"
+        payload = json.loads(truth.read_text())
+        payload["scenario"][field] = value
+        truth.write_text(json.dumps(payload))
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", tiny_config, "--ground-truth", str(truth),
+                       "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {truth}: ")
 
     def test_missing_measurements_exits_2(self, tmp_path, box_obj, tiny_config):
         rc = cli.main(["localize", "--mesh", box_obj,
@@ -297,7 +315,9 @@ class TestLocalize:
 
     @pytest.mark.parametrize("key, value", [("particles", 0), ("workers", 1.5),
                                             ("prior_mean", [1, 2]), ("sigma_p", True),
-                                            ("prior_cov", np.eye(6).tolist())])
+                                            ("prior_cov", np.eye(6).tolist()),
+                                            ("beta", float("inf")), ("k", float("nan")),
+                                            ("alpha", 0.0)])
     def test_config_error_names_profile_key(self, tmp_path, box_obj, tiny_config,
                                             capsys, key, value):
         meas = _simulate(tmp_path, box_obj)
@@ -535,6 +555,19 @@ class TestBatch:
                        "--output", str(tmp_path / "x.json")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --ground-truth")
+
+    @pytest.mark.parametrize("flag, value", [("--true-pose", "nan,0,0,0,0,0"),
+                                             ("--count", "99"), ("--noise-sigma", "-1"),
+                                             ("--face-subset", "2,x"),
+                                             ("--scenario-seed", "5")])
+    def test_scenario_flag_with_measurements_exits_2(self, tmp_path, box_obj,
+                                                     tiny_config, capsys, flag, value):
+        meas = _simulate(tmp_path, box_obj)
+        rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                       "--trials", "1", "--measurements", meas, flag, value,
+                       "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
     def test_use_truth_on_measurements_needs_ground_truth(self, tmp_path, box_obj,
                                                           tiny_config, capsys):

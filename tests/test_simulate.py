@@ -1,5 +1,8 @@
 """Tests for contact sampling and measurement file round trips."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,13 @@ class TestScenarioValidation:
         with pytest.raises(InvalidFaceSubsetError):
             sample_contacts(_spec(face_subset=(3, 3)), box)
 
+    @pytest.mark.parametrize("field, value", [("n_measurements", True), ("seed", True),
+                                              ("face_subset", (2.7,)),
+                                              ("noise_sigma", True)])
+    def test_bool_or_fraction_refused_not_cut(self, field, value):
+        with pytest.raises(InvalidConfigError, match=f"^{field} "):
+            _spec(**{field: value})
+
 
 class TestMeasurementFiles:
     def test_csv_round_trip(self, tmp_path, box):
@@ -147,3 +157,27 @@ class TestMeasurementFiles:
         assert back_spec.noise_sigma == 0.001
         assert np.array_equal(back_spec.true_pose.to_array(), pose.to_array())
         assert np.array_equal(back_contacts, contacts)
+
+    @pytest.fixture()
+    def truth_file(self, tmp_path, box):
+        spec = _spec(face_subset=(2, 3), seed=11, n_measurements=4)
+        path = tmp_path / "truth.json"
+        write_ground_truth_json(path, spec, sample_contacts(spec, box)[1])
+        return path
+
+    @pytest.mark.parametrize("field, value", [("seed", 1.7), ("n_measurements", True),
+                                              ("face_subset", [2.5, 3])])
+    def test_ground_truth_refuses_cut_values(self, truth_file, field, value):
+        payload = json.loads(truth_file.read_text())
+        payload["scenario"][field] = value
+        truth_file.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfigError,
+                           match=f"^{re.escape(str(truth_file))}: .*{field} "):
+            read_ground_truth_json(truth_file)
+
+    def test_ground_truth_defaults_do_not_fill_missing_key(self, truth_file):
+        payload = json.loads(truth_file.read_text())
+        del payload["scenario"]["seed"]
+        truth_file.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfigError, match="lacks key 'seed'"):
+            read_ground_truth_json(truth_file)

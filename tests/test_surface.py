@@ -41,8 +41,11 @@ def test_package_exports_exactly_the_public_names():
         assert hasattr(meshloc, name), name
 
 
-@pytest.mark.parametrize("module", ["geometry", "metrics", "mupf", "simulate",
-                                    "ukf", "unscented", "cli"])
+MODULES = ["errors", "geometry", "metrics", "mupf", "simulate", "ukf", "unscented",
+           "cli"]
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_submodule_names_resolve_and_are_reexported(module):
     mod = importlib.import_module(f"meshloc.{module}")
     for name in mod.__all__:
@@ -52,6 +55,21 @@ def test_submodule_names_resolve_and_are_reexported(module):
         else:
             assert name in meshloc.__all__, f"{module}.{name} is not re-exported"
             assert getattr(meshloc, name) is obj
+
+
+def test_each_public_name_is_listed_once_by_its_own_module():
+    # Star re-exports let a name listed by two modules shadow the other.
+    owners = {}
+    for module in MODULES:
+        mod = importlib.import_module(f"meshloc.{module}")
+        for name in mod.__all__:
+            assert name not in owners, f"{name} in {owners.get(name)} and {module}"
+            owners[name] = module
+            obj = getattr(mod, name)
+            if callable(obj):
+                assert obj.__module__ == mod.__name__, name
+            else:
+                assert name == "EULER_CONVENTION" and isinstance(obj, str)
 
 
 def _meshloc_imports(source: str, origin: str):
