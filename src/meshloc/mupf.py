@@ -65,23 +65,33 @@ def _holds_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-# Profile keys that `FilterConfig.from_mapping` reads, grouped by how it
-# reads them: counts map to fields, flags go to validate() as given,
-# matrices may also be given as their ``_diag``.
-_PROFILE_COUNTS = {"particles": "n_particles", "memory": "memory",
-                   "resampling_delay": "resampling_delay", "workers": "n_workers",
-                   "seed": "seed"}
+# Profile keys that `FilterConfig.from_mapping` reads and `to_dict` writes,
+# each stated once and grouped by how it is read and checked: a count maps
+# to a field and holds its least value, a flag is true or false, a matrix
+# may also be given as its ``_diag``, and the transform parameters go to
+# `SutParams`.
+_PROFILE_COUNTS = {"particles": ("n_particles", 1), "memory": ("memory", 1),
+                   "resampling_delay": ("resampling_delay", 0),
+                   "seed": ("seed", 0), "workers": ("n_workers", 1)}
 _PROFILE_FLAGS = ("sigma_p_is_variance", "prior_map_exponent",
                   "transition_density_in_weights")
-_PROFILE_MATRICES = (("process_noise", "process_noise", 6),
-                     ("prior_cov", "prior_cov", 6),
-                     ("measurement_noise", "measurement_noise_cov", 3))
+_PROFILE_MATRICES = {"process_noise": ("process_noise", 6),
+                     "prior_cov": ("prior_cov", 6),
+                     "measurement_noise": ("measurement_noise_cov", 3)}
 _SUT_KEYS = ("alpha", "k", "beta")
+
+
+def _label(key: str, name: str, suffix: str = "") -> str:
+    """A profile key as errors name it, with the field where the two differ."""
+    return key + suffix + ("" if key == name else f" ({name})")
 
 
 @dataclass(frozen=True)
 class FilterConfig:
     """Filter parameters.  Defaults are the desk-scale simulation profile.
+
+    Every value is checked when the config is built, so a config that
+    exists is one the filter accepts.
 
     ``sigma_p`` is stored exactly as configured; ``sigma_p_is_variance``
     selects whether it is read directly as a standard deviation in meters
@@ -109,6 +119,9 @@ class FilterConfig:
     n_workers: int = 1
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     @property
     def effective_sigma_p(self) -> float:
         """Likelihood scale in meters after the variance/std interpretation."""
@@ -117,18 +130,13 @@ class FilterConfig:
     def validate(self) -> None:
         """Raise `InvalidConfigError` naming the profile key at fault, with
         the field name in parentheses where the two differ."""
-        for name, key, low in (("n_particles", "particles (n_particles)", 1),
-                               ("memory", "memory", 1),
-                               ("resampling_delay", "resampling_delay", 0),
-                               ("seed", "seed", 0),
-                               ("n_workers", "workers (n_workers)", 1)):
+        for key, (name, low) in _PROFILE_COUNTS.items():
             value = getattr(self, name)
             if not (is_int(value) and value >= low):
-                raise InvalidConfigError(f"{key} must be an integer >= {low}")
-        for name in ("sigma_p_is_variance", "prior_map_exponent",
-                     "transition_density_in_weights"):
-            if not isinstance(getattr(self, name), (bool, np.bool_)):
-                raise InvalidConfigError(f"{name} must be true or false")
+                raise InvalidConfigError(f"{_label(key, name)} must be an integer >= {low}")
+        for key in _PROFILE_FLAGS:
+            if not isinstance(getattr(self, key), (bool, np.bool_)):
+                raise InvalidConfigError(f"{key} must be true or false")
         if self.resampling not in ("multinomial", "systematic"):
             raise InvalidConfigError(f"unknown resampling scheme {self.resampling!r}")
         if not (np.isfinite(self.sigma_p) and self.sigma_p > 0.0):
@@ -136,19 +144,17 @@ class FilterConfig:
         mean = np.asarray(self.prior_mean, dtype=float)
         if mean.shape != (6,) or not np.isfinite(mean).all():
             raise InvalidConfigError("prior_mean must be a finite 6-vector")
-        matrices = [("process_noise[_diag]", self.process_noise, 6),
-                    ("prior_cov[_diag]", self.prior_cov, 6)]
-        if self.measurement_noise_cov is not None:
-            matrices.append(("measurement_noise[_diag] (measurement_noise_cov)",
-                             self.measurement_noise_cov, 3))
-        for name, mat, dim in matrices:
-            m = np.asarray(mat, dtype=float)
+        for key, (name, dim) in _PROFILE_MATRICES.items():
+            if getattr(self, name) is None:   # measurement noise unset: sigma_p^2 I
+                continue
+            label = _label(key, name, "[_diag]")
+            m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (dim, dim) or not np.isfinite(m).all():
-                raise InvalidConfigError(f"{name} must be a finite {dim}x{dim} matrix")
+                raise InvalidConfigError(f"{label} must be a finite {dim}x{dim} matrix")
             if np.abs(m - m.T).max() > 1e-10:
-                raise InvalidConfigError(f"{name} must be symmetric")
+                raise InvalidConfigError(f"{label} must be symmetric")
             if np.linalg.eigvalsh(m)[0] < -1e-10:
-                raise InvalidConfigError(f"{name} must be positive semidefinite")
+                raise InvalidConfigError(f"{label} must be positive semidefinite")
 
     def measurement_noise(self) -> np.ndarray:
         if self.measurement_noise_cov is not None:
@@ -167,8 +173,7 @@ class FilterConfig:
         """
         known = {*_PROFILE_COUNTS, *_PROFILE_FLAGS, *_SUT_KEYS, "sigma_p",
                  "prior_mean", "resampling",
-                 *(key + suffix for key, _, _ in _PROFILE_MATRICES
-                   for suffix in ("", "_diag"))}
+                 *(key + suffix for key in _PROFILE_MATRICES for suffix in ("", "_diag"))}
         unknown = set(mapping) - known
         if unknown:
             raise InvalidConfigError(
@@ -193,9 +198,13 @@ class FilterConfig:
             # unchanged, which rejects everything but integers.
             return int(value) if isinstance(value, float) and value.is_integer() else value
 
-        kwargs = {"sut": SutParams(**{key: read(key, float, "a number")
-                                      for key in _SUT_KEYS if key in mapping})}
-        for key, name, dim in _PROFILE_MATRICES:
+        try:
+            sut = SutParams(**{key: read(key, float, "a number")
+                               for key in _SUT_KEYS if key in mapping})
+        except ValueError as exc:   # SutParams' own check, e.g. "alpha must be positive"
+            raise InvalidConfigError(str(exc)) from None
+        kwargs = {"sut": sut}
+        for key, (name, dim) in _PROFILE_MATRICES.items():
             diag_key = key + "_diag"
             if key in mapping and diag_key in mapping:
                 raise InvalidConfigError(f"{key} and {diag_key} are both given; keep one")
@@ -212,36 +221,29 @@ class FilterConfig:
             kwargs["resampling"] = str(mapping["resampling"])
         kwargs.update({key: mapping[key] for key in _PROFILE_FLAGS if key in mapping})
         kwargs.update({name: count(mapping[key])
-                       for key, name in _PROFILE_COUNTS.items() if key in mapping})
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+                       for key, (name, _) in _PROFILE_COUNTS.items() if key in mapping})
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        """Fully resolved configuration for report embedding.
+        """Fully resolved configuration for report embedding: each profile
+        key (matrices in full) plus ``effective_sigma_p``.
 
-        Deliberately omits ``n_workers``: it changes how the arithmetic is
+        Deliberately omits ``workers``: it changes how the arithmetic is
         scheduled, never what it computes, and reports must be identical
         across serial and parallel execution of the same seed.
         """
-        return {
-            "particles": int(self.n_particles),
-            "memory": int(self.memory),
-            "process_noise": np.asarray(self.process_noise).tolist(),
+        out = {key: int(getattr(self, name))
+               for key, (name, _) in _PROFILE_COUNTS.items() if key != "workers"}
+        out |= {key: bool(getattr(self, key)) for key in _PROFILE_FLAGS}
+        out |= {key: float(getattr(self.sut, key)) for key in _SUT_KEYS}
+        out |= {key: np.asarray(getattr(self, name)).tolist()
+                for key, (name, _) in _PROFILE_MATRICES.items()}
+        return out | {
+            "measurement_noise": self.measurement_noise().tolist(),  # sigma_p^2 I if unset
             "prior_mean": np.asarray(self.prior_mean).tolist(),
-            "prior_cov": np.asarray(self.prior_cov).tolist(),
             "sigma_p": float(self.sigma_p),
-            "sigma_p_is_variance": bool(self.sigma_p_is_variance),
             "effective_sigma_p": self.effective_sigma_p,
-            "measurement_noise": np.asarray(self.measurement_noise()).tolist(),
-            "alpha": float(self.sut.alpha),
-            "k": float(self.sut.k),
-            "beta": float(self.sut.beta),
-            "resampling_delay": int(self.resampling_delay),
             "resampling": self.resampling,
-            "prior_map_exponent": bool(self.prior_map_exponent),
-            "transition_density_in_weights": bool(self.transition_density_in_weights),
-            "seed": int(self.seed),
         }
 
 
@@ -258,7 +260,7 @@ class FilterState:
     means: np.ndarray            # (N, 6) particle means x_{t|t}
     covs: np.ndarray             # (N, 6, 6) particle covariances P_{t|t}
     t: int
-    window: list                 # [(k, y_k)] covering kbar(t)..t
+    window: np.ndarray           # (w, 3) y_k for k = t-w+1..t, w = min(t, m)
     sampled: np.ndarray | None = None       # (N, 6) proposal draws xhat_t
     cov_vecs: np.ndarray | None = None      # (N, 6, 6) eigenvectors of P_t
     cov_evals: np.ndarray | None = None     # (N, 6) eigenvalues floored for densities
@@ -277,20 +279,6 @@ class PoseEstimate:
     pose: Pose
     map_score: float             # log mixture density at the winning candidate
     extraction_weights: np.ndarray
-
-
-def window_span(t: int, memory: int) -> range:
-    """Measurement indices rated at step ``t``: max(t-m+1, 1) .. t."""
-    return range(max(t - memory + 1, 1), t + 1)
-
-
-def extraction_exponents(t: int, memory: int) -> dict[int, int]:
-    """Likelihood exponents applied by extraction at step ``t``.
-
-    Together with the power ``min(t - k + 1, m)`` accumulated by the
-    propagated weights, measurement k reaches a total power of ``m``.
-    """
-    return {k: memory - t + k - 1 for k in window_span(t, memory)}
 
 
 def _rng_for_step(seed: int, t: int) -> np.random.Generator:
@@ -373,7 +361,6 @@ def init(config: FilterConfig) -> FilterState:
     windowed measurement).  Per-particle covariances start at ``prior_cov``
     itself either way.
     """
-    config.validate()
     n = config.n_particles
     draw_cov = np.asarray(config.prior_cov, dtype=float)
     if config.prior_map_exponent:
@@ -387,7 +374,7 @@ def init(config: FilterConfig) -> FilterState:
         means=draws,
         covs=np.tile(np.asarray(config.prior_cov, dtype=float), (n, 1, 1)),
         t=0,
-        window=[],
+        window=np.empty((0, 3)),
     )
 
 
@@ -412,12 +399,10 @@ def _correct_and_sample(state: FilterState, y: np.ndarray, model,
     return ukf_covs, vecs, evals_density, sampled, log_q
 
 
-def _window_loglik(model, window: list, sampled: np.ndarray,
+def _window_loglik(model, window: np.ndarray, sampled: np.ndarray,
                    n_workers: int) -> np.ndarray:
-    ys = np.asarray([y for _, y in window], dtype=float)
-
     def ll_slice(lo, hi):
-        return log_likelihood_batch(model, ys, sampled[lo:hi])
+        return log_likelihood_batch(model, window, sampled[lo:hi])
     return np.concatenate(_parallel_slices(ll_slice, len(sampled), n_workers))
 
 
@@ -433,7 +418,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     n = state.n_particles
     t = state.t + 1
     rng = _rng_for_step(config.seed, t)
-    window = (state.window + [(t, y)])[-config.memory:]
+    window = np.vstack((state.window, y))[-config.memory:]
 
     ukf_covs, vecs, evals_density, sampled, log_q = \
         _correct_and_sample(state, y, model, config, rng)
@@ -468,7 +453,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
 
     diagnostics = {
         "t": t,
-        "window": [k for k, _ in window],
+        "window": range(t - len(window) + 1, t + 1),
         "ess": float(1.0 / np.sum(weights_t ** 2)),
         "resampled": bool(resampled),
         "degenerate": bool(degenerate),
@@ -492,10 +477,11 @@ def extract_pose(state: FilterState, model, config: FilterConfig) -> PoseEstimat
     if state.t == 0:
         raise ValueError("extract_pose needs at least one processed measurement")
 
-    exps = extraction_exponents(state.t, config.memory)
-    exp_vec = np.asarray([float(exps[k]) for k, _ in state.window])
+    # Measurement k = t-w+1..t gets exponent m - t + k - 1: with the
+    # min(t - k + 1, m) powers the propagated weights hold, a total of m.
+    m, w = config.memory, len(state.window)
     ll = _window_loglik(model, state.window, state.sampled, config.n_workers)
-    lw = state.log_weights + ll @ exp_vec - state.log_proposal
+    lw = state.log_weights + ll @ np.arange(m - w, m, dtype=float) - state.log_proposal
     wbar, log_wbar, degenerate = _normalize_log_weights(lw)
     if degenerate:
         logger.warning("extraction weights underflowed at step %d; "

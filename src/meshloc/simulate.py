@@ -37,6 +37,11 @@ MEASUREMENT_HEADER = ("x", "y", "z")
 GROUND_TRUTH_SCHEMA = "meshloc-ground-truth-1"
 
 
+def _is_number(value) -> bool:
+    """True for a real number; a bool, which `numbers.Real` admits, is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True)
 class ScenarioSpec:
     """One synthetic measurement scenario."""
@@ -52,13 +57,14 @@ class ScenarioSpec:
         # Each field is checked once and stored in its JSON type, so that
         # `to_dict` writes the fields as they are; a bool or a fraction where
         # an integer belongs is refused, never cut.
+        if not (self.mesh_path is None or isinstance(self.mesh_path, str)):
+            raise InvalidConfigError("mesh_path must be a string or null")
         if not (is_int(self.n_measurements) and self.n_measurements >= 1):
             raise InvalidConfigError("n_measurements must be a positive integer")
         if not np.isfinite(self.true_pose.to_array()).all():
             raise InvalidConfigError("true_pose must be finite")
         sigma = self.noise_sigma
-        if not (isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
-                and np.isfinite(sigma) and sigma >= 0.0):
+        if not (_is_number(sigma) and np.isfinite(sigma) and sigma >= 0.0):
             raise InvalidConfigError("noise_sigma must be a finite non-negative number")
         if not (is_int(self.seed) and self.seed >= 0):
             raise InvalidConfigError("seed must be a non-negative integer")
@@ -173,7 +179,10 @@ def read_ground_truth_json(path) -> tuple[ScenarioSpec, np.ndarray]:
         # Every field is required: the defaults must not fill in a truncated file.
         kwargs = {f.name: payload["scenario"][f.name]
                   for f in dataclasses.fields(ScenarioSpec)}
-        kwargs["true_pose"] = Pose.from_array(np.asarray(kwargs["true_pose"], dtype=float))
+        pose = kwargs["true_pose"]
+        if not (isinstance(pose, list) and all(map(_is_number, pose))):
+            raise InvalidConfigError(f"true_pose must be a list of 6 numbers, got {pose!r}")
+        kwargs["true_pose"] = Pose.from_array(pose)
         return ScenarioSpec(**kwargs), np.asarray(payload["contacts"], dtype=float)
     except KeyError as exc:
         raise InvalidConfigError(f"{path}: ground truth lacks key {exc}") from None

@@ -6,13 +6,16 @@ classification, closed-form Kalman algebra instead of sigma points,
 quaternions instead of rotation-matrix traces.  Tests compare library
 output against these.
 
-There are two exceptions, both compared bitwise.  :func:`upf_step` is the
+There are three exceptions, all compared bitwise.  :func:`upf_step` is the
 plain unscented particle filter that the memory filter must reduce to.  It
 reuses the filter's numerical building blocks and spells out the memoryless
 recursion on its own instead of calling ``mupf.step``.
 :func:`closest_points_exhaustive` runs the library's triangle kernel over
 every face, with no tree, so that ``TriMesh.closest_points`` can be held to
-the same argmin bit for bit.
+the same argmin bit for bit.  :func:`map_readout` is the dense O(N^2)
+mixture density that ``mupf.extract_pose`` evaluated at every candidate
+before any pruning, frozen so a faster readout can be held to its argmax
+and maximum bit for bit.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def upf_step(state, y, model, config):
     n = state.n_particles
     t = state.t + 1
     rng = mupf._rng_for_step(config.seed, t)
-    window = [(t, y)]
+    window = y[None]
 
     ukf_covs, vecs, evals_density, sampled, log_q = \
         mupf._correct_and_sample(state, y, model, config, rng)
@@ -218,7 +221,7 @@ def upf_step(state, y, model, config):
     idx = mupf._resample_indices(rng, weights_t, config.resampling)
     diagnostics = {
         "t": t,
-        "window": [t],
+        "window": range(t, t + 1),
         "ess": float(1.0 / np.sum(weights_t ** 2)),
         "resampled": True,
         "degenerate": bool(degenerate),
@@ -230,3 +233,39 @@ def upf_step(state, y, model, config):
         log_proposal=log_q, log_weights=log_weights_t,
     )
     return new_state, diagnostics
+
+
+_MAP_CHUNK = 256   # candidate columns per block, as the readout had them
+
+
+def map_readout(state, model, config):
+    """Index and log density of the extraction MAP candidate, densely.
+
+    Re-rates the step's candidates with exponents ``m - t + k - 1`` on
+    the windowed likelihoods, then evaluates the weighted Gaussian mixture
+    of all N components at every candidate.  Returns ``(best, log_density
+    at best)``.
+    """
+    t, m = state.t, config.memory
+    exps = np.asarray([float(m - t + k - 1)
+                       for k in range(t - len(state.window) + 1, t + 1)])
+    ll = mupf._window_loglik(model, state.window, state.sampled, config.n_workers)
+    lw = state.log_weights + ll @ exps - state.log_proposal
+    _, log_wbar, _ = mupf._normalize_log_weights(lw)
+
+    sampled, vecs, evals = state.sampled, state.cov_vecs, state.cov_evals
+    n = len(sampled)
+    logdet = np.log(evals).sum(axis=1)
+    inv_evals = 1.0 / evals
+    log_density = np.empty(n)
+    for lo in range(0, n, _MAP_CHUNK):
+        hi = min(n, lo + _MAP_CHUNK)
+        diff = sampled[None, lo:hi, :] - sampled[:, None, :]
+        u = np.einsum("iab,ija->ijb", vecs, diff)
+        maha = np.einsum("ijb,ib->ij", u * u, inv_evals)
+        logcomp = -0.5 * (6.0 * np.log(2.0 * np.pi) + logdet[:, None] + maha)
+        mix = log_wbar[:, None] + logcomp
+        top = mix.max(axis=0)
+        log_density[lo:hi] = top + np.log(np.exp(mix - top[None, :]).sum(axis=0))
+    best = int(np.argmax(log_density))
+    return best, float(log_density[best])

@@ -202,7 +202,9 @@ class TestLocalize:
         assert set(rep["scenario"]) == {f.name for f in dataclasses.fields(ScenarioSpec)}
 
     @pytest.mark.parametrize("field, value", [("seed", 1.7), ("n_measurements", True),
-                                              ("face_subset", [2.5, 3])])
+                                              ("face_subset", [2.5, 3]),
+                                              ("true_pose", [True, 0, 0, 0, 0, 0]),
+                                              ("mesh_path", 5)])
     def test_cut_ground_truth_value_exits_2(self, tmp_path, box_obj, tiny_config,
                                             capsys, field, value):
         meas = _simulate(tmp_path, box_obj)

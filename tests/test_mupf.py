@@ -1,11 +1,14 @@
 """Tests for the memory particle filter: config, bookkeeping, reductions."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from oracles import gaussian_logpdf, upf_step
+from oracles import gaussian_logpdf, map_readout, upf_step
 
 from meshloc import (
     FilterConfig,
@@ -26,9 +29,9 @@ from meshloc.mupf import (
     _normalize_log_weights,
     _resample_indices,
     _rng_for_step,
-    extraction_exponents,
-    window_span,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _measurements(mesh, pose_vec, n, sigma, seed=0, subset=None):
@@ -45,6 +48,37 @@ def _small_config(**kw):
                     prior_cov=np.diag([0.01] * 3 + [0.1] * 3))
     defaults.update(kw)
     return FilterConfig(**defaults)
+
+
+# One refused value per profile key, with the exact message it raises.
+_REFUSALS = [
+    ("particles", 0, "particles (n_particles) must be an integer >= 1"),
+    ("memory", 2.5, "memory must be an integer >= 1"),
+    ("resampling_delay", -1, "resampling_delay must be an integer >= 0"),
+    ("seed", True, "seed must be an integer >= 0"),
+    ("workers", 0, "workers (n_workers) must be an integer >= 1"),
+    ("sigma_p_is_variance", "false", "sigma_p_is_variance must be true or false"),
+    ("prior_map_exponent", 1, "prior_map_exponent must be true or false"),
+    ("transition_density_in_weights", None,
+     "transition_density_in_weights must be true or false"),
+    ("process_noise", (np.eye(6) + np.eye(6, k=1)).tolist(),
+     "process_noise[_diag] must be symmetric"),
+    ("process_noise_diag", [1e-5] * 5 + [np.inf],
+     "process_noise[_diag] must be a finite 6x6 matrix"),
+    ("prior_cov", (-np.eye(6)).tolist(), "prior_cov[_diag] must be positive semidefinite"),
+    ("prior_cov_diag", [0.04] * 3,
+     "prior_cov_diag must be a list of 6 numbers, got [0.04, 0.04, 0.04]"),
+    ("measurement_noise", np.diag([1.0, 1.0, -1.0]).tolist(),
+     "measurement_noise[_diag] (measurement_noise_cov) must be positive semidefinite"),
+    ("measurement_noise_diag", [True, 1, 1],
+     "measurement_noise_diag must be a list of 3 numbers, got [True, 1, 1]"),
+    ("alpha", 0, "alpha must be positive"),
+    ("k", -1, "k must be non-negative"),
+    ("beta", np.inf, "beta must be finite"),
+    ("sigma_p", 0, "sigma_p must be positive and finite"),
+    ("prior_mean", [0.0, np.nan, 0.0, 0.0, 0.0, 0.0], "prior_mean must be a finite 6-vector"),
+    ("resampling", "stratified", "unknown resampling scheme 'stratified'"),
+]
 
 
 class TestFilterConfig:
@@ -102,13 +136,27 @@ class TestFilterConfig:
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(InvalidConfigError):
-            FilterConfig(**kw).validate()
+            FilterConfig(**kw)
 
     def test_asymmetric_process_noise_rejected(self):
         q = np.eye(6)
         q[0, 1] = 0.5
         with pytest.raises(InvalidConfigError):
-            FilterConfig(process_noise=q).validate()
+            FilterConfig(process_noise=q)
+
+    def test_refused_when_built(self):
+        # A config that exists is one the filter accepts: the check runs
+        # in the constructor, so replace() cannot skip it either.
+        with pytest.raises(InvalidConfigError, match=r"^particles \(n_particles\) "):
+            FilterConfig(n_particles=0)
+        with pytest.raises(InvalidConfigError, match="^memory "):
+            replace(FilterConfig(), memory=0)
+
+    @pytest.mark.parametrize("key, value, message", _REFUSALS,
+                             ids=[case[0] for case in _REFUSALS])
+    def test_from_mapping_refuses_each_key(self, key, value, message):
+        with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+            FilterConfig.from_mapping({key: value})
 
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(InvalidConfigError, match="num_particles"):
@@ -167,16 +215,26 @@ class TestFilterConfig:
         json.dumps(FilterConfig().to_dict())
 
 
+def _span(t, m):
+    """Measurement indices rated at step t: max(t-m+1, 1) .. t."""
+    return range(max(t - m + 1, 1), t + 1)
+
+
+def _exponents(t, m):
+    """Extraction's likelihood exponent on each rated measurement k."""
+    return {k: m - t + k - 1 for k in _span(t, m)}
+
+
 class TestWindowBookkeeping:
     def test_window_span_values(self):
-        assert list(window_span(1, 5)) == [1]
-        assert list(window_span(3, 5)) == [1, 2, 3]
-        assert list(window_span(7, 5)) == [3, 4, 5, 6, 7]
-        assert list(window_span(4, 1)) == [4]
+        assert list(_span(1, 5)) == [1]
+        assert list(_span(3, 5)) == [1, 2, 3]
+        assert list(_span(7, 5)) == [3, 4, 5, 6, 7]
+        assert list(_span(4, 1)) == [4]
 
     def test_extraction_exponents_match_span(self):
-        exps = extraction_exponents(7, 5)
-        assert sorted(exps) == list(window_span(7, 5))
+        exps = _exponents(7, 5)
+        assert sorted(exps) == list(_span(7, 5))
         assert exps == {3: 0, 4: 1, 5: 2, 6: 3, 7: 4}
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 7])
@@ -185,8 +243,8 @@ class TestWindowBookkeeping:
         # measurement k; extraction tops that up so every rated measurement
         # carries exactly m powers
         for t in range(1, 26):
-            exps = extraction_exponents(t, m)
-            for k in window_span(t, m):
+            exps = _exponents(t, m)
+            for k in _span(t, m):
                 propagated = min(t - k + 1, m)
                 assert propagated + exps[k] == m
 
@@ -194,7 +252,7 @@ class TestWindowBookkeeping:
         T, m = 20, 5
         hits = {k: 0 for k in range(1, T + 1)}
         for t in range(1, T + 1):
-            for k in window_span(t, m):
+            for k in _span(t, m):
                 hits[k] += 1
         for k in range(1, T + 1):
             assert hits[k] == min(m, T - k + 1)
@@ -280,7 +338,7 @@ class TestInit:
         assert state.means.shape == (64, 6)
         assert state.covs.shape == (64, 6, 6)
         assert state.n_particles == 64
-        assert state.t == 0 and state.window == []
+        assert state.t == 0 and state.window.shape == (0, 3)
         assert state.sampled is None and state.log_weights is None
 
     def test_per_particle_covs_start_at_prior(self):
@@ -315,10 +373,6 @@ class TestInit:
         assert np.array_equal(a.means, b.means)
         assert not np.array_equal(a.means, c.means)
 
-    def test_invalid_config_raises_at_init(self):
-        with pytest.raises(InvalidConfigError):
-            init(_small_config(n_particles=0))
-
 
 class TestStepBookkeeping:
     @pytest.fixture()
@@ -334,9 +388,8 @@ class TestStepBookkeeping:
         for t, y in enumerate(meas, start=1):
             state, diag = step(state, y, model, cfg)
             assert diag["t"] == t
-            assert diag["window"] == list(window_span(t, cfg.memory))
-            assert len(state.window) == min(t, cfg.memory)
-            assert [k for k, _ in state.window] == list(window_span(t, cfg.memory))
+            assert diag["window"] == _span(t, cfg.memory)
+            assert np.array_equal(state.window, meas[max(t - cfg.memory, 0):t])
 
     def test_weights_reset_uniform_after_every_step(self, setup):
         # The next step's prior weight is 1/N whatever this step's weights
@@ -370,7 +423,7 @@ class TestStepBookkeeping:
         step(state, meas[0], model, cfg)
         assert np.array_equal(state.means, means_before)
         assert np.array_equal(state.covs, covs_before)
-        assert state.t == 0 and state.window == [] and state.sampled is None
+        assert state.t == 0 and state.window.shape == (0, 3) and state.sampled is None
 
     def test_snapshot_consistency(self, setup):
         cfg, model, meas = setup
@@ -464,7 +517,7 @@ class TestExtraction:
         sampled[90:] = pose_b
         state = FilterState(
             means=sampled, covs=np.tile(np.eye(6), (n, 1, 1)),
-            t=1, window=[(1, np.zeros(3))], sampled=sampled,
+            t=1, window=np.zeros((1, 3)), sampled=sampled,
             cov_vecs=np.tile(np.eye(6), (n, 1, 1)),
             cov_evals=np.ones((n, 6)),
             log_proposal=np.zeros(n),
@@ -496,7 +549,7 @@ class TestExtraction:
         log_proposal = rng.normal(size=n)
         lw0 = rng.normal(size=n)
         lw0 -= logw_norm(lw0)
-        ys = [(1, np.array([0.3, 0.0, 0.1])), (2, np.array([-0.2, 0.1, 0.0]))]
+        ys = np.array([[0.3, 0.0, 0.1], [-0.2, 0.1, 0.0]])   # k = 1, 2
         state = FilterState(means=sampled, covs=covs, t=t, window=ys,
                             sampled=sampled, cov_vecs=vecs, cov_evals=evals,
                             log_proposal=log_proposal, log_weights=lw0)
@@ -519,11 +572,11 @@ class TestExtraction:
 
         # oracle: extraction weights, then the mixture density at each
         # candidate, all in plain loops
-        exps = extraction_exponents(t, m)
+        # measurement k carries exponent m - t + k - 1
         lw = lw0.copy()
-        for j, (k, y) in enumerate(ys):
+        for k, y in zip(_span(t, m), ys):
             d = model.surface_distances(y[None, :], sampled)[:, 0]
-            lw += exps[k] * (-0.5 * (d / model.sigma_p) ** 2)
+            lw += (m - t + k - 1) * (-0.5 * (d / model.sigma_p) ** 2)
         lw -= log_proposal
         lw -= logw_norm(lw)
         dens = np.empty(n)
@@ -535,6 +588,21 @@ class TestExtraction:
         assert np.array_equal(est.pose.to_array(), sampled[best])
         assert est.map_score == pytest.approx(dens[best], abs=1e-9)
         assert np.allclose(est.extraction_weights, np.exp(lw), rtol=1e-9)
+
+    @pytest.mark.parametrize("profile", ["simulation.yaml", "robot.yaml"])
+    def test_readout_equals_dense_reference_bitwise(self, box, profile):
+        # The pinned box scenario at N=700 and N=1200, every step.
+        cfg = FilterConfig.from_mapping(yaml.safe_load((CONFIGS / profile).read_text()))
+        model = cfg.model_for(box)
+        meas = _measurements(box, [0.02, -0.01, 0.03, 0.4, -0.25, 0.6], 15, 5e-4,
+                             seed=100, subset=(2, 3))
+        state = init(cfg)
+        for y in meas:
+            state, _ = step(state, y, model, cfg)
+            est = extract_pose(state, model, cfg)
+            best, score = map_readout(state, model, cfg)
+            assert np.array_equal(est.pose.to_array(), state.sampled[best])
+            assert est.map_score == score
 
 
 class TestRun:

@@ -166,7 +166,10 @@ class TestMeasurementFiles:
         return path
 
     @pytest.mark.parametrize("field, value", [("seed", 1.7), ("n_measurements", True),
-                                              ("face_subset", [2.5, 3])])
+                                              ("face_subset", [2.5, 3]),
+                                              ("true_pose", [True, 0, 0, 0, 0, 0]),
+                                              ("true_pose", ["0.1", 0, 0, 0, 0, 0]),
+                                              ("mesh_path", 5)])
     def test_ground_truth_refuses_cut_values(self, truth_file, field, value):
         payload = json.loads(truth_file.read_text())
         payload["scenario"][field] = value
