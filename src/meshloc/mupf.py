@@ -25,6 +25,10 @@ step to the next.
 Determinism: every step derives its generator from ``(seed, t)`` and draws
 in a fixed order, and all per-particle reductions run in particle order, so
 serial and worker-parallel executions produce bit-identical states.
+``n_workers`` threads split each step's one pass over the population (UKF
+correction, proposal draw and density, window likelihoods) and
+extraction's likelihoods into contiguous particle slices; the draws' normal
+deviates are taken from the step's generator before the pass.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, is_int
+from .errors import InvalidConfigError, as_real, is_int
 from .geometry import Pose
 from .metrics import TrialReport, performance_index, pose_error, success_test
 from .ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
@@ -57,12 +61,6 @@ logger = logging.getLogger(__name__)
 _LN_2PI = float(np.log(2.0 * np.pi))
 _DENSITY_EIG_FLOOR = 1e-12
 _EXTRACT_CHUNK = 256
-
-
-def _holds_bool(value) -> bool:
-    if isinstance(value, (list, tuple)):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, (bool, np.bool_))
 
 
 # Profile keys that `FilterConfig.from_mapping` reads and `to_dict` writes,
@@ -90,10 +88,12 @@ def _label(key: str, name: str, suffix: str = "") -> str:
 class FilterConfig:
     """Filter parameters.  Defaults are the desk-scale simulation profile.
 
-    Every value is checked when the config is built, so a config that
-    exists is one the filter accepts.
+    Every value is converted and checked when the config is built, so a
+    config that exists is one the filter accepts: ``sigma_p`` is a float,
+    the vector and matrices are read-only float arrays (measurement noise
+    may stay ``None``), and an integral float count is an int.
 
-    ``sigma_p`` is stored exactly as configured; ``sigma_p_is_variance``
+    ``sigma_p`` is stored as configured; ``sigma_p_is_variance``
     selects whether it is read directly as a standard deviation in meters
     (the default: 1e-4 m, a sharp likelihood that rewards tight surface
     fits) or as a variance in m^2 (1e-4 m^2, a 1 cm standard deviation
@@ -120,12 +120,28 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        def convert(name, key, what, shape):
+            object.__setattr__(self, name, as_real(getattr(self, name), key, what,
+                                                   shape, InvalidConfigError))
+
+        for key, (name, dim) in _PROFILE_MATRICES.items():
+            # Only measurement noise may be unset (None): it falls back to sigma_p^2 I.
+            if name != "measurement_noise_cov" or self.measurement_noise_cov is not None:
+                convert(name, key, f"a {dim}x{dim} matrix", (dim, dim))
+        convert("prior_mean", "prior_mean", "a list of 6 numbers", (6,))
+        convert("sigma_p", "sigma_p", "a number", ())
+        for name, _ in _PROFILE_COUNTS.values():
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                object.__setattr__(self, name, int(value))
+        if not isinstance(self.sut, SutParams):
+            raise InvalidConfigError(f"sut must be a SutParams, got {self.sut!r}")
         self.validate()
 
     @property
     def effective_sigma_p(self) -> float:
         """Likelihood scale in meters after the variance/std interpretation."""
-        return float(np.sqrt(self.sigma_p)) if self.sigma_p_is_variance else float(self.sigma_p)
+        return float(np.sqrt(self.sigma_p)) if self.sigma_p_is_variance else self.sigma_p
 
     def validate(self) -> None:
         """Raise `InvalidConfigError` naming the profile key at fault, with
@@ -137,19 +153,19 @@ class FilterConfig:
         for key in _PROFILE_FLAGS:
             if not isinstance(getattr(self, key), (bool, np.bool_)):
                 raise InvalidConfigError(f"{key} must be true or false")
-        if self.resampling not in ("multinomial", "systematic"):
-            raise InvalidConfigError(f"unknown resampling scheme {self.resampling!r}")
+        if not (isinstance(self.resampling, str)
+                and self.resampling in ("multinomial", "systematic")):
+            raise InvalidConfigError(f"unknown resampling scheme {str(self.resampling)!r}")
         if not (np.isfinite(self.sigma_p) and self.sigma_p > 0.0):
             raise InvalidConfigError("sigma_p must be positive and finite")
-        mean = np.asarray(self.prior_mean, dtype=float)
-        if mean.shape != (6,) or not np.isfinite(mean).all():
+        if not np.isfinite(self.prior_mean).all():
             raise InvalidConfigError("prior_mean must be a finite 6-vector")
         for key, (name, dim) in _PROFILE_MATRICES.items():
-            if getattr(self, name) is None:   # measurement noise unset: sigma_p^2 I
+            m = getattr(self, name)
+            if m is None:   # measurement noise unset: sigma_p^2 I
                 continue
             label = _label(key, name, "[_diag]")
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.shape != (dim, dim) or not np.isfinite(m).all():
+            if not np.isfinite(m).all():
                 raise InvalidConfigError(f"{label} must be a finite {dim}x{dim} matrix")
             if np.abs(m - m.T).max() > 1e-10:
                 raise InvalidConfigError(f"{label} must be symmetric")
@@ -158,7 +174,7 @@ class FilterConfig:
 
     def measurement_noise(self) -> np.ndarray:
         if self.measurement_noise_cov is not None:
-            return np.asarray(self.measurement_noise_cov, dtype=float)
+            return self.measurement_noise_cov
         return self.effective_sigma_p ** 2 * np.eye(3)
 
     def model_for(self, mesh) -> MeasurementModel:
@@ -168,8 +184,11 @@ class FilterConfig:
     def from_mapping(cls, mapping: dict) -> "FilterConfig":
         """Build a config from a flat mapping (the on-disk profile format).
 
-        Only the keys the mapping sets are passed on; the defaults of
-        `FilterConfig` and `SutParams` fill in the rest.
+        Only the keys the mapping sets are passed on: the defaults of
+        `FilterConfig` and `SutParams` fill in the rest, and their
+        constructors convert and check each value.  Matrices are read here,
+        in full or from their ``_diag`` shorthand, so that a null matrix is
+        refused instead of leaving measurement noise unset.
         """
         known = {*_PROFILE_COUNTS, *_PROFILE_FLAGS, *_SUT_KEYS, "sigma_p",
                  "prior_mean", "resampling",
@@ -178,29 +197,8 @@ class FilterConfig:
         if unknown:
             raise InvalidConfigError(
                 f"unknown config keys: {sorted(unknown, key=str)}")
-
-        def read(key, convert, what):
-            # Conversion failures name the profile key, not numpy's message.
-            # A bool is refused: float() and numpy read a YAML true as 1.0.
-            value = mapping[key]
-            try:
-                if not _holds_bool(value):
-                    return convert(value)
-            except (TypeError, ValueError):
-                pass
-            raise InvalidConfigError(f"{key} must be {what}, got {value!r}")
-
-        def array(shape):
-            return lambda v: np.asarray(v, dtype=float).reshape(shape)
-
-        def count(value):
-            # Integral floats become ints; any other value reaches validate()
-            # unchanged, which rejects everything but integers.
-            return int(value) if isinstance(value, float) and value.is_integer() else value
-
         try:
-            sut = SutParams(**{key: read(key, float, "a number")
-                               for key in _SUT_KEYS if key in mapping})
+            sut = SutParams(**{key: mapping[key] for key in _SUT_KEYS if key in mapping})
         except ValueError as exc:   # SutParams' own check, e.g. "alpha must be positive"
             raise InvalidConfigError(str(exc)) from None
         kwargs = {"sut": sut}
@@ -209,19 +207,15 @@ class FilterConfig:
             if key in mapping and diag_key in mapping:
                 raise InvalidConfigError(f"{key} and {diag_key} are both given; keep one")
             if key in mapping:
-                kwargs[name] = read(key, array((dim, dim)), f"a {dim}x{dim} matrix")
+                kwargs[name] = as_real(mapping[key], key, f"a {dim}x{dim} matrix",
+                                       (dim, dim), InvalidConfigError)
             elif diag_key in mapping:
-                kwargs[name] = read(diag_key, lambda v: np.diag(array(dim)(v)),
-                                    f"a list of {dim} numbers")
-        if "prior_mean" in mapping:
-            kwargs["prior_mean"] = read("prior_mean", array(6), "a list of 6 numbers")
-        if "sigma_p" in mapping:
-            kwargs["sigma_p"] = read("sigma_p", float, "a number")
-        if "resampling" in mapping:
-            kwargs["resampling"] = str(mapping["resampling"])
-        kwargs.update({key: mapping[key] for key in _PROFILE_FLAGS if key in mapping})
-        kwargs.update({name: count(mapping[key])
-                       for key, (name, _) in _PROFILE_COUNTS.items() if key in mapping})
+                kwargs[name] = np.diag(as_real(mapping[diag_key], diag_key,
+                                               f"a list of {dim} numbers", (dim,),
+                                               InvalidConfigError))
+        names = {key: name for key, (name, _) in _PROFILE_COUNTS.items()}
+        names |= {key: key for key in (*_PROFILE_FLAGS, "prior_mean", "sigma_p", "resampling")}
+        kwargs |= {name: mapping[key] for key, name in names.items() if key in mapping}
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -236,12 +230,12 @@ class FilterConfig:
                for key, (name, _) in _PROFILE_COUNTS.items() if key != "workers"}
         out |= {key: bool(getattr(self, key)) for key in _PROFILE_FLAGS}
         out |= {key: float(getattr(self.sut, key)) for key in _SUT_KEYS}
-        out |= {key: np.asarray(getattr(self, name)).tolist()
-                for key, (name, _) in _PROFILE_MATRICES.items()}
+        matrices = {key: getattr(self, name) for key, (name, _) in _PROFILE_MATRICES.items()}
+        matrices["measurement_noise"] = self.measurement_noise()   # sigma_p^2 I if unset
+        out |= {key: m.tolist() for key, m in matrices.items()}
         return out | {
-            "measurement_noise": self.measurement_noise().tolist(),  # sigma_p^2 I if unset
-            "prior_mean": np.asarray(self.prior_mean).tolist(),
-            "sigma_p": float(self.sigma_p),
+            "prior_mean": self.prior_mean.tolist(),
+            "sigma_p": self.sigma_p,
             "effective_sigma_p": self.effective_sigma_p,
             "resampling": self.resampling,
         }
@@ -337,18 +331,19 @@ def _resample_indices(rng: np.random.Generator, weights: np.ndarray,
     return rng.choice(n, size=n, replace=True, p=p)
 
 
-def _chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    per = -(-n // workers)
-    return [(s, min(n, s + per)) for s in range(0, n, per)]
+def _rows(fn, n: int, workers: int):
+    """``fn(lo, hi)`` over contiguous slices of ``n`` rows, one thread each.
 
-
-def _parallel_slices(fn, n_items: int, n_workers: int):
-    """Apply ``fn(lo, hi)`` over contiguous slices and collect in order."""
-    if n_workers <= 1 or n_items <= 1:
-        return [fn(0, n_items)]
-    bounds = _chunk_bounds(n_items, n_workers)
+    ``fn`` returns a tuple of arrays with one row per particle of its
+    slice; each is joined in row order.
+    """
+    per = -(-n // min(workers, n))
+    bounds = [(lo, min(n, lo + per)) for lo in range(0, n, per)]
+    if len(bounds) == 1:
+        return fn(0, n)
     with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        return list(pool.map(lambda b: fn(*b), bounds))
+        parts = list(pool.map(lambda b: fn(*b), bounds))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def init(config: FilterConfig) -> FilterState:
@@ -362,48 +357,44 @@ def init(config: FilterConfig) -> FilterState:
     itself either way.
     """
     n = config.n_particles
-    draw_cov = np.asarray(config.prior_cov, dtype=float)
+    draw_cov = config.prior_cov
     if config.prior_map_exponent:
         draw_cov = draw_cov / config.memory
     vecs, evals_sample, _ = _factor_covariances(draw_cov[None, :, :])
     scale = vecs[0] * np.sqrt(evals_sample[0])[None, :]
     rng = _rng_for_step(config.seed, 0)
     z = rng.standard_normal((n, 6))
-    draws = np.asarray(config.prior_mean, dtype=float) + z @ scale.T
+    draws = config.prior_mean + z @ scale.T
     return FilterState(
         means=draws,
-        covs=np.tile(np.asarray(config.prior_cov, dtype=float), (n, 1, 1)),
+        covs=np.tile(config.prior_cov, (n, 1, 1)),
         t=0,
         window=np.empty((0, 3)),
     )
 
 
-def _correct_and_sample(state: FilterState, y: np.ndarray, model,
-                        config: FilterConfig, rng: np.random.Generator):
-    """Shared first half of a step: UKF correction and proposal draws."""
-    Q = np.asarray(config.process_noise, dtype=float)
+def _propose(state: FilterState, window: np.ndarray, model,
+             config: FilterConfig, z: np.ndarray):
+    """One pass over the population, run on row slices in threads.
+
+    Each particle is corrected by the UKF against the newest contact
+    ``window[-1]``, draws its candidate from the corrected Gaussian with the
+    standard normals ``z``, and rates the candidate against every contact of
+    ``window``.  Returns ``(covs, cov_vecs, cov_evals, sampled,
+    log_proposal, loglik)``; ``loglik`` is (N, w).
+    """
     R = config.measurement_noise()
 
-    def ukf_slice(lo, hi):
-        return ukf_step_batch(state.means[lo:hi], state.covs[lo:hi], y, model,
-                              Q, R=R, sut=config.sut)
-    parts = _parallel_slices(ukf_slice, state.n_particles, config.n_workers)
-    ukf_means = np.concatenate([p[0] for p in parts])
-    ukf_covs = np.concatenate([p[1] for p in parts])
-
-    vecs, evals_sample, evals_density = _factor_covariances(ukf_covs)
-    z = rng.standard_normal((state.n_particles, 6))
-    scale = vecs * np.sqrt(evals_sample)[:, None, :]
-    sampled = ukf_means + np.einsum("bij,bj->bi", scale, z)
-    log_q = _log_gauss_factored(sampled - ukf_means, vecs, evals_density)
-    return ukf_covs, vecs, evals_density, sampled, log_q
-
-
-def _window_loglik(model, window: np.ndarray, sampled: np.ndarray,
-                   n_workers: int) -> np.ndarray:
-    def ll_slice(lo, hi):
-        return log_likelihood_batch(model, window, sampled[lo:hi])
-    return np.concatenate(_parallel_slices(ll_slice, len(sampled), n_workers))
+    def rows(lo, hi):
+        means, covs = ukf_step_batch(state.means[lo:hi], state.covs[lo:hi], window[-1],
+                                     model, config.process_noise, R=R, sut=config.sut)
+        vecs, evals_sample, evals_density = _factor_covariances(covs)
+        scale = vecs * np.sqrt(evals_sample)[:, None, :]
+        sampled = means + np.einsum("bij,bj->bi", scale, z[lo:hi])
+        log_q = _log_gauss_factored(sampled - means, vecs, evals_density)
+        return (covs, vecs, evals_density, sampled, log_q,
+                log_likelihood_batch(model, window, sampled))
+    return _rows(rows, state.n_particles, config.n_workers)
 
 
 def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
@@ -419,19 +410,16 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     t = state.t + 1
     rng = _rng_for_step(config.seed, t)
     window = np.vstack((state.window, y))[-config.memory:]
-
-    ukf_covs, vecs, evals_density, sampled, log_q = \
-        _correct_and_sample(state, y, model, config, rng)
-
-    ll = _window_loglik(model, window, sampled, config.n_workers)
+    z = rng.standard_normal((n, 6))   # the step's first draw: the UKF draws nothing
+    ukf_covs, vecs, evals_density, sampled, log_q, ll = \
+        _propose(state, window, model, config, z)
     ll_sum = ll.sum(axis=1)
     # The prior weights are all 1/N.  This scalar equals every element of
     # np.log(np.full(n, 1.0 / n)) (numpy 2.4, n < 5000), so lw is bitwise
     # the weight recursion with a uniform weight vector.
     lw = np.log(1.0 / n) + ll_sum - log_q
     if config.transition_density_in_weights:
-        q_vecs, _, q_evals = _factor_covariances(
-            np.asarray(config.process_noise, dtype=float)[None])
+        q_vecs, _, q_evals = _factor_covariances(config.process_noise[None])
         lw = lw + _log_gauss_factored(sampled - state.means,
                                       np.broadcast_to(q_vecs, (n, 6, 6)),
                                       np.broadcast_to(q_evals, (n, 6)))
@@ -479,15 +467,17 @@ def extract_pose(state: FilterState, model, config: FilterConfig) -> PoseEstimat
 
     # Measurement k = t-w+1..t gets exponent m - t + k - 1: with the
     # min(t - k + 1, m) powers the propagated weights hold, a total of m.
-    m, w = config.memory, len(state.window)
-    ll = _window_loglik(model, state.window, state.sampled, config.n_workers)
+    m, w, n = config.memory, len(state.window), len(state.sampled)
+
+    def rows(lo, hi):
+        return (log_likelihood_batch(model, state.window, state.sampled[lo:hi]),)
+    ll, = _rows(rows, n, config.n_workers)
     lw = state.log_weights + ll @ np.arange(m - w, m, dtype=float) - state.log_proposal
     wbar, log_wbar, degenerate = _normalize_log_weights(lw)
     if degenerate:
         logger.warning("extraction weights underflowed at step %d; "
                        "falling back to uniform", state.t)
 
-    n = len(state.sampled)
     logdet = np.log(state.cov_evals).sum(axis=1)      # (N,) per component
     inv_evals = 1.0 / state.cov_evals
     log_density = np.empty(n)

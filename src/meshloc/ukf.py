@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularInnovationError
+from .errors import SingularInnovationError, as_real
 from .geometry import TriMesh, points_into_object_frame, points_to_world_frame
 from . import unscented
 
@@ -40,15 +40,17 @@ class MeasurementModel:
     """Contact-point model: a mesh plus the likelihood scale ``sigma_p``.
 
     ``sigma_p`` is the standard deviation, in meters, of the surface
-    proximity likelihood.
+    proximity likelihood, stored as a float.
     """
 
     mesh: TriMesh
     sigma_p: float
 
     def __post_init__(self):
-        if not self.sigma_p > 0.0:
-            raise ValueError("sigma_p must be positive")
+        sigma_p = as_real(self.sigma_p, "sigma_p", "a number")
+        if not (np.isfinite(sigma_p) and sigma_p > 0.0):
+            raise ValueError("sigma_p must be positive and finite")
+        object.__setattr__(self, "sigma_p", sigma_p)
 
     def surface_distances(self, ys: np.ndarray, poses: np.ndarray) -> np.ndarray:
         """Distances from world points ``ys`` (K, 3) to the surface posed at

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError, as_real
 
 __all__ = ["SutParams", "sigma_points_batch", "unscented_transform"]
 
@@ -50,7 +50,10 @@ class SutParams:
     beta: float = 30.0
 
     def __post_init__(self):
-        # alpha > 0 and k >= 0 keep n + lam = alpha^2 (n + k) positive.
+        # Each field becomes a float once; alpha > 0 and k >= 0 keep
+        # n + lam = alpha^2 (n + k) positive.
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_real(getattr(self, f.name), f.name, "a number"))
         for f in fields(self):
             if not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")

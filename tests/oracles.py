@@ -24,6 +24,7 @@ import numpy as np
 
 from meshloc import mupf
 from meshloc.geometry import closest_point_on_triangles
+from meshloc.ukf import log_likelihood_batch
 
 # Pairwise point-triangle evaluations per chunk; bounds peak memory.
 _PAIR_BUDGET = 4_000_000
@@ -206,13 +207,11 @@ def upf_step(state, y, model, config):
     rng = mupf._rng_for_step(config.seed, t)
     window = y[None]
 
-    ukf_covs, vecs, evals_density, sampled, log_q = \
-        mupf._correct_and_sample(state, y, model, config, rng)
-
-    ll = mupf._window_loglik(model, window, sampled, config.n_workers)
+    z = rng.standard_normal((n, 6))
+    ukf_covs, vecs, evals_density, sampled, log_q, ll = \
+        mupf._propose(state, window, model, config, z)
     lw = np.log(1.0 / n) + ll.sum(axis=1) - log_q
-    q_vecs, _, q_evals = mupf._factor_covariances(
-        np.asarray(config.process_noise, dtype=float)[None])
+    q_vecs, _, q_evals = mupf._factor_covariances(config.process_noise[None])
     lw = lw + mupf._log_gauss_factored(sampled - state.means,
                                        np.broadcast_to(q_vecs, (n, 6, 6)),
                                        np.broadcast_to(q_evals, (n, 6)))
@@ -249,7 +248,7 @@ def map_readout(state, model, config):
     t, m = state.t, config.memory
     exps = np.asarray([float(m - t + k - 1)
                        for k in range(t - len(state.window) + 1, t + 1)])
-    ll = mupf._window_loglik(model, state.window, state.sampled, config.n_workers)
+    ll = log_likelihood_batch(model, state.window, state.sampled)
     lw = state.log_weights + ll @ exps - state.log_proposal
     _, log_wbar, _ = mupf._normalize_log_weights(lw)
 

@@ -1,7 +1,7 @@
 """Tests for the memory particle filter: config, bookkeeping, reductions."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -642,14 +642,27 @@ class TestRun:
         assert np.array_equal(est_a[-1].pose.to_array(), est_b[-1].pose.to_array())
 
     def test_parallel_workers_bitwise_identical(self, box):
-        cfg_1 = _small_config(n_particles=37, seed=8)
-        cfg_4 = _small_config(n_particles=37, seed=8, n_workers=4)
-        model = cfg_1.model_for(box)
-        meas = _measurements(box, cfg_1.prior_mean, 4, 1e-3, seed=6)
-        est_1, rep_1 = run(meas, model, cfg_1)
-        est_4, rep_4 = run(meas, model, cfg_4)
-        assert np.array_equal(rep_1.index_trace, rep_4.index_trace)
-        assert np.array_equal(est_1[-1].pose.to_array(), est_4[-1].pose.to_array())
+        # Uneven slices (37 rows on 2, 3 and 4 threads) and more threads
+        # than particles: at every step each state array, the diagnostics
+        # and the estimate equal the serial run's bit for bit.
+        for n, workers in [(37, 2), (37, 3), (37, 4), (3, 4)]:
+            serial = _small_config(n_particles=n, seed=8)
+            threaded = replace(serial, n_workers=workers)
+            model = serial.model_for(box)
+            meas = _measurements(box, serial.prior_mean, 5, 1e-3, seed=6)
+            a, b = init(serial), init(threaded)
+            for y in meas:
+                a, diag_a = step(a, y, model, serial)
+                b, diag_b = step(b, y, model, threaded)
+                assert diag_a == diag_b
+                for f in fields(FilterState):
+                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), \
+                        (n, workers, f.name)
+                est_a = extract_pose(a, model, serial)
+                est_b = extract_pose(b, model, threaded)
+                assert np.array_equal(est_a.pose.to_array(), est_b.pose.to_array())
+                assert est_a.map_score == est_b.map_score
+                assert np.array_equal(est_a.extraction_weights, est_b.extraction_weights)
 
     def test_rejects_bad_measurement_shapes(self, box):
         cfg = _small_config()
