@@ -23,8 +23,8 @@ def as_real(value, name: str, what: str, shape=(), error=ValueError):
 
     Anything else raises ``error("<name> must be <what>, got <value>")``:
     a bool, which float() would read as 0 or 1, a string that is not a
-    number, a wrong size, and a sequence where a scalar is wanted (``[1]``
-    is not the number 1).
+    number, and any other shape, even of the same size (``[1]`` is not the
+    number 1, and 36 numbers in a row are not a 6x6 matrix).
     """
     try:
         if not _holds_bool(value):
@@ -32,9 +32,10 @@ def as_real(value, name: str, what: str, shape=(), error=ValueError):
                 if np.ndim(value) == 0:
                     return float(value)
             else:
-                out = np.array(value, dtype=float).reshape(shape)
-                out.flags.writeable = False
-                return out
+                out = np.array(value, dtype=float)
+                if out.shape == shape:
+                    out.flags.writeable = False
+                    return out
     except (TypeError, ValueError, OverflowError):
         pass
     raise error(f"{name} must be {what}, got {value!r}")

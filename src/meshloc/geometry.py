@@ -28,7 +28,6 @@ import numpy as np
 from .errors import EmptyMeshError
 
 __all__ = [
-    "EULER_CONVENTION",
     "Pose",
     "TriMesh",
     "rotation_matrices",
@@ -40,8 +39,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-EULER_CONVENTION = "intrinsic z-y-x (yaw psi, pitch theta, roll phi)"
 
 # Queries per traversal chunk: at most _KERNEL_BLOCK over the widest leaf,
 # so the first kernel call stays small enough for the cache, and at most

@@ -26,9 +26,9 @@ __all__ = [
     "aggregate_reports",
 ]
 
-DEFAULT_INDEX_THRESHOLD = 0.01          # meters
-DEFAULT_POSITION_THRESHOLD = 0.02       # meters
-DEFAULT_ORIENTATION_THRESHOLD = np.deg2rad(10.0)
+INDEX_THRESHOLD = 0.01          # meters
+POSITION_THRESHOLD = 0.02       # meters
+ORIENTATION_THRESHOLD = np.deg2rad(10.0)
 
 
 @dataclass
@@ -46,43 +46,39 @@ class TrialReport:
     degenerate_steps: list[int] = field(default_factory=list)
 
 
-def performance_index(measurements: np.ndarray, estimate, mesh: TriMesh) -> float:
+def performance_index(measurements: np.ndarray, estimate: Pose, mesh: TriMesh) -> float:
     """Mean measurement-to-surface distance under the estimated pose."""
     measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
     if len(measurements) == 0:
         raise ValueError("performance index needs at least one measurement")
-    pose = estimate.to_array() if isinstance(estimate, Pose) else np.asarray(estimate, dtype=float)
+    pose = estimate.to_array()
     R = rotation_matrices(pose)
     local = (measurements - pose[:3]) @ R
     d, _, _ = mesh.closest_points(local)
     return float(d.mean())
 
 
-def pose_error(estimate, truth) -> tuple[float, float]:
+def pose_error(estimate: Pose, truth: Pose) -> tuple[float, float]:
     """(translation distance [m], geodesic rotation angle [rad])."""
-    est = estimate.to_array() if isinstance(estimate, Pose) else np.asarray(estimate, dtype=float)
-    tru = truth.to_array() if isinstance(truth, Pose) else np.asarray(truth, dtype=float)
+    est, tru = estimate.to_array(), truth.to_array()
     dpos = float(np.linalg.norm(est[:3] - tru[:3]))
     R_rel = rotation_matrices(est) @ rotation_matrices(tru).T
     cos_ang = float(np.clip((np.trace(R_rel) - 1.0) / 2.0, -1.0, 1.0))
     return dpos, float(np.arccos(cos_ang))
 
 
-def success_test(report: TrialReport,
-                 threshold_index: float = DEFAULT_INDEX_THRESHOLD,
-                 threshold_orientation: float = DEFAULT_ORIENTATION_THRESHOLD,
-                 threshold_position: float = DEFAULT_POSITION_THRESHOLD,
-                 truth: Pose | None = None) -> bool:
+def success_test(report: TrialReport, truth: Pose | None = None) -> bool:
     """Classify a trial as a success.
 
-    With ground truth: both pose errors must be under their thresholds.
-    Without: the final performance index must be under ``threshold_index``
-    (the criterion available on physical experiments).
+    With ground truth: the pose errors must be under `POSITION_THRESHOLD`
+    and `ORIENTATION_THRESHOLD`.  Without: the final performance index must
+    be under `INDEX_THRESHOLD` (the criterion available on physical
+    experiments).
     """
     if truth is not None:
         dpos, dang = pose_error(report.estimate, truth)
-        return bool(dpos < threshold_position and dang < threshold_orientation)
-    return bool(report.final_index < threshold_index)
+        return bool(dpos < POSITION_THRESHOLD and dang < ORIENTATION_THRESHOLD)
+    return bool(report.final_index < INDEX_THRESHOLD)
 
 
 def aggregate_reports(reports: list[TrialReport]) -> dict:

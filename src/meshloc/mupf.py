@@ -73,15 +73,13 @@ _PROFILE_COUNTS = {"particles": ("n_particles", 1), "memory": ("memory", 1),
                    "seed": ("seed", 0), "workers": ("n_workers", 1)}
 _PROFILE_FLAGS = ("sigma_p_is_variance", "prior_map_exponent",
                   "transition_density_in_weights")
-_PROFILE_MATRICES = {"process_noise": ("process_noise", 6),
-                     "prior_cov": ("prior_cov", 6),
-                     "measurement_noise": ("measurement_noise_cov", 3)}
+_PROFILE_MATRICES = {"process_noise": 6, "prior_cov": 6}
 _SUT_KEYS = ("alpha", "k", "beta")
 
 
-def _label(key: str, name: str, suffix: str = "") -> str:
+def _label(key: str, name: str) -> str:
     """A profile key as errors name it, with the field where the two differ."""
-    return key + suffix + ("" if key == name else f" ({name})")
+    return key + ("" if key == name else f" ({name})")
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,8 @@ class FilterConfig:
 
     Every value is converted and checked when the config is built, so a
     config that exists is one the filter accepts: ``sigma_p`` is a float,
-    the vector and matrices are read-only float arrays (measurement noise
-    may stay ``None``), and an integral float count is an int.
+    the vector and matrices are read-only float arrays, and an integral
+    float count is an int.
 
     ``sigma_p`` is stored as configured; ``sigma_p_is_variance``
     selects whether it is read directly as a standard deviation in meters
@@ -110,7 +108,6 @@ class FilterConfig:
         [0.04, 0.04, 0.04, np.pi ** 2, (np.pi / 2.0) ** 2, np.pi ** 2]))
     sigma_p: float = 1e-4
     sigma_p_is_variance: bool = False
-    measurement_noise_cov: np.ndarray | None = None
     sut: SutParams = field(default_factory=SutParams)
     resampling_delay: int = 2
     resampling: str = "multinomial"
@@ -120,16 +117,14 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def convert(name, key, what, shape):
-            object.__setattr__(self, name, as_real(getattr(self, name), key, what,
-                                                   shape, InvalidConfigError))
+        def convert(key, what, shape):
+            object.__setattr__(self, key, as_real(getattr(self, key), key, what,
+                                                  shape, InvalidConfigError))
 
-        for key, (name, dim) in _PROFILE_MATRICES.items():
-            # Only measurement noise may be unset (None): it falls back to sigma_p^2 I.
-            if name != "measurement_noise_cov" or self.measurement_noise_cov is not None:
-                convert(name, key, f"a {dim}x{dim} matrix", (dim, dim))
-        convert("prior_mean", "prior_mean", "a list of 6 numbers", (6,))
-        convert("sigma_p", "sigma_p", "a number", ())
+        for key, dim in _PROFILE_MATRICES.items():
+            convert(key, f"a {dim}x{dim} matrix", (dim, dim))
+        convert("prior_mean", "a list of 6 numbers", (6,))
+        convert("sigma_p", "a number", ())
         for name, _ in _PROFILE_COUNTS.values():
             value = getattr(self, name)
             if isinstance(value, float) and value.is_integer():
@@ -160,21 +155,20 @@ class FilterConfig:
             raise InvalidConfigError("sigma_p must be positive and finite")
         if not np.isfinite(self.prior_mean).all():
             raise InvalidConfigError("prior_mean must be a finite 6-vector")
-        for key, (name, dim) in _PROFILE_MATRICES.items():
-            m = getattr(self, name)
-            if m is None:   # measurement noise unset: sigma_p^2 I
-                continue
-            label = _label(key, name, "[_diag]")
+        for key, dim in _PROFILE_MATRICES.items():
+            m = getattr(self, key)
             if not np.isfinite(m).all():
-                raise InvalidConfigError(f"{label} must be a finite {dim}x{dim} matrix")
-            if np.abs(m - m.T).max() > 1e-10:
-                raise InvalidConfigError(f"{label} must be symmetric")
+                raise InvalidConfigError(f"{key}[_diag] must be a finite {dim}x{dim} matrix")
+            # Finite entries of opposite sign near the float limit differ by inf.
+            with np.errstate(over="ignore"):
+                asymmetry = np.abs(m - m.T).max()
+            if asymmetry > 1e-10:
+                raise InvalidConfigError(f"{key}[_diag] must be symmetric")
             if np.linalg.eigvalsh(m)[0] < -1e-10:
-                raise InvalidConfigError(f"{label} must be positive semidefinite")
+                raise InvalidConfigError(f"{key}[_diag] must be positive semidefinite")
 
     def measurement_noise(self) -> np.ndarray:
-        if self.measurement_noise_cov is not None:
-            return self.measurement_noise_cov
+        """The UKF's contact noise, ``sigma^2 I`` at the likelihood's scale."""
         return self.effective_sigma_p ** 2 * np.eye(3)
 
     def model_for(self, mesh) -> MeasurementModel:
@@ -186,9 +180,8 @@ class FilterConfig:
 
         Only the keys the mapping sets are passed on: the defaults of
         `FilterConfig` and `SutParams` fill in the rest, and their
-        constructors convert and check each value.  Matrices are read here,
-        in full or from their ``_diag`` shorthand, so that a null matrix is
-        refused instead of leaving measurement noise unset.
+        constructors convert and check each value.  A matrix given as its
+        ``_diag`` shorthand is expanded here.
         """
         known = {*_PROFILE_COUNTS, *_PROFILE_FLAGS, *_SUT_KEYS, "sigma_p",
                  "prior_mean", "resampling",
@@ -202,25 +195,24 @@ class FilterConfig:
         except ValueError as exc:   # SutParams' own check, e.g. "alpha must be positive"
             raise InvalidConfigError(str(exc)) from None
         kwargs = {"sut": sut}
-        for key, (name, dim) in _PROFILE_MATRICES.items():
+        for key, dim in _PROFILE_MATRICES.items():
             diag_key = key + "_diag"
             if key in mapping and diag_key in mapping:
                 raise InvalidConfigError(f"{key} and {diag_key} are both given; keep one")
-            if key in mapping:
-                kwargs[name] = as_real(mapping[key], key, f"a {dim}x{dim} matrix",
-                                       (dim, dim), InvalidConfigError)
-            elif diag_key in mapping:
-                kwargs[name] = np.diag(as_real(mapping[diag_key], diag_key,
-                                               f"a list of {dim} numbers", (dim,),
-                                               InvalidConfigError))
+            if diag_key in mapping:
+                kwargs[key] = np.diag(as_real(mapping[diag_key], diag_key,
+                                              f"a list of {dim} numbers", (dim,),
+                                              InvalidConfigError))
         names = {key: name for key, (name, _) in _PROFILE_COUNTS.items()}
-        names |= {key: key for key in (*_PROFILE_FLAGS, "prior_mean", "sigma_p", "resampling")}
+        names |= {key: key for key in (*_PROFILE_FLAGS, *_PROFILE_MATRICES, "prior_mean",
+                                       "sigma_p", "resampling")}
         kwargs |= {name: mapping[key] for key, name in names.items() if key in mapping}
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
         """Fully resolved configuration for report embedding: each profile
-        key (matrices in full) plus ``effective_sigma_p``.
+        key (matrices in full) plus the derived ``measurement_noise`` and
+        ``effective_sigma_p``.
 
         Deliberately omits ``workers``: it changes how the arithmetic is
         scheduled, never what it computes, and reports must be identical
@@ -230,10 +222,9 @@ class FilterConfig:
                for key, (name, _) in _PROFILE_COUNTS.items() if key != "workers"}
         out |= {key: bool(getattr(self, key)) for key in _PROFILE_FLAGS}
         out |= {key: float(getattr(self.sut, key)) for key in _SUT_KEYS}
-        matrices = {key: getattr(self, name) for key, (name, _) in _PROFILE_MATRICES.items()}
-        matrices["measurement_noise"] = self.measurement_noise()   # sigma_p^2 I if unset
-        out |= {key: m.tolist() for key, m in matrices.items()}
+        out |= {key: getattr(self, key).tolist() for key in _PROFILE_MATRICES}
         return out | {
+            "measurement_noise": self.measurement_noise().tolist(),
             "prior_mean": self.prior_mean.tolist(),
             "sigma_p": self.sigma_p,
             "effective_sigma_p": self.effective_sigma_p,

@@ -37,9 +37,14 @@ MEASUREMENT_HEADER = ("x", "y", "z")
 GROUND_TRUTH_SCHEMA = "meshloc-ground-truth-1"
 
 
-def _is_number(value) -> bool:
-    """True for a real number; a bool, which `numbers.Real` admits, is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    """True for a finite real number; a bool, which `numbers.Real` admits,
+    is not one, nor is an integer too large for a float."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and bool(np.isfinite(float(value))))
+    except OverflowError:
+        return False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,15 +66,20 @@ class ScenarioSpec:
             raise InvalidConfigError("mesh_path must be a string or null")
         if not (is_int(self.n_measurements) and self.n_measurements >= 1):
             raise InvalidConfigError("n_measurements must be a positive integer")
-        if not np.isfinite(self.true_pose.to_array()).all():
-            raise InvalidConfigError("true_pose must be finite")
+        pose = self.true_pose
+        if not (isinstance(pose, Pose)
+                and all(map(_is_finite_number, dataclasses.astuple(pose)))):
+            raise InvalidConfigError(f"true_pose must be a Pose of finite numbers, got {pose!r}")
         sigma = self.noise_sigma
-        if not (_is_number(sigma) and np.isfinite(sigma) and sigma >= 0.0):
+        if not (_is_finite_number(sigma) and sigma >= 0.0):
             raise InvalidConfigError("noise_sigma must be a finite non-negative number")
         if not (is_int(self.seed) and self.seed >= 0):
             raise InvalidConfigError("seed must be a non-negative integer")
-        if self.face_subset is not None and not all(map(is_int, self.face_subset)):
-            raise InvalidConfigError("face_subset must hold integer face indices")
+        subset = self.face_subset
+        if not (subset is None
+                or isinstance(subset, (list, tuple)) and all(map(is_int, subset))):
+            raise InvalidConfigError("face_subset must be a list of integer face indices")
+        object.__setattr__(self, "true_pose", Pose(*map(float, dataclasses.astuple(pose))))
         object.__setattr__(self, "n_measurements", int(self.n_measurements))
         object.__setattr__(self, "noise_sigma", float(sigma))
         object.__setattr__(self, "seed", int(self.seed))
@@ -180,9 +190,9 @@ def read_ground_truth_json(path) -> tuple[ScenarioSpec, np.ndarray]:
         kwargs = {f.name: payload["scenario"][f.name]
                   for f in dataclasses.fields(ScenarioSpec)}
         pose = kwargs["true_pose"]
-        if not (isinstance(pose, list) and all(map(_is_number, pose))):
+        if not (isinstance(pose, list) and len(pose) == 6):
             raise InvalidConfigError(f"true_pose must be a list of 6 numbers, got {pose!r}")
-        kwargs["true_pose"] = Pose.from_array(pose)
+        kwargs["true_pose"] = Pose(*pose)   # ScenarioSpec checks each number
         return ScenarioSpec(**kwargs), np.asarray(payload["contacts"], dtype=float)
     except KeyError as exc:
         raise InvalidConfigError(f"{path}: ground truth lacks key {exc}") from None

@@ -4,30 +4,32 @@
 field when they are built.  Whatever a caller passes, the record either
 holds finite floats of the documented shape or the constructor raises its
 error naming the field: `InvalidConfigError` (with the profile key) for
-`FilterConfig`, `ValueError` for the other two.
+`FilterConfig`, `ValueError` for the other two.  `ScenarioSpec` either
+holds each field in its JSON type or raises `InvalidConfigError` naming it.
 """
 
+import json
+import math
 import re
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshloc import FilterConfig, InvalidConfigError, MeasurementModel, SutParams, box_mesh
+from meshloc import (FilterConfig, InvalidConfigError, MeasurementModel, Pose, ScenarioSpec,
+                     SutParams, box_mesh)
 from meshloc.errors import is_int
 
 BOX = box_mesh(0.1, 0.3, 0.2)
 
 # FilterConfig field -> the profile key its errors name.
 _KEYS = {f.name: f.name for f in fields(FilterConfig)} | {
-    "n_particles": "particles", "n_workers": "workers",
-    "measurement_noise_cov": "measurement_noise"}
+    "n_particles": "particles", "n_workers": "workers"}
 _COUNTS = ("n_particles", "memory", "resampling_delay", "seed", "n_workers")
 _FLAGS = ("sigma_p_is_variance", "prior_map_exponent", "transition_density_in_weights")
-_ARRAYS = {"process_noise": (6, 6), "prior_mean": (6,), "prior_cov": (6, 6),
-           "measurement_noise_cov": (3, 3)}
+_ARRAYS = {"process_noise": (6, 6), "prior_mean": (6,), "prior_cov": (6, 6)}
 
 _scalars = st.one_of(
     st.none(), st.booleans(), st.builds(np.bool_, st.booleans()),
@@ -63,8 +65,6 @@ def _check_config(cfg: FilterConfig) -> None:
     assert type(cfg.sigma_p) is float and np.isfinite(cfg.sigma_p) and cfg.sigma_p > 0
     for name, shape in _ARRAYS.items():
         value = getattr(cfg, name)
-        if name == "measurement_noise_cov" and value is None:
-            continue
         assert value.dtype == float and value.shape == shape
         assert np.isfinite(value).all() and not value.flags.writeable
     assert isinstance(cfg.sut, SutParams)
@@ -104,13 +104,43 @@ def test_measurement_model_converts_or_names_sigma_p(value):
     assert type(model.sigma_p) is float and np.isfinite(model.sigma_p) and model.sigma_p > 0
 
 
+def _check_scenario(spec: ScenarioSpec) -> None:
+    assert spec.mesh_path is None or isinstance(spec.mesh_path, str)
+    assert isinstance(spec.true_pose, Pose)
+    assert all(type(v) is float and math.isfinite(v) for v in astuple(spec.true_pose))
+    assert type(spec.n_measurements) is int and spec.n_measurements >= 1
+    assert type(spec.noise_sigma) is float and 0.0 <= spec.noise_sigma < math.inf
+    assert type(spec.seed) is int and spec.seed >= 0
+    assert spec.face_subset is None or all(type(i) is int for i in spec.face_subset)
+    json.dumps(spec.to_dict(), allow_nan=False)
+
+
+_SCENARIO = dict(mesh_path=None, true_pose=Pose(), n_measurements=3)
+# A pose of any value, or a Pose whose one coordinate holds any value.
+_poses = st.one_of(_values, st.builds(lambda name, value: Pose(**{name: value}),
+                                      st.sampled_from([f.name for f in fields(Pose)]),
+                                      _values))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), name=st.sampled_from([f.name for f in fields(ScenarioSpec)]))
+def test_scenario_spec_builds_json_fields_or_names_the_field(data, name):
+    value = data.draw(_poses if name == "true_pose" else _values)
+    try:
+        spec = ScenarioSpec(**_SCENARIO | {name: value})
+    except InvalidConfigError as exc:
+        assert str(exc).startswith(f"{name} "), (name, str(exc))
+        return
+    _check_scenario(spec)
+
+
 @pytest.mark.parametrize("kw, message", [
     (dict(sigma_p="x"), "sigma_p must be a number, got 'x'"),
     (dict(sigma_p=True), "sigma_p must be a number, got True"),
     (dict(prior_mean="abc"), "prior_mean must be a list of 6 numbers, got 'abc'"),
     (dict(prior_mean=[True] * 6), "prior_mean must be a list of 6 numbers, got [True, "),
     (dict(sut="x"), "sut must be a SutParams, got 'x'"),
-    # Only measurement noise may be unset; the other matrices have no fallback.
+    # No matrix may be unset.
     (dict(process_noise=None), "process_noise must be a 6x6 matrix, got None"),
     (dict(prior_cov=None), "prior_cov must be a 6x6 matrix, got None"),
 ], ids=["sigma_p-str", "sigma_p-bool", "prior_mean-str", "prior_mean-bools", "sut-str",

@@ -115,7 +115,6 @@ class TestSuccessTest:
     def test_index_mode_threshold(self):
         assert success_test(_report(0.004)) is True
         assert success_test(_report(0.02)) is False
-        assert success_test(_report(0.02), threshold_index=0.05) is True
 
     def test_truth_mode_recomputes_errors_from_estimate(self):
         # truth mode compares estimate against truth directly; the index

@@ -68,10 +68,9 @@ _REFUSALS = [
     ("prior_cov", (-np.eye(6)).tolist(), "prior_cov[_diag] must be positive semidefinite"),
     ("prior_cov_diag", [0.04] * 3,
      "prior_cov_diag must be a list of 6 numbers, got [0.04, 0.04, 0.04]"),
-    ("measurement_noise", np.diag([1.0, 1.0, -1.0]).tolist(),
-     "measurement_noise[_diag] (measurement_noise_cov) must be positive semidefinite"),
-    ("measurement_noise_diag", [True, 1, 1],
-     "measurement_noise_diag must be a list of 3 numbers, got [True, 1, 1]"),
+    # Not profile keys: measurement noise is sigma_p^2 I, reported by to_dict.
+    ("measurement_noise", np.eye(3).tolist(), "unknown config keys: ['measurement_noise']"),
+    ("measurement_noise_diag", [1e-6] * 3, "unknown config keys: ['measurement_noise_diag']"),
     ("alpha", 0, "alpha must be positive"),
     ("k", -1, "k must be non-negative"),
     ("beta", np.inf, "beta must be finite"),
@@ -79,6 +78,23 @@ _REFUSALS = [
     ("prior_mean", [0.0, np.nan, 0.0, 0.0, 0.0, 0.0], "prior_mean must be a finite 6-vector"),
     ("resampling", "stratified", "unknown resampling scheme 'stratified'"),
 ]
+
+
+def _wrong_value(key, value, what):
+    return key, value, f"{key} must be {what}, got {value!r}"
+
+
+# Further refusals of the keys above, each under its own test id.
+_MORE_REFUSALS = {
+    "process_noise_diag-bool": _wrong_value("process_noise_diag", [True] + [1e-5] * 5,
+                                            "a list of 6 numbers"),
+    # A value of the right size but another shape is refused, not reshaped.
+    "process_noise-2x18": _wrong_value("process_noise", np.ones((2, 18)).tolist(),
+                                       "a 6x6 matrix"),
+    "process_noise-flat": _wrong_value("process_noise", [1e-5] * 36, "a 6x6 matrix"),
+    "prior_mean-2x3": _wrong_value("prior_mean", [[0, 0, 0], [0, 0, 0]],
+                                   "a list of 6 numbers"),
+}
 
 
 class TestFilterConfig:
@@ -108,11 +124,6 @@ class TestFilterConfig:
         cfg = FilterConfig(sigma_p=2e-3)
         assert np.allclose(cfg.measurement_noise(), 4e-6 * np.eye(3))
 
-    def test_explicit_measurement_noise_wins(self):
-        r = np.diag([1e-6, 2e-6, 3e-6])
-        cfg = FilterConfig(measurement_noise_cov=r)
-        assert np.array_equal(cfg.measurement_noise(), r)
-
     @pytest.mark.parametrize("kw", [
         dict(n_particles=0),
         dict(memory=0),
@@ -124,7 +135,7 @@ class TestFilterConfig:
         dict(process_noise=np.eye(3)),
         dict(prior_cov=np.diag([1.0] * 5 + [-1.0])),
         dict(prior_mean=np.zeros(3)),
-        dict(measurement_noise_cov=np.diag([1.0, 1.0, -1.0])),
+        dict(process_noise=np.full(36, 1e-5)),     # the right size, not the shape
         dict(n_workers=1.5),
         dict(n_particles=True),
         dict(prior_map_exponent="false"),
@@ -132,7 +143,7 @@ class TestFilterConfig:
         dict(prior_mean=np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0])),
         dict(process_noise=np.diag([np.inf] + [1e-5] * 5)),
         dict(prior_cov=np.diag([np.nan] + [0.04] * 5)),
-        dict(measurement_noise_cov=np.diag([np.nan, 1.0, 1.0])),
+        dict(prior_mean=np.zeros((6, 1))),
     ])
     def test_validate_rejects(self, kw):
         with pytest.raises(InvalidConfigError):
@@ -144,6 +155,14 @@ class TestFilterConfig:
         with pytest.raises(InvalidConfigError):
             FilterConfig(process_noise=q)
 
+    def test_symmetry_check_does_not_overflow(self):
+        # Finite entries near the float limit differ by more than it.
+        q = np.eye(6)
+        q[0, 1], q[1, 0] = 1e308, -1e308
+        with pytest.raises(InvalidConfigError,
+                           match=r"^process_noise\[_diag\] must be symmetric$"):
+            FilterConfig(process_noise=q)
+
     def test_refused_when_built(self):
         # A config that exists is one the filter accepts: the check runs
         # in the constructor, so replace() cannot skip it either.
@@ -152,8 +171,8 @@ class TestFilterConfig:
         with pytest.raises(InvalidConfigError, match="^memory "):
             replace(FilterConfig(), memory=0)
 
-    @pytest.mark.parametrize("key, value, message", _REFUSALS,
-                             ids=[case[0] for case in _REFUSALS])
+    @pytest.mark.parametrize("key, value, message", [*_REFUSALS, *_MORE_REFUSALS.values()],
+                             ids=[*(case[0] for case in _REFUSALS), *_MORE_REFUSALS])
     def test_from_mapping_refuses_each_key(self, key, value, message):
         with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
             FilterConfig.from_mapping({key: value})
@@ -167,7 +186,8 @@ class TestFilterConfig:
                            resampling="systematic",
                            sut=SutParams(alpha=0.9, k=2.0, beta=10.0))
         d = cfg.to_dict()
-        d.pop("effective_sigma_p")   # derived, not an input key
+        for derived in ("measurement_noise", "effective_sigma_p"):   # not input keys
+            d.pop(derived)
         cfg2 = FilterConfig.from_mapping(d)
         assert cfg2.to_dict() == cfg.to_dict()
         assert cfg2.n_particles == 40
@@ -178,16 +198,13 @@ class TestFilterConfig:
         cfg = FilterConfig.from_mapping({
             "process_noise_diag": [1, 2, 3, 4, 5, 6],
             "prior_cov_diag": [6, 5, 4, 3, 2, 1],
-            "measurement_noise_diag": [1e-6, 1e-6, 1e-6],
         })
         assert np.array_equal(np.diag(cfg.process_noise), [1, 2, 3, 4, 5, 6])
         assert np.array_equal(np.diag(cfg.prior_cov), [6, 5, 4, 3, 2, 1])
-        assert np.array_equal(cfg.measurement_noise(), 1e-6 * np.eye(3))
 
     @pytest.mark.parametrize("full, diag, dim", [
         ("process_noise", "process_noise_diag", 6),
         ("prior_cov", "prior_cov_diag", 6),
-        ("measurement_noise", "measurement_noise_diag", 3),
     ])
     def test_from_mapping_rejects_full_and_diag_together(self, full, diag, dim):
         with pytest.raises(InvalidConfigError, match=f"^{full} and {diag} "):

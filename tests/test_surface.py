@@ -13,7 +13,7 @@ import meshloc
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
-    "EULER_CONVENTION", "EmptyMeshError",
+    "EmptyMeshError",
     "FilterConfig", "FilterState", "InvalidConfigError", "InvalidFaceSubsetError",
     "MeasurementModel", "MeshlocError", "NotPositiveDefiniteError", "Pose",
     "PoseEstimate", "ScenarioSpec", "SingularInnovationError",
@@ -35,7 +35,7 @@ MODULE_ONLY = {"cli": {"main"}}
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 38
     assert sorted(meshloc.__all__) == sorted(PUBLIC + ["__version__"])
     for name in meshloc.__all__:
         assert hasattr(meshloc, name), name
@@ -66,10 +66,7 @@ def test_each_public_name_is_listed_once_by_its_own_module():
             assert name not in owners, f"{name} in {owners.get(name)} and {module}"
             owners[name] = module
             obj = getattr(mod, name)
-            if callable(obj):
-                assert obj.__module__ == mod.__name__, name
-            else:
-                assert name == "EULER_CONVENTION" and isinstance(obj, str)
+            assert callable(obj) and obj.__module__ == mod.__name__, name
 
 
 def _meshloc_imports(source: str, origin: str):
