@@ -79,9 +79,12 @@ def _parse_sweep(text: str) -> list[int]:
         else:
             values = [int(v) for v in text.split(",")]
     except ValueError:
-        raise InvalidConfigError(f"cannot parse sweep {text!r}") from None
-    if not values or any(v < 1 for v in values):
-        raise InvalidConfigError("sweep values must be positive integers")
+        raise InvalidConfigError("--sweep-m must be an inclusive range '<lo>..<hi>' or "
+                                 f"comma-separated integers, got {text!r}") from None
+    if not values:
+        raise InvalidConfigError(f"--sweep-m range {text!r} is empty")
+    if any(v < 1 for v in values):
+        raise InvalidConfigError(f"--sweep-m values must be positive integers, got {text!r}")
     return values
 
 
@@ -94,10 +97,10 @@ def _require_file(path: str, what: str) -> str:
 def _load_config(path: str | None, overrides: dict) -> FilterConfig:
     mapping = {}
     if path is not None:
-        with open(_require_file(path, "config")) as fh:
+        with open(_require_file(path, "config"), encoding="utf-8") as fh:
             try:
                 loaded = yaml.safe_load(fh) or {}
-            except yaml.YAMLError as exc:
+            except (yaml.YAMLError, UnicodeDecodeError) as exc:
                 raise InvalidConfigError(f"{path}: malformed YAML: {exc}") from None
         if not isinstance(loaded, dict):
             raise InvalidConfigError(f"{path}: config must be a mapping")

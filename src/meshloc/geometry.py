@@ -458,33 +458,38 @@ def load_obj(path) -> TriMesh:
     record with fewer than 3 vertices, a non-numeric or non-finite token or
     a face index outside the vertices read so far raises ``ValueError``
     naming the file and line: skipping a vertex would shift every later
-    face index.
+    face index.  A file that is not UTF-8 text raises ``ValueError``
+    naming the file.
     """
     vertices: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split("#", 1)[0].split()
-            if not parts or parts[0] not in ("v", "f"):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts or parts[0] not in ("v", "f"):
+            continue
+        where = f"{path}:{lineno}"
+        if len(parts) < 4:
+            what = "coordinates" if parts[0] == "v" else "vertices"
+            raise ValueError(f"{where}: '{parts[0]}' record needs at least 3 {what}")
+        try:
+            if parts[0] == "v":
+                vertices.append([float(t) for t in parts[1:4]])
+                if not np.isfinite(vertices[-1]).all():
+                    raise ValueError(f"non-finite vertex coordinate in {' '.join(parts)!r}")
                 continue
-            where = f"{path}:{lineno}"
-            if len(parts) < 4:
-                what = "coordinates" if parts[0] == "v" else "vertices"
-                raise ValueError(f"{where}: '{parts[0]}' record needs at least 3 {what}")
-            try:
-                if parts[0] == "v":
-                    vertices.append([float(t) for t in parts[1:4]])
-                    if not np.isfinite(vertices[-1]).all():
-                        raise ValueError(f"non-finite vertex coordinate in {' '.join(parts)!r}")
-                    continue
-                ids = [int(t.split("/")[0]) for t in parts[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            ids = [len(vertices) + i if i < 0 else i - 1 for i in ids]
-            if min(ids) < 0 or max(ids) >= len(vertices):
-                raise ValueError(f"{where}: face index out of range for "
-                                 f"{len(vertices)} vertices read so far")
-            faces.extend((ids[0], ids[t], ids[t + 1]) for t in range(1, len(ids) - 1))
+            ids = [int(t.split("/")[0]) for t in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        ids = [len(vertices) + i if i < 0 else i - 1 for i in ids]
+        if min(ids) < 0 or max(ids) >= len(vertices):
+            raise ValueError(f"{where}: face index out of range for "
+                             f"{len(vertices)} vertices read so far")
+        faces.extend((ids[0], ids[t], ids[t + 1]) for t in range(1, len(ids) - 1))
     if not faces:
         raise EmptyMeshError(f"no faces found in {path}")
     return TriMesh(np.asarray(vertices), np.asarray(faces))

@@ -17,10 +17,12 @@ that every measurement in the window ends up contributing a total power of
 maximizes the resulting Gaussian-mixture density (a MAP readout).  The
 propagated weights are never touched by extraction.
 
-Resampling (multinomial by default) is skipped for the first
-``resampling_delay`` steps; weights reset to 1/N either way, so particle
-multiplicity, not the weight vector, carries information forward from one
-step to the next.
+The initial population is drawn from ``N(prior_mean, prior_cov / m)``,
+the prior raised to the m-th power, so that the MAP readout weights the
+prior on par with each windowed measurement.  Multinomial resampling is
+skipped for the first ``resampling_delay`` steps; weights reset to 1/N
+either way, so particle multiplicity, not the weight vector, carries
+information forward from one step to the next.
 
 Determinism: every step derives its generator from ``(seed, t)`` and draws
 in a fixed order, and all per-particle reductions run in particle order, so
@@ -67,14 +69,16 @@ _EXTRACT_CHUNK = 256
 # each stated once and grouped by how it is read and checked: a count maps
 # to a field and holds its least value, a flag is true or false, a matrix
 # may also be given as its ``_diag``, and the transform parameters go to
-# `SutParams`.
+# `SutParams`.  `_PROFILE_KEYS` is every key a profile may set.
 _PROFILE_COUNTS = {"particles": ("n_particles", 1), "memory": ("memory", 1),
                    "resampling_delay": ("resampling_delay", 0),
                    "seed": ("seed", 0), "workers": ("n_workers", 1)}
-_PROFILE_FLAGS = ("sigma_p_is_variance", "prior_map_exponent",
-                  "transition_density_in_weights")
+_PROFILE_FLAGS = ("transition_density_in_weights",)
 _PROFILE_MATRICES = {"process_noise": 6, "prior_cov": 6}
 _SUT_KEYS = ("alpha", "k", "beta")
+_PROFILE_KEYS = frozenset({
+    *_PROFILE_COUNTS, *_PROFILE_FLAGS, *_SUT_KEYS, "sigma_p", "prior_mean",
+    *(key + suffix for key in _PROFILE_MATRICES for suffix in ("", "_diag"))})
 
 
 def _label(key: str, name: str) -> str:
@@ -91,12 +95,8 @@ class FilterConfig:
     the vector and matrices are read-only float arrays, and an integral
     float count is an int.
 
-    ``sigma_p`` is stored as configured; ``sigma_p_is_variance``
-    selects whether it is read directly as a standard deviation in meters
-    (the default: 1e-4 m, a sharp likelihood that rewards tight surface
-    fits) or as a variance in m^2 (1e-4 m^2, a 1 cm standard deviation
-    matching a coarse probe).  Every report records both the raw value
-    and the interpretation flag.
+    ``sigma_p`` is the likelihood's standard deviation in meters (1e-4 m
+    by default, a sharp likelihood that rewards tight surface fits).
     """
 
     n_particles: int = 700
@@ -107,11 +107,8 @@ class FilterConfig:
     prior_cov: np.ndarray = field(default_factory=lambda: np.diag(
         [0.04, 0.04, 0.04, np.pi ** 2, (np.pi / 2.0) ** 2, np.pi ** 2]))
     sigma_p: float = 1e-4
-    sigma_p_is_variance: bool = False
     sut: SutParams = field(default_factory=SutParams)
     resampling_delay: int = 2
-    resampling: str = "multinomial"
-    prior_map_exponent: bool = True
     transition_density_in_weights: bool = False
     n_workers: int = 1
     seed: int = 0
@@ -133,11 +130,6 @@ class FilterConfig:
             raise InvalidConfigError(f"sut must be a SutParams, got {self.sut!r}")
         self.validate()
 
-    @property
-    def effective_sigma_p(self) -> float:
-        """Likelihood scale in meters after the variance/std interpretation."""
-        return float(np.sqrt(self.sigma_p)) if self.sigma_p_is_variance else self.sigma_p
-
     def validate(self) -> None:
         """Raise `InvalidConfigError` naming the profile key at fault, with
         the field name in parentheses where the two differ."""
@@ -148,9 +140,6 @@ class FilterConfig:
         for key in _PROFILE_FLAGS:
             if not isinstance(getattr(self, key), (bool, np.bool_)):
                 raise InvalidConfigError(f"{key} must be true or false")
-        if not (isinstance(self.resampling, str)
-                and self.resampling in ("multinomial", "systematic")):
-            raise InvalidConfigError(f"unknown resampling scheme {str(self.resampling)!r}")
         if not (np.isfinite(self.sigma_p) and self.sigma_p > 0.0):
             raise InvalidConfigError("sigma_p must be positive and finite")
         if not np.isfinite(self.prior_mean).all():
@@ -169,10 +158,10 @@ class FilterConfig:
 
     def measurement_noise(self) -> np.ndarray:
         """The UKF's contact noise, ``sigma^2 I`` at the likelihood's scale."""
-        return self.effective_sigma_p ** 2 * np.eye(3)
+        return self.sigma_p ** 2 * np.eye(3)
 
     def model_for(self, mesh) -> MeasurementModel:
-        return MeasurementModel(mesh=mesh, sigma_p=self.effective_sigma_p)
+        return MeasurementModel(mesh=mesh, sigma_p=self.sigma_p)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "FilterConfig":
@@ -183,10 +172,7 @@ class FilterConfig:
         constructors convert and check each value.  A matrix given as its
         ``_diag`` shorthand is expanded here.
         """
-        known = {*_PROFILE_COUNTS, *_PROFILE_FLAGS, *_SUT_KEYS, "sigma_p",
-                 "prior_mean", "resampling",
-                 *(key + suffix for key in _PROFILE_MATRICES for suffix in ("", "_diag"))}
-        unknown = set(mapping) - known
+        unknown = set(mapping) - _PROFILE_KEYS
         if unknown:
             raise InvalidConfigError(
                 f"unknown config keys: {sorted(unknown, key=str)}")
@@ -204,15 +190,17 @@ class FilterConfig:
                                               f"a list of {dim} numbers", (dim,),
                                               InvalidConfigError))
         names = {key: name for key, (name, _) in _PROFILE_COUNTS.items()}
-        names |= {key: key for key in (*_PROFILE_FLAGS, *_PROFILE_MATRICES, "prior_mean",
-                                       "sigma_p", "resampling")}
+        names |= {key: key for key in (*_PROFILE_FLAGS, *_PROFILE_MATRICES,
+                                       "prior_mean", "sigma_p")}
         kwargs |= {name: mapping[key] for key, name in names.items() if key in mapping}
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
         """Fully resolved configuration for report embedding: each profile
         key (matrices in full) plus the derived ``measurement_noise`` and
-        ``effective_sigma_p``.
+        the fixed parts of the method under the keys of report schema
+        ``meshloc-report-1``: ``effective_sigma_p`` (equal to ``sigma_p``),
+        ``sigma_p_is_variance``, ``resampling`` and ``prior_map_exponent``.
 
         Deliberately omits ``workers``: it changes how the arithmetic is
         scheduled, never what it computes, and reports must be identical
@@ -227,8 +215,10 @@ class FilterConfig:
             "measurement_noise": self.measurement_noise().tolist(),
             "prior_mean": self.prior_mean.tolist(),
             "sigma_p": self.sigma_p,
-            "effective_sigma_p": self.effective_sigma_p,
-            "resampling": self.resampling,
+            "effective_sigma_p": self.sigma_p,
+            "sigma_p_is_variance": False,
+            "resampling": "multinomial",
+            "prior_map_exponent": True,
         }
 
 
@@ -312,14 +302,10 @@ def _normalize_log_weights(lw: np.ndarray):
     return shifted / total, lw - top - np.log(total), False
 
 
-def _resample_indices(rng: np.random.Generator, weights: np.ndarray,
-                      scheme: str) -> np.ndarray:
+def _resample_indices(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
+    """Multinomial resampling: N parent indices drawn with probabilities ``weights``."""
     n = len(weights)
-    p = weights / weights.sum()
-    if scheme == "systematic":
-        positions = (rng.random() + np.arange(n)) / n
-        return np.minimum(np.searchsorted(np.cumsum(p), positions), n - 1)
-    return rng.choice(n, size=n, replace=True, p=p)
+    return rng.choice(n, size=n, replace=True, p=weights / weights.sum())
 
 
 def _rows(fn, n: int, workers: int):
@@ -340,18 +326,14 @@ def _rows(fn, n: int, workers: int):
 def init(config: FilterConfig) -> FilterState:
     """Draw the initial particle population.
 
-    Particles are sampled from the Gaussian prior; with
-    ``prior_map_exponent`` enabled, the draw covariance is ``prior_cov / m``
-    so that the population density is the prior raised to the m-th power
-    (which is what makes the MAP readout weight the prior on par with each
-    windowed measurement).  Per-particle covariances start at ``prior_cov``
-    itself either way.
+    Particles are sampled from the Gaussian prior with covariance
+    ``prior_cov / m``, so that the population density is the prior raised
+    to the m-th power (which is what makes the MAP readout weight the prior
+    on par with each windowed measurement).  Per-particle covariances start
+    at ``prior_cov`` itself.
     """
     n = config.n_particles
-    draw_cov = config.prior_cov
-    if config.prior_map_exponent:
-        draw_cov = draw_cov / config.memory
-    vecs, evals_sample, _ = _factor_covariances(draw_cov[None, :, :])
+    vecs, evals_sample, _ = _factor_covariances((config.prior_cov / config.memory)[None])
     scale = vecs[0] * np.sqrt(evals_sample[0])[None, :]
     rng = _rng_for_step(config.seed, 0)
     z = rng.standard_normal((n, 6))
@@ -421,7 +403,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
 
     resampled = t > config.resampling_delay
     if resampled:
-        idx = _resample_indices(rng, weights_t, config.resampling)
+        idx = _resample_indices(rng, weights_t)
         new_means = sampled[idx]
         new_covs = ukf_covs[idx]
         unique_parents = int(len(np.unique(idx)))

@@ -147,23 +147,27 @@ def write_measurements_csv(path, points: np.ndarray) -> None:
 
 
 def read_measurements_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != MEASUREMENT_HEADER:
-            raise InvalidConfigError(
-                f"{path}: expected header {','.join(MEASUREMENT_HEADER)}")
-        rows = []
-        for row in filter(None, reader):
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 3:
-                raise InvalidConfigError(f"{where}: expected 3 values, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise InvalidConfigError(f"{where}: {exc}") from None
-            if not np.isfinite(rows[-1]).all():
-                raise InvalidConfigError(f"{where}: non-finite measurement values")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidConfigError(f"{path}: {exc}") from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or tuple(h.strip() for h in header) != MEASUREMENT_HEADER:
+        raise InvalidConfigError(
+            f"{path}: expected header {','.join(MEASUREMENT_HEADER)}")
+    rows = []
+    for row in filter(None, reader):
+        where = f"{path}:{reader.line_num}"
+        if len(row) != 3:
+            raise InvalidConfigError(f"{where}: expected 3 values, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise InvalidConfigError(f"{where}: {exc}") from None
+        if not np.isfinite(rows[-1]).all():
+            raise InvalidConfigError(f"{where}: non-finite measurement values")
     if not rows:
         raise InvalidConfigError(f"{path}: no measurement rows")
     return np.asarray(rows, dtype=float)
@@ -181,8 +185,11 @@ def write_ground_truth_json(path, spec: ScenarioSpec, contacts: np.ndarray) -> N
 
 
 def read_ground_truth_json(path) -> tuple[ScenarioSpec, np.ndarray]:
-    with open(path) as fh:
-        payload = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:   # not UTF-8 text, or not JSON
+            raise InvalidConfigError(f"{path}: {exc}") from None
     if not isinstance(payload, dict) or payload.get("schema") != GROUND_TRUTH_SCHEMA:
         raise InvalidConfigError(f"{path}: not a {GROUND_TRUTH_SCHEMA} object")
     try:

@@ -217,7 +217,7 @@ def upf_step(state, y, model, config):
                                        np.broadcast_to(q_evals, (n, 6)))
     weights_t, log_weights_t, degenerate = mupf._normalize_log_weights(lw)
 
-    idx = mupf._resample_indices(rng, weights_t, config.resampling)
+    idx = mupf._resample_indices(rng, weights_t)
     diagnostics = {
         "t": t,
         "window": range(t, t + 1),

@@ -13,7 +13,8 @@ import yaml
 from conftest import save_obj
 
 import meshloc.cli as cli
-from meshloc import InvalidConfigError, Pose, ScenarioSpec, TrialReport
+from meshloc import FilterConfig, InvalidConfigError, Pose, ScenarioSpec, TrialReport
+from meshloc.mupf import _PROFILE_KEYS
 
 
 @pytest.fixture()
@@ -52,6 +53,44 @@ def _simulate(tmp_path, box_obj, **over):
     return out
 
 
+# `json.dumps(config.to_dict(), sort_keys=True)`, the config block every
+# report embeds, for the library defaults and the shipped profiles.
+_CONFIG_ECHOES = {
+    "default": (
+        '{"alpha": 1.0, "beta": 30.0, "effective_sigma_p": 0.0001, "k": 2.0, '
+        '"measurement_noise": [[1e-08, 0.0, 0.0], [0.0, 1e-08, 0.0], [0.0, 0.0, '
+        '1e-08]], "memory": 10, "particles": 700, "prior_cov": [[0.04, 0.0, 0.0, '
+        '0.0, 0.0, 0.0], [0.0, 0.04, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.04, 0.0, 0.0, '
+        '0.0], [0.0, 0.0, 0.0, 9.869604401089358, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, '
+        '2.4674011002723395, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 9.869604401089358]], '
+        '"prior_map_exponent": true, "prior_mean": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], '
+        '"process_noise": [[1e-05, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1e-05, 0.0, 0.0, '
+        '0.0, 0.0], [0.0, 0.0, 1e-05, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0001, 0.0, '
+        '0.0], [0.0, 0.0, 0.0, 0.0, 0.0001, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, '
+        '0.0001]], "resampling": "multinomial", "resampling_delay": 2, "seed": 0, '
+        '"sigma_p": 0.0001, "sigma_p_is_variance": false, '
+        '"transition_density_in_weights": false}'
+    ),
+    "robot": (
+        '{"alpha": 1.0, "beta": 30.0, "effective_sigma_p": 0.0004, "k": 2.0, '
+        '"measurement_noise": [[1.6e-07, 0.0, 0.0], [0.0, 1.6e-07, 0.0], [0.0, 0.0, '
+        '1.6e-07]], "memory": 10, "particles": 1200, "prior_cov": [[0.04, 0.0, 0.0, '
+        '0.0, 0.0, 0.0], [0.0, 0.04, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.04, 0.0, 0.0, '
+        '0.0], [0.0, 0.0, 0.0, 9.869604401089358, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, '
+        '2.4674011002723395, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 9.869604401089358]], '
+        '"prior_map_exponent": true, "prior_mean": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], '
+        '"process_noise": [[1e-05, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1e-05, 0.0, 0.0, '
+        '0.0, 0.0], [0.0, 0.0, 1e-05, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.001, 0.0, '
+        '0.0], [0.0, 0.0, 0.0, 0.0, 0.001, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.001]], '
+        '"resampling": "multinomial", "resampling_delay": 2, "seed": 0, '
+        '"sigma_p": 0.0004, "sigma_p_is_variance": false, '
+        '"transition_density_in_weights": false}'
+    ),
+}
+# The simulation profile states the library defaults.
+_CONFIG_ECHOES["simulation"] = _CONFIG_ECHOES["default"]
+
+
 class TestParsers:
     def test_parse_pose(self):
         p = cli._parse_pose("0.1, -0.2, 0.3, 1, 0, -1")
@@ -85,10 +124,18 @@ class TestParsers:
         assert cli._parse_sweep("1..4") == [1, 2, 3, 4]
 
     def test_parse_sweep_rejects_garbage(self):
-        with pytest.raises(InvalidConfigError):
-            cli._parse_sweep("1..")
-        with pytest.raises(InvalidConfigError):
-            cli._parse_sweep("5..1")
+        # Each message names the flag; an empty range has its own.
+        for text, message in [
+            ("1..", "--sweep-m must be an inclusive range '<lo>..<hi>' or "
+                    "comma-separated integers, got '1..'"),
+            ("1,x", "--sweep-m must be an inclusive range '<lo>..<hi>' or "
+                    "comma-separated integers, got '1,x'"),
+            ("5..1", "--sweep-m range '5..1' is empty"),
+            ("0,3", "--sweep-m values must be positive integers, got '0,3'"),
+            ("-1..2", "--sweep-m values must be positive integers, got '-1..2'"),
+        ]:
+            with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
+                cli._parse_sweep(text)
 
 
 class TestSimulate:
@@ -168,7 +215,6 @@ class TestLocalize:
         assert cfg["particles"] == 40
         assert cfg["memory"] == 3
         assert cfg["sigma_p"] == 1e-3
-        assert cfg["sigma_p_is_variance"] is False
         assert cfg["effective_sigma_p"] == 1e-3
         assert "workers" not in cfg
         body = rep["report"]
@@ -264,6 +310,25 @@ class TestLocalize:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {mesh}:4: {message}\n"
 
+    @pytest.mark.parametrize("flag, content", [
+        ("--measurements", b"x,y,z\n0.1,\xff,0.3\n"),
+        ("--mesh", b"v 0 0 0\nv 1 0 0\nv 0 1 0\n\xff\nf 1 2 3\n"),
+        ("--config", b"particles: 40\nmemory: \xff\n"),
+        ("--ground-truth", b"{\"schema\": "),
+    ], ids=["csv", "obj", "yaml", "json"])
+    def test_unreadable_input_names_file(self, tmp_path, box_obj, tiny_config, capsys,
+                                         flag, content):
+        # Bytes that are not UTF-8, or a ground truth that is not JSON.
+        meas = _simulate(tmp_path, box_obj)
+        files = {"--mesh": box_obj, "--measurements": meas, "--config": tiny_config,
+                 "--ground-truth": str(tmp_path / "meas.truth.json")}
+        files[flag] = str(tmp_path / "bad")
+        Path(files[flag]).write_bytes(content)
+        rc = cli.main(["localize", "--output", str(tmp_path / "r.json"),
+                       *(arg for pair in files.items() for arg in pair)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {files[flag]}: ")
+
     def test_unknown_config_key_exits_2(self, tmp_path, box_obj):
         meas = _simulate(tmp_path, box_obj)
         cfg = tmp_path / "bad.yaml"
@@ -282,6 +347,7 @@ class TestLocalize:
         assert "unknown config keys: [1, 'foo']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
+        # Fixed parts of the method, not settings: refused as unknown keys.
         ("sigma_p_is_variance", "false"),
         ("prior_map_exponent", 0),
         ("transition_density_in_weights", "yes"),
@@ -305,7 +371,7 @@ class TestLocalize:
         ("prior_cov", np.eye(6).tolist()),
     ])
     def test_malformed_config_value_exits_2(self, tmp_path, box_obj, tiny_config,
-                                            key, value):
+                                            capsys, key, value):
         meas = _simulate(tmp_path, box_obj)
         mapping = yaml.safe_load(Path(tiny_config).read_text())
         mapping[key] = value
@@ -314,6 +380,8 @@ class TestLocalize:
         rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
                        "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         assert rc == 2
+        # Matrix errors name the key as "<matrix>[_diag]".
+        assert key.removesuffix("_diag") in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("particles", 0), ("workers", 1.5),
                                             ("prior_mean", [1, 2]), ("sigma_p", True),
@@ -592,7 +660,6 @@ class TestShippedProfiles:
         assert cfg.n_particles == 700
         assert cfg.memory == 10
         assert cfg.sigma_p == 1e-4
-        assert cfg.sigma_p_is_variance is False
         assert np.array_equal(np.diag(cfg.process_noise),
                               [1e-5, 1e-5, 1e-5, 1e-4, 1e-4, 1e-4])
         assert np.diag(cfg.prior_cov)[3] == np.pi ** 2
@@ -605,6 +672,20 @@ class TestShippedProfiles:
         assert cfg.n_particles == 1200
         assert cfg.sigma_p == 4e-4
         assert np.array_equal(np.diag(cfg.process_noise)[3:], [1e-3] * 3)
+
+    @pytest.mark.parametrize("name", ["simulation", "robot"])
+    def test_profile_sets_every_key(self, configs_dir, name):
+        # Each key from_mapping reads, a matrix in its full or _diag form.
+        keys = set(yaml.safe_load((configs_dir / f"{name}.yaml").read_text()))
+        assert keys <= _PROFILE_KEYS
+        assert ({key.removesuffix("_diag") for key in keys}
+                == {key.removesuffix("_diag") for key in _PROFILE_KEYS})
+
+    @pytest.mark.parametrize("name", ["default", "simulation", "robot"])
+    def test_config_echo_is_pinned(self, configs_dir, name):
+        cfg = (FilterConfig() if name == "default"
+               else cli._load_config(str(configs_dir / f"{name}.yaml"), {}))
+        assert json.dumps(cfg.to_dict(), sort_keys=True) == _CONFIG_ECHOES[name]
 
 
 class TestReadme:

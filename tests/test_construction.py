@@ -28,7 +28,7 @@ BOX = box_mesh(0.1, 0.3, 0.2)
 _KEYS = {f.name: f.name for f in fields(FilterConfig)} | {
     "n_particles": "particles", "n_workers": "workers"}
 _COUNTS = ("n_particles", "memory", "resampling_delay", "seed", "n_workers")
-_FLAGS = ("sigma_p_is_variance", "prior_map_exponent", "transition_density_in_weights")
+_FLAGS = ("transition_density_in_weights",)
 _ARRAYS = {"process_noise": (6, 6), "prior_mean": (6,), "prior_cov": (6, 6)}
 
 _scalars = st.one_of(

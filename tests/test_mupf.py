@@ -57,8 +57,6 @@ _REFUSALS = [
     ("resampling_delay", -1, "resampling_delay must be an integer >= 0"),
     ("seed", True, "seed must be an integer >= 0"),
     ("workers", 0, "workers (n_workers) must be an integer >= 1"),
-    ("sigma_p_is_variance", "false", "sigma_p_is_variance must be true or false"),
-    ("prior_map_exponent", 1, "prior_map_exponent must be true or false"),
     ("transition_density_in_weights", None,
      "transition_density_in_weights must be true or false"),
     ("process_noise", (np.eye(6) + np.eye(6, k=1)).tolist(),
@@ -71,12 +69,15 @@ _REFUSALS = [
     # Not profile keys: measurement noise is sigma_p^2 I, reported by to_dict.
     ("measurement_noise", np.eye(3).tolist(), "unknown config keys: ['measurement_noise']"),
     ("measurement_noise_diag", [1e-6] * 3, "unknown config keys: ['measurement_noise_diag']"),
+    # Nor are the fixed parts of the method, even at the value to_dict echoes.
+    ("sigma_p_is_variance", False, "unknown config keys: ['sigma_p_is_variance']"),
+    ("prior_map_exponent", True, "unknown config keys: ['prior_map_exponent']"),
+    ("resampling", "multinomial", "unknown config keys: ['resampling']"),
     ("alpha", 0, "alpha must be positive"),
     ("k", -1, "k must be non-negative"),
     ("beta", np.inf, "beta must be finite"),
     ("sigma_p", 0, "sigma_p must be positive and finite"),
     ("prior_mean", [0.0, np.nan, 0.0, 0.0, 0.0, 0.0], "prior_mean must be a finite 6-vector"),
-    ("resampling", "stratified", "unknown resampling scheme 'stratified'"),
 ]
 
 
@@ -108,17 +109,9 @@ class TestFilterConfig:
         assert np.allclose(np.diag(cfg.prior_cov)[3:],
                            [np.pi ** 2, (np.pi / 2) ** 2, np.pi ** 2])
         assert cfg.sigma_p == 1e-4
-        assert cfg.sigma_p_is_variance is False
-        assert cfg.effective_sigma_p == 1e-4
         assert (cfg.sut.alpha, cfg.sut.k, cfg.sut.beta) == (1.0, 2.0, 30.0)
         assert cfg.resampling_delay == 2
-        assert cfg.resampling == "multinomial"
-        assert cfg.prior_map_exponent is True
         assert cfg.transition_density_in_weights is False
-
-    def test_variance_interpretation_takes_sqrt(self):
-        cfg = FilterConfig(sigma_p=1e-4, sigma_p_is_variance=True)
-        assert cfg.effective_sigma_p == pytest.approx(0.01)
 
     def test_default_measurement_noise_is_isotropic(self):
         cfg = FilterConfig(sigma_p=2e-3)
@@ -128,7 +121,7 @@ class TestFilterConfig:
         dict(n_particles=0),
         dict(memory=0),
         dict(resampling_delay=-1),
-        dict(resampling="stratified"),
+        dict(seed=-1),
         dict(sigma_p=0.0),
         dict(sigma_p=-1e-4),
         dict(n_workers=0),
@@ -138,7 +131,7 @@ class TestFilterConfig:
         dict(process_noise=np.full(36, 1e-5)),     # the right size, not the shape
         dict(n_workers=1.5),
         dict(n_particles=True),
-        dict(prior_map_exponent="false"),
+        dict(transition_density_in_weights="false"),
         dict(sigma_p=np.inf),
         dict(prior_mean=np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0])),
         dict(process_noise=np.diag([np.inf] + [1e-5] * 5)),
@@ -183,15 +176,17 @@ class TestFilterConfig:
 
     def test_from_mapping_round_trip(self):
         cfg = FilterConfig(n_particles=40, memory=4, sigma_p=5e-4, seed=7,
-                           resampling="systematic",
+                           transition_density_in_weights=True,
                            sut=SutParams(alpha=0.9, k=2.0, beta=10.0))
         d = cfg.to_dict()
-        for derived in ("measurement_noise", "effective_sigma_p"):   # not input keys
-            d.pop(derived)
+        # Derived values and fixed parts of the method, echoed but not input keys.
+        for echoed in ("measurement_noise", "effective_sigma_p", "sigma_p_is_variance",
+                       "resampling", "prior_map_exponent"):
+            d.pop(echoed)
         cfg2 = FilterConfig.from_mapping(d)
         assert cfg2.to_dict() == cfg.to_dict()
         assert cfg2.n_particles == 40
-        assert cfg2.resampling == "systematic"
+        assert cfg2.transition_density_in_weights is True
         assert cfg2.sut.alpha == 0.9
 
     def test_from_mapping_diag_shorthand(self):
@@ -320,27 +315,16 @@ class TestRngAndResampling:
         n = 100_000
         w = np.where(np.arange(n) % 2 == 0, 1.0, 3.0)
         w /= w.sum()
-        idx = _resample_indices(np.random.default_rng(1), w, "multinomial")
+        idx = _resample_indices(np.random.default_rng(1), w)
         odd_share = np.mean(idx % 2 == 1)
         # binomial std of the share is ~0.0014; 5 sigma band
         assert abs(odd_share - 0.75) < 0.007
 
-    def test_systematic_counts_within_one_of_expectation(self):
-        rng = np.random.default_rng(2)
-        w = rng.random(200)
-        w /= w.sum()
-        n = len(w)
-        idx = _resample_indices(np.random.default_rng(3), w, "systematic")
-        counts = np.bincount(idx, minlength=n)
-        assert np.all(counts >= np.floor(n * w))
-        assert np.all(counts <= np.ceil(n * w))
-
     def test_resampling_preserves_population_size(self):
         w = np.full(32, 1 / 32)
-        for scheme in ("multinomial", "systematic"):
-            idx = _resample_indices(np.random.default_rng(0), w, scheme)
-            assert idx.shape == (32,)
-            assert idx.min() >= 0 and idx.max() < 32
+        idx = _resample_indices(np.random.default_rng(0), w)
+        assert idx.shape == (32,)
+        assert idx.min() >= 0 and idx.max() < 32
 
 
 def logw_norm(lw):
@@ -375,13 +359,6 @@ class TestInit:
         std_t = tight.means.std(axis=0)
         assert np.allclose(std_w, np.sqrt(np.diag(p0)), rtol=0.02)
         assert np.allclose(std_t, np.sqrt(np.diag(p0) / 9), rtol=0.02)
-
-    def test_flat_prior_flag_keeps_full_spread(self):
-        p0 = np.diag([0.04] * 3 + [1.0] * 3)
-        cfg = FilterConfig(n_particles=200_000, memory=9, prior_mean=np.zeros(6),
-                           prior_cov=p0, prior_map_exponent=False)
-        state = init(cfg)
-        assert np.allclose(state.means.std(axis=0), np.sqrt(np.diag(p0)), rtol=0.02)
 
     def test_deterministic_per_seed(self):
         a = init(_small_config(seed=5))
