@@ -89,8 +89,18 @@ def _parse_sweep(text: str) -> list[int]:
 
 
 def _require_file(path: str, what: str) -> str:
+    if Path(path).is_dir():
+        raise InvalidConfigError(f"{what} file is a directory: {path}")
     if not Path(path).is_file():
         raise InvalidConfigError(f"{what} file not found: {path}")
+    return path
+
+
+def _require_output(path, flag: str):
+    """Refuse an output path that is a directory, before anything is
+    written; ``flag`` is the flag that sets or derives the path."""
+    if Path(path).is_dir():
+        raise InvalidConfigError(f"{flag}: {path} is a directory")
     return path
 
 
@@ -132,8 +142,11 @@ def _replacing(path):
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")
-    yield tmp
-    tmp.replace(out)
+    try:
+        yield tmp
+        tmp.replace(out)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_text(path, text: str) -> None:
@@ -163,9 +176,11 @@ def _scenario(args, seed: int | None) -> ScenarioSpec:
 
 
 def cmd_simulate(args) -> int:
+    _require_output(args.output, "--output")
+    truth_path = _require_output(
+        args.ground_truth or Path(args.output).with_suffix(".truth.json"), "--ground-truth")
     spec = _scenario(args, args.seed)
     measurements, contacts = sample_contacts(spec, _load_mesh(args.mesh))
-    truth_path = args.ground_truth or Path(args.output).with_suffix(".truth.json")
     with _replacing(args.output) as tmp:
         write_measurements_csv(tmp, measurements)
     with _replacing(truth_path) as tmp:
@@ -176,11 +191,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    _require_output(args.output, "--output")
+    trace_path = Path(args.output).with_suffix(".trace.csv")
+    if args.emit_trace:
+        _require_output(trace_path, "--emit-trace")
     config = _load_config(args.config, {"seed": args.seed, "workers": args.workers})
     mesh = _load_mesh(args.mesh)
     measurements = read_measurements_csv(_require_file(args.measurements, "measurement"))
 
-    spec = read_ground_truth_json(args.ground_truth)[0] if args.ground_truth else None
+    spec = (read_ground_truth_json(_require_file(args.ground_truth, "ground-truth"))[0]
+            if args.ground_truth else None)
     _, report = run(measurements, config.model_for(mesh), config,
                     truth=None if spec is None else spec.true_pose)
     payload = {
@@ -194,7 +214,6 @@ def cmd_localize(args) -> int:
     }
     _write_json(args.output, payload, args.omit_timing)
     if args.emit_trace:
-        trace_path = Path(args.output).with_suffix(".trace.csv")
         _write_text(trace_path, "t,index\n" + "".join(
             f"{t},{v:.9g}\n" for t, v in enumerate(report.index_trace, start=1)))
         logger.info("wrote index trace to %s", trace_path)
@@ -218,6 +237,10 @@ def _run_batch(trials: list[tuple], trial_workers: int) -> list[TrialReport]:
 
 
 def cmd_batch(args) -> int:
+    _require_output(args.output, "--output")
+    sweep_csv = Path(args.output).with_suffix(".sweep.csv")
+    if args.sweep_m:
+        _require_output(sweep_csv, "--sweep-m")
     config = _load_config(args.config, {"seed": args.seed, "workers": args.workers})
     given = [f"--{dest.replace('_', '-')}" for dest in _SCENARIO_DESTS
              if getattr(args, dest) is not None]
@@ -244,7 +267,8 @@ def cmd_batch(args) -> int:
 
     truth = None
     if args.ground_truth:
-        truth = read_ground_truth_json(args.ground_truth)[0].true_pose
+        truth = read_ground_truth_json(_require_file(args.ground_truth,
+                                                     "ground-truth"))[0].true_pose
     elif args.use_truth:
         truth = scenario.true_pose
 
@@ -275,7 +299,6 @@ def cmd_batch(args) -> int:
     }
     if sweep is not None:
         payload["per_memory"] = per_m
-        sweep_csv = Path(args.output).with_suffix(".sweep.csv")
         columns = [c for c in ("mean_final_index", "median_final_index",
                                "reliability", "mean_elapsed")
                    if not (args.omit_timing and c in _TIMING_KEYS)]

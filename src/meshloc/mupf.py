@@ -63,6 +63,9 @@ logger = logging.getLogger(__name__)
 _LN_2PI = float(np.log(2.0 * np.pi))
 _DENSITY_EIG_FLOOR = 1e-12
 _EXTRACT_CHUNK = 256
+# np.exp of any float <= -_UNDERFLOW_MARGIN is exactly 0.0: exp underflows
+# below about -745.13.
+_UNDERFLOW_MARGIN = 746.0
 
 
 # Profile keys that `FilterConfig.from_mapping` reads and `to_dict` writes,
@@ -434,6 +437,20 @@ def extract_pose(state: FilterState, model, config: FilterConfig) -> PoseEstimat
     Re-rates the sampled candidates with the extraction exponents, then
     evaluates the weighted Gaussian-mixture density at every candidate and
     returns the maximizer.  Does not modify the filter state.
+
+    The density is evaluated over its effective support, and the result is
+    bitwise that of all N components.  Component i's log term ``mix_ij`` at
+    any candidate j is at most ``bound_i = log_wbar_i - 0.5 (6 ln 2pi +
+    logdet_i)``: the Mahalanobis term is >= 0 and float rounding is
+    monotone.  For each chunk of candidates, the components with
+    ``wbar_i > 0`` give ``low``, a lower bound of every column maximum
+    ``top_j``.  A component with ``bound_i - low < -_UNDERFLOW_MARGIN``
+    then has ``mix_ij - top_j < -_UNDERFLOW_MARGIN`` in floats, so its term
+    ``exp(mix_ij - top_j)`` is exactly 0.0 at every candidate of the chunk,
+    and is left out.  The
+    kept components run in ascending index order, so ``top`` and the
+    column sums are those of the dense loop, bit for bit; where the bound
+    keeps every component, the chunk is the dense chunk.
     """
     if state.t == 0:
         raise ValueError("extract_pose needs at least one processed measurement")
@@ -453,14 +470,23 @@ def extract_pose(state: FilterState, model, config: FilterConfig) -> PoseEstimat
 
     logdet = np.log(state.cov_evals).sum(axis=1)      # (N,) per component
     inv_evals = 1.0 / state.cov_evals
+    bound = log_wbar + -0.5 * (6.0 * _LN_2PI + logdet)
+    support = np.flatnonzero(wbar > 0.0)
+
+    def mix_at(comps, lo, hi):
+        """Log terms (len(comps), hi - lo) of components at candidates."""
+        diff = state.sampled[None, lo:hi, :] - state.sampled[comps, None, :]
+        u = np.einsum("iab,ija->ijb", state.cov_vecs[comps], diff)
+        maha = np.einsum("ijb,ib->ij", u * u, inv_evals[comps])
+        logcomp = -0.5 * (6.0 * _LN_2PI + logdet[comps, None] + maha)
+        return log_wbar[comps, None] + logcomp
+
     log_density = np.empty(n)
     for lo in range(0, n, _EXTRACT_CHUNK):
         hi = min(n, lo + _EXTRACT_CHUNK)
-        diff = state.sampled[None, lo:hi, :] - state.sampled[:, None, :]
-        u = np.einsum("iab,ija->ijb", state.cov_vecs, diff)
-        maha = np.einsum("ijb,ib->ij", u * u, inv_evals)
-        logcomp = -0.5 * (6.0 * _LN_2PI + logdet[:, None] + maha)
-        mix = log_wbar[:, None] + logcomp
+        low = mix_at(support, lo, hi).max(axis=0).min()
+        # Written so that a NaN keeps the component.
+        mix = mix_at(np.flatnonzero(~(bound - low < -_UNDERFLOW_MARGIN)), lo, hi)
         top = mix.max(axis=0)
         log_density[lo:hi] = top + np.log(np.exp(mix - top[None, :]).sum(axis=0))
 

@@ -146,20 +146,34 @@ def write_measurements_csv(path, points: np.ndarray) -> None:
             writer.writerow([f"{v:.9g}" for v in row])
 
 
+def _numbered_rows(lines, path):
+    """``(line number, row)`` for each CSV record of ``lines``; a line the
+    csv module cannot split, such as an oversized field, raises
+    `InvalidConfigError` naming ``path`` and the line."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise InvalidConfigError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_measurements_csv(path) -> np.ndarray:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise InvalidConfigError(f"{path}: {exc}") from None
-    reader = csv.reader(lines)
-    header = next(reader, None)
+    numbered = _numbered_rows(lines, path)
+    _, header = next(numbered, (0, None))
     if header is None or tuple(h.strip() for h in header) != MEASUREMENT_HEADER:
         raise InvalidConfigError(
             f"{path}: expected header {','.join(MEASUREMENT_HEADER)}")
     rows = []
-    for row in filter(None, reader):
-        where = f"{path}:{reader.line_num}"
+    for line, row in numbered:
+        if not row:
+            continue
+        where = f"{path}:{line}"
         if len(row) != 3:
             raise InvalidConfigError(f"{where}: expected 3 values, got {len(row)}")
         try:

@@ -293,6 +293,17 @@ class TestLocalize:
         line = 2 + body.count("\n")
         assert capsys.readouterr().err == f"error: {bad}:{line}: {message}\n"
 
+    def test_oversized_measurement_field_names_line(self, tmp_path, box_obj,
+                                                    tiny_config, capsys):
+        # A field beyond the csv module's field size limit (131072 characters).
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y,z\n0.1,0.2,0.3\n" + "1" * 200_000 + ",0,0\n")
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", str(bad),
+                       "--config", tiny_config, "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:3: field larger than field limit (131072)\n")
+
     @pytest.mark.parametrize("record, message", [
         ("v 1 x 0", "could not convert string to float: 'x'"),
         ("f 1 2 0", "face index out of range for 3 vertices read so far"),
@@ -647,6 +658,77 @@ class TestBatch:
                        "--output", str(tmp_path / "x.json")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --use-truth")
+
+
+class TestDirectoryPaths:
+    """A directory where a file is expected exits 2 naming it, before any write."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, box_obj, tiny_config):
+        meas = _simulate(tmp_path, box_obj)
+        return ["--mesh", box_obj, "--config", tiny_config, "--measurements", meas]
+
+    @pytest.mark.parametrize("command", ["localize", "batch"])
+    def test_ground_truth_directory_exits_2(self, tmp_path, inputs, capsys, command):
+        folder = tmp_path / "truth"
+        folder.mkdir()
+        trials = ["--trials", "1"] if command == "batch" else []
+        rc = cli.main([command, *inputs, *trials, "--ground-truth", str(folder),
+                       "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: ground-truth file is a directory: {folder}\n")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["localize", "batch"])
+    def test_output_directory_exits_2_and_writes_nothing(self, tmp_path, inputs,
+                                                         capsys, command):
+        folder = tmp_path / "out"
+        folder.mkdir()
+        trials = ["--trials", "1"] if command == "batch" else []
+        rc = cli.main([command, *inputs, *trials, "--output", str(folder)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --output: {folder} is a directory\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not any(folder.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--output", "--ground-truth"])
+    def test_simulate_output_directory_exits_2(self, tmp_path, box_obj, capsys, flag):
+        folder = tmp_path / "out"
+        folder.mkdir()
+        paths = {"--output": str(tmp_path / "m.csv"),
+                 "--ground-truth": str(tmp_path / "t.json")}
+        paths[flag] = str(folder)
+        rc = cli.main(["simulate", "--mesh", box_obj,
+                       *(arg for pair in paths.items() for arg in pair)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag}: {folder} is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["box.obj", "out"]
+
+    @pytest.mark.parametrize("command, extra, derived, flag", [
+        ("simulate", [], "r.truth.json", "--ground-truth"),
+        ("localize", ["--emit-trace"], "r.trace.csv", "--emit-trace"),
+        ("batch", ["--trials", "1", "--sweep-m", "1,2"], "r.sweep.csv", "--sweep-m"),
+    ])
+    def test_derived_output_directory_exits_2(self, tmp_path, inputs, capsys,
+                                              command, extra, derived, flag):
+        # A path the command derives from --output, taken by a directory.
+        folder = tmp_path / derived
+        folder.mkdir()
+        argv = inputs[:2] if command == "simulate" else inputs   # simulate: --mesh only
+        rc = cli.main([command, *argv, *extra, "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag}: {folder} is a directory\n"
+        assert not (tmp_path / "r.json").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_replace_failure_leaves_no_tmp(self, tmp_path):
+        folder = tmp_path / "out"
+        folder.mkdir()
+        (folder / "x").write_text("")   # a non-empty directory cannot be replaced
+        with pytest.raises(OSError):
+            cli._write_text(folder, "text")
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestShippedProfiles:

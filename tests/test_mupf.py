@@ -25,11 +25,14 @@ from meshloc import (
     step,
 )
 from meshloc.mupf import (
+    _LN_2PI,
+    _UNDERFLOW_MARGIN,
     FilterState,
     _normalize_log_weights,
     _resample_indices,
     _rng_for_step,
 )
+from meshloc.ukf import log_likelihood_batch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -494,6 +497,35 @@ class TestUpfReduction:
         assert diverged
 
 
+class _FlatModel:
+    """Every pose at distance 0 from every contact: a flat likelihood."""
+
+    mesh = None
+    sigma_p = 1.0
+
+    def surface_distances(self, ys, poses):
+        return np.zeros((len(np.atleast_2d(poses)), len(np.atleast_2d(ys))))
+
+
+def _mixture_state(sampled, log_weights, covs):
+    """A one-contact state whose extraction weights are ``log_weights``,
+    normalized: under `_FlatModel` with memory 1 the window adds nothing."""
+    evals, vecs = np.linalg.eigh(covs)
+    return FilterState(means=sampled, covs=covs, t=1, window=np.zeros((1, 3)),
+                       sampled=sampled, cov_vecs=vecs, cov_evals=evals,
+                       log_proposal=np.zeros(len(sampled)), log_weights=log_weights)
+
+
+def _random_covs(n, scale, seed=0):
+    a = np.random.default_rng(seed).normal(size=(n, 6, 6))
+    return scale * (a @ np.swapaxes(a, 1, 2) / 6.0 + 0.1 * np.eye(6))
+
+
+def _spread_weights(rng, n, spread=2000.0):
+    """Log weights over ``spread`` nats: about 745/spread of them non-zero."""
+    return _normalize_log_weights(-spread * rng.random(n))[1]
+
+
 class TestExtraction:
     def test_requires_a_processed_measurement(self, box):
         cfg = _small_config()
@@ -517,14 +549,6 @@ class TestExtraction:
             log_proposal=np.zeros(n),
             log_weights=np.full(n, -np.log(n)),
         )
-
-        class _FlatModel:
-            mesh = None
-            sigma_p = 1.0
-
-            def surface_distances(self, ys, poses):
-                return np.zeros((len(np.atleast_2d(poses)),
-                                 len(np.atleast_2d(ys))))
 
         cfg = FilterConfig(n_particles=n, memory=1, sigma_p=1.0)
         est = extract_pose(state, _FlatModel(), cfg)
@@ -597,6 +621,102 @@ class TestExtraction:
             best, score = map_readout(state, model, cfg)
             assert np.array_equal(est.pose.to_array(), state.sampled[best])
             assert est.map_score == score
+
+    # Supports the pinned scenario never produces.  Each state is held
+    # bitwise to the dense reference, which evaluates every component.
+    @staticmethod
+    def _assert_dense(state, workers=1):
+        cfg = FilterConfig(n_particles=len(state.sampled), memory=1, n_workers=workers)
+        est = extract_pose(state, _FlatModel(), cfg)
+        best, score = map_readout(state, _FlatModel(), cfg)
+        assert np.array_equal(est.pose.to_array(), state.sampled[best])
+        assert est.map_score == score
+        return best
+
+    def test_flat_weights_keep_every_component(self):
+        # Equal weights and equal covariances: every bound is the same, and
+        # no column maximum exceeds it, so every row is kept.
+        n = 300
+        sampled = 0.1 * np.random.default_rng(1).normal(size=(n, 6))
+        covs = np.tile(1e-2 * np.eye(6), (n, 1, 1))
+        self._assert_dense(_mixture_state(sampled, np.full(n, -np.log(n)), covs))
+
+    def test_two_distant_clusters(self):
+        # Support in both clusters, 5 m apart at 1 mm spread: across the
+        # gap every term underflows.
+        rng = np.random.default_rng(2)
+        n = 300
+        sampled = 1e-3 * rng.normal(size=(n, 6))
+        sampled[n // 2:, 0] += 5.0
+        state = _mixture_state(sampled, _spread_weights(rng, n), _random_covs(n, 1e-6))
+        assert (state.log_weights[: n // 2] > -745).any()
+        assert (state.log_weights[n // 2:] > -745).any()
+        self._assert_dense(state)
+
+    def test_candidate_far_from_all_support(self):
+        # One zero-weight candidate 1 km from the rest: at it every term is
+        # near -1e12, so its chunk's lower bound keeps every row.
+        rng = np.random.default_rng(3)
+        n = 200
+        sampled = 1e-3 * rng.normal(size=(n, 6))
+        sampled[17, :3] = 1e3
+        log_weights = _spread_weights(rng, n)
+        log_weights[17] = -1e4
+        self._assert_dense(_mixture_state(sampled, log_weights, _random_covs(n, 1e-6)))
+
+    def test_zero_weight_component_holds_the_maximum(self):
+        # Component 0's weight underflows to 0, but it sits at the eigenvalue
+        # floor while the others are 1e150 wide, so its density wins: a
+        # readout over the non-zero weights alone would miss it.
+        rng = np.random.default_rng(5)
+        n = 50
+        sampled = 1e-2 * rng.normal(size=(n, 6))
+        covs = np.tile(1e150 * np.eye(6), (n, 1, 1))
+        covs[0] = 1e-12 * np.eye(6)
+        log_weights = np.full(n, -np.log(n - 1))
+        log_weights[0] = -760.0
+        assert self._assert_dense(_mixture_state(sampled, log_weights, covs)) == 0
+
+    @pytest.mark.parametrize("n", [1, 256, 257])
+    def test_chunk_edges(self, n):
+        rng = np.random.default_rng(n)
+        sampled = 1e-2 * rng.normal(size=(n, 6))
+        covs = _random_covs(n, 1e-4, seed=n)
+        self._assert_dense(_mixture_state(sampled, _spread_weights(rng, n), covs))
+
+    def test_two_workers(self):
+        rng = np.random.default_rng(4)
+        n = 257
+        sampled = 1e-2 * rng.normal(size=(n, 6))
+        self._assert_dense(_mixture_state(sampled, _spread_weights(rng, n),
+                                          _random_covs(n, 1e-4)), workers=2)
+
+    def test_component_bound_premise(self, box):
+        # The readout leaves out a component whose term is at most
+        # exp(-margin) of the column maximum: that must be exactly 0.0, and
+        # bound_i must hold for every term, here at every step of the pinned
+        # box scenario at N=700.
+        assert np.exp(-_UNDERFLOW_MARGIN) == 0.0
+        cfg = FilterConfig.from_mapping(
+            yaml.safe_load((CONFIGS / "simulation.yaml").read_text()))
+        model = cfg.model_for(box)
+        meas = _measurements(box, [0.02, -0.01, 0.03, 0.4, -0.25, 0.6], 15, 5e-4,
+                             seed=100, subset=(2, 3))
+        m = cfg.memory
+        state = init(cfg)
+        for y in meas:
+            state, _ = step(state, y, model, cfg)
+            ll = log_likelihood_batch(model, state.window, state.sampled)
+            exps = np.arange(m - len(state.window), m, dtype=float)
+            _, log_wbar, _ = _normalize_log_weights(
+                state.log_weights + ll @ exps - state.log_proposal)
+            logdet = np.log(state.cov_evals).sum(axis=1)
+            bound = log_wbar + -0.5 * (6.0 * _LN_2PI + logdet)
+            diff = state.sampled[None, :, :] - state.sampled[:, None, :]
+            u = np.einsum("iab,ija->ijb", state.cov_vecs, diff)
+            maha = np.einsum("ijb,ib->ij", u * u, 1.0 / state.cov_evals)
+            mix = log_wbar[:, None] + -0.5 * (6.0 * _LN_2PI + logdet[:, None] + maha)
+            assert (bound[:, None] >= mix).all()
 
 
 class TestRun:
