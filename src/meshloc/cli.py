@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import io
 import json
 import logging
 import sys
@@ -22,12 +23,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import (
-    EmptyMeshError,
-    InvalidConfigError,
-    InvalidFaceSubsetError,
-    MeshlocError,
-)
+from .errors import InvalidConfigError, MeshlocError, read_lines
 from .geometry import Pose, load_obj
 from .metrics import TrialReport, aggregate_reports
 from .mupf import FilterConfig, run
@@ -88,39 +84,33 @@ def _parse_sweep(text: str) -> list[int]:
     return values
 
 
-def _require_file(path: str, what: str) -> str:
-    if Path(path).is_dir():
-        raise InvalidConfigError(f"{what} file is a directory: {path}")
-    if not Path(path).is_file():
-        raise InvalidConfigError(f"{what} file not found: {path}")
-    return path
-
-
 def _require_output(path, flag: str):
-    """Refuse an output path that is a directory, before anything is
-    written; ``flag`` is the flag that sets or derives the path."""
+    """Refuse an output path that is a directory or lies below a file,
+    before anything is written; ``flag`` is the flag that sets or derives
+    the path."""
     if Path(path).is_dir():
         raise InvalidConfigError(f"{flag}: {path} is a directory")
+    parent = next(p for p in Path(path).parents if p.exists())
+    if not parent.is_dir():
+        raise InvalidConfigError(f"{flag}: {parent} is not a directory")
     return path
 
 
 def _load_config(path: str | None, overrides: dict) -> FilterConfig:
     mapping = {}
     if path is not None:
-        with open(_require_file(path, "config"), encoding="utf-8") as fh:
-            try:
-                loaded = yaml.safe_load(fh) or {}
-            except (yaml.YAMLError, UnicodeDecodeError) as exc:
-                raise InvalidConfigError(f"{path}: malformed YAML: {exc}") from None
+        # A stream named like the file, so YAML errors name it as before.
+        text = io.StringIO("".join(read_lines(path, "config")))
+        text.name = path
+        try:
+            loaded = yaml.safe_load(text) or {}
+        except (yaml.YAMLError, ValueError) as exc:   # ValueError: an integer too long
+            raise InvalidConfigError(f"{path}: malformed YAML: {exc}") from None
         if not isinstance(loaded, dict):
             raise InvalidConfigError(f"{path}: config must be a mapping")
         mapping.update(loaded)
     mapping.update({k: v for k, v in overrides.items() if v is not None})
     return FilterConfig.from_mapping(mapping)
-
-
-def _load_mesh(path: str):
-    return load_obj(_require_file(path, "mesh"))
 
 
 def _report_to_dict(report: TrialReport) -> dict:
@@ -180,7 +170,7 @@ def cmd_simulate(args) -> int:
     truth_path = _require_output(
         args.ground_truth or Path(args.output).with_suffix(".truth.json"), "--ground-truth")
     spec = _scenario(args, args.seed)
-    measurements, contacts = sample_contacts(spec, _load_mesh(args.mesh))
+    measurements, contacts = sample_contacts(spec, load_obj(args.mesh))
     with _replacing(args.output) as tmp:
         write_measurements_csv(tmp, measurements)
     with _replacing(truth_path) as tmp:
@@ -196,11 +186,10 @@ def cmd_localize(args) -> int:
     if args.emit_trace:
         _require_output(trace_path, "--emit-trace")
     config = _load_config(args.config, {"seed": args.seed, "workers": args.workers})
-    mesh = _load_mesh(args.mesh)
-    measurements = read_measurements_csv(_require_file(args.measurements, "measurement"))
+    mesh = load_obj(args.mesh)
+    measurements = read_measurements_csv(args.measurements)
 
-    spec = (read_ground_truth_json(_require_file(args.ground_truth, "ground-truth"))[0]
-            if args.ground_truth else None)
+    spec = read_ground_truth_json(args.ground_truth)[0] if args.ground_truth else None
     _, report = run(measurements, config.model_for(mesh), config,
                     truth=None if spec is None else spec.true_pose)
     payload = {
@@ -257,18 +246,16 @@ def cmd_batch(args) -> int:
                                  "simulated trials take --use-truth")
     if args.use_truth and args.measurements is not None and not args.ground_truth:
         raise InvalidConfigError("--use-truth with --measurements needs --ground-truth")
-    mesh = _load_mesh(args.mesh)
+    mesh = load_obj(args.mesh)
     if scenario is None:
-        per_trial = [read_measurements_csv(
-            _require_file(args.measurements, "measurement"))] * args.trials
+        per_trial = [read_measurements_csv(args.measurements)] * args.trials
     else:  # trial i draws scenario seed + i, once for every memory value
         per_trial = [sample_contacts(dataclasses.replace(scenario, seed=scenario.seed + i),
                                      mesh)[0] for i in range(args.trials)]
 
     truth = None
     if args.ground_truth:
-        truth = read_ground_truth_json(_require_file(args.ground_truth,
-                                                     "ground-truth"))[0].true_pose
+        truth = read_ground_truth_json(args.ground_truth)[0].true_pose
     elif args.use_truth:
         truth = scenario.true_pose
 
@@ -389,11 +376,10 @@ def main(argv=None) -> int:
         # A ValueError subclass, but a numerical failure, not bad input.
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
-    except (InvalidConfigError, InvalidFaceSubsetError, EmptyMeshError,
-            FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:   # InvalidConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MeshlocError, FloatingPointError, ArithmeticError) as exc:
+    except (MeshlocError, ArithmeticError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 

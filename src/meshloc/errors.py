@@ -1,9 +1,33 @@
-"""Exception types and the number checks shared across the package."""
+"""Exception types, the number checks shared across the package, and the
+one reader of input files.
+
+`InvalidConfigError` is the one error for refused input: a setting, a
+scenario, a mesh or a file.  It is a `ValueError` too, so callers that
+catch `ValueError` keep working.
+"""
+
+from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MeshlocError", "EmptyMeshError", "NotPositiveDefiniteError",
-           "SingularInnovationError", "InvalidConfigError", "InvalidFaceSubsetError"]
+__all__ = ["MeshlocError", "NotPositiveDefiniteError", "SingularInnovationError",
+           "InvalidConfigError"]
+
+
+class MeshlocError(Exception):
+    """Base class for all package-specific failures."""
+
+
+class NotPositiveDefiniteError(MeshlocError):
+    """A covariance stayed non positive definite after jitter escalation."""
+
+
+class SingularInnovationError(MeshlocError):
+    """Innovation covariance could not be inverted, even after conditioning."""
+
+
+class InvalidConfigError(MeshlocError, ValueError):
+    """Input refused: a setting, a scenario, a mesh or an input file."""
 
 
 def is_int(value) -> bool:
@@ -18,13 +42,13 @@ def _holds_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == bool
 
 
-def as_real(value, name: str, what: str, shape=(), error=ValueError):
+def as_real(value, name: str, what: str, shape=()):
     """``value`` as a float, or as a new read-only float array of ``shape``.
 
-    Anything else raises ``error("<name> must be <what>, got <value>")``:
-    a bool, which float() would read as 0 or 1, a string that is not a
-    number, and any other shape, even of the same size (``[1]`` is not the
-    number 1, and 36 numbers in a row are not a 6x6 matrix).
+    Anything else raises ``InvalidConfigError("<name> must be <what>, got
+    <value>")``: a bool, which float() would read as 0 or 1, a string that
+    is not a number, and any other shape, even of the same size (``[1]`` is
+    not the number 1, and 36 numbers in a row are not a 6x6 matrix).
     """
     try:
         if not _holds_bool(value):
@@ -38,28 +62,22 @@ def as_real(value, name: str, what: str, shape=(), error=ValueError):
                     return out
     except (TypeError, ValueError, OverflowError):
         pass
-    raise error(f"{name} must be {what}, got {value!r}")
+    raise InvalidConfigError(f"{name} must be {what}, got {value!r}")
 
 
-class MeshlocError(Exception):
-    """Base class for all package-specific failures."""
+def read_lines(path, what: str) -> list[str]:
+    """The lines of the UTF-8 text file ``path``, line ends translated to
+    ``\\n``; ``what`` names the kind of file in the errors.
 
-
-class EmptyMeshError(MeshlocError):
-    """A mesh with no usable faces was handed to a surface query."""
-
-
-class NotPositiveDefiniteError(MeshlocError):
-    """A covariance stayed non positive definite after jitter escalation."""
-
-
-class SingularInnovationError(MeshlocError):
-    """Innovation covariance could not be inverted, even after conditioning."""
-
-
-class InvalidConfigError(MeshlocError):
-    """Filter configuration violates its documented constraints."""
-
-
-class InvalidFaceSubsetError(MeshlocError):
-    """A scenario face subset references faces outside the mesh."""
+    A missing file, a directory or bytes that are not UTF-8 raise
+    `InvalidConfigError` naming the file.
+    """
+    if Path(path).is_dir():
+        raise InvalidConfigError(f"{what} file is a directory: {path}")
+    if not Path(path).is_file():
+        raise InvalidConfigError(f"{what} file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidConfigError(f"{path}: {exc}") from None

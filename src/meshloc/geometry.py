@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMeshError
+from .errors import InvalidConfigError, read_lines
 
 __all__ = [
     "Pose",
@@ -264,7 +264,7 @@ def build_bvh(vertices: np.ndarray, faces: np.ndarray) -> Bvh:
     vertices = np.asarray(vertices, dtype=float)
     faces = np.asarray(faces, dtype=np.int64)
     if len(faces) == 0:
-        raise EmptyMeshError("cannot build a BVH over zero faces")
+        raise InvalidConfigError("cannot build a BVH over zero faces")
     tri = vertices[faces]
     face_min = tri.min(axis=1)
     face_max = tri.max(axis=1)
@@ -299,7 +299,8 @@ class TriMesh:
 
     Non-finite vertex coordinates raise ``ValueError``.  Zero-area faces
     (repeated vertex indices or collinear corners) are dropped at
-    construction with a warning; at least one usable face must remain.
+    construction with a warning; at least one usable face must remain, or
+    ``InvalidConfigError`` is raised.
     All arrays are read-only after construction.
     """
 
@@ -323,7 +324,7 @@ class TriMesh:
             logger.warning("dropping %d degenerate face(s) at mesh load", dropped)
             faces = faces[keep]
         if len(faces) == 0:
-            raise EmptyMeshError("mesh has no non-degenerate faces")
+            raise InvalidConfigError("mesh has no non-degenerate faces")
 
         self.vertices = vertices
         self.faces = faces
@@ -456,26 +457,21 @@ def load_obj(path) -> TriMesh:
     ignored; negative vertex references resolve relative to the vertices
     seen so far.  A ``v`` record with fewer than 3 coordinates, an ``f``
     record with fewer than 3 vertices, a non-numeric or non-finite token or
-    a face index outside the vertices read so far raises ``ValueError``
-    naming the file and line: skipping a vertex would shift every later
-    face index.  A file that is not UTF-8 text raises ``ValueError``
-    naming the file.
+    a face index outside the vertices read so far raises
+    ``InvalidConfigError`` naming the file and line: skipping a vertex would
+    shift every later face index.  A missing file, a directory or a file
+    that is not UTF-8 text raises it naming the file.
     """
     vertices: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path, "mesh"), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts or parts[0] not in ("v", "f"):
             continue
         where = f"{path}:{lineno}"
         if len(parts) < 4:
             what = "coordinates" if parts[0] == "v" else "vertices"
-            raise ValueError(f"{where}: '{parts[0]}' record needs at least 3 {what}")
+            raise InvalidConfigError(f"{where}: '{parts[0]}' record needs at least 3 {what}")
         try:
             if parts[0] == "v":
                 vertices.append([float(t) for t in parts[1:4]])
@@ -484,14 +480,14 @@ def load_obj(path) -> TriMesh:
                 continue
             ids = [int(t.split("/")[0]) for t in parts[1:]]
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+            raise InvalidConfigError(f"{where}: {exc}") from None
         ids = [len(vertices) + i if i < 0 else i - 1 for i in ids]
         if min(ids) < 0 or max(ids) >= len(vertices):
-            raise ValueError(f"{where}: face index out of range for "
-                             f"{len(vertices)} vertices read so far")
+            raise InvalidConfigError(f"{where}: face index out of range for "
+                                     f"{len(vertices)} vertices read so far")
         faces.extend((ids[0], ids[t], ids[t + 1]) for t in range(1, len(ids) - 1))
     if not faces:
-        raise EmptyMeshError(f"no faces found in {path}")
+        raise InvalidConfigError(f"no faces found in {path}")
     return TriMesh(np.asarray(vertices), np.asarray(faces))
 
 

@@ -66,6 +66,9 @@ _EXTRACT_CHUNK = 256
 # np.exp of any float <= -_UNDERFLOW_MARGIN is exactly 0.0: exp underflows
 # below about -745.13.
 _UNDERFLOW_MARGIN = 746.0
+# The most particles whose (N, 6, 6) covariance stack numpy can address; a
+# larger population would fail inside numpy, without naming the key.
+_MAX_PARTICLES = np.iinfo(np.intp).max // (36 * 8)
 
 
 # Profile keys that `FilterConfig.from_mapping` reads and `to_dict` writes,
@@ -118,8 +121,7 @@ class FilterConfig:
 
     def __post_init__(self):
         def convert(key, what, shape):
-            object.__setattr__(self, key, as_real(getattr(self, key), key, what,
-                                                  shape, InvalidConfigError))
+            object.__setattr__(self, key, as_real(getattr(self, key), key, what, shape))
 
         for key, dim in _PROFILE_MATRICES.items():
             convert(key, f"a {dim}x{dim} matrix", (dim, dim))
@@ -140,6 +142,8 @@ class FilterConfig:
             value = getattr(self, name)
             if not (is_int(value) and value >= low):
                 raise InvalidConfigError(f"{_label(key, name)} must be an integer >= {low}")
+        if self.n_particles > _MAX_PARTICLES:
+            raise InvalidConfigError(f"particles (n_particles) must be at most {_MAX_PARTICLES}")
         for key in _PROFILE_FLAGS:
             if not isinstance(getattr(self, key), (bool, np.bool_)):
                 raise InvalidConfigError(f"{key} must be true or false")
@@ -159,10 +163,6 @@ class FilterConfig:
             if np.linalg.eigvalsh(m)[0] < -1e-10:
                 raise InvalidConfigError(f"{key}[_diag] must be positive semidefinite")
 
-    def measurement_noise(self) -> np.ndarray:
-        """The UKF's contact noise, ``sigma^2 I`` at the likelihood's scale."""
-        return self.sigma_p ** 2 * np.eye(3)
-
     def model_for(self, mesh) -> MeasurementModel:
         return MeasurementModel(mesh=mesh, sigma_p=self.sigma_p)
 
@@ -179,19 +179,15 @@ class FilterConfig:
         if unknown:
             raise InvalidConfigError(
                 f"unknown config keys: {sorted(unknown, key=str)}")
-        try:
-            sut = SutParams(**{key: mapping[key] for key in _SUT_KEYS if key in mapping})
-        except ValueError as exc:   # SutParams' own check, e.g. "alpha must be positive"
-            raise InvalidConfigError(str(exc)) from None
-        kwargs = {"sut": sut}
+        kwargs = {"sut": SutParams(**{key: mapping[key] for key in _SUT_KEYS
+                                      if key in mapping})}
         for key, dim in _PROFILE_MATRICES.items():
             diag_key = key + "_diag"
             if key in mapping and diag_key in mapping:
                 raise InvalidConfigError(f"{key} and {diag_key} are both given; keep one")
             if diag_key in mapping:
                 kwargs[key] = np.diag(as_real(mapping[diag_key], diag_key,
-                                              f"a list of {dim} numbers", (dim,),
-                                              InvalidConfigError))
+                                              f"a list of {dim} numbers", (dim,)))
         names = {key: name for key, (name, _) in _PROFILE_COUNTS.items()}
         names |= {key: key for key in (*_PROFILE_FLAGS, *_PROFILE_MATRICES,
                                        "prior_mean", "sigma_p")}
@@ -215,7 +211,7 @@ class FilterConfig:
         out |= {key: float(getattr(self.sut, key)) for key in _SUT_KEYS}
         out |= {key: getattr(self, key).tolist() for key in _PROFILE_MATRICES}
         return out | {
-            "measurement_noise": self.measurement_noise().tolist(),
+            "measurement_noise": (self.sigma_p ** 2 * np.eye(3)).tolist(),
             "prior_mean": self.prior_mean.tolist(),
             "sigma_p": self.sigma_p,
             "effective_sigma_p": self.sigma_p,
@@ -354,12 +350,13 @@ def _propose(state: FilterState, window: np.ndarray, model,
     """One pass over the population, run on row slices in threads.
 
     Each particle is corrected by the UKF against the newest contact
-    ``window[-1]``, draws its candidate from the corrected Gaussian with the
-    standard normals ``z``, and rates the candidate against every contact of
-    ``window``.  Returns ``(covs, cov_vecs, cov_evals, sampled,
+    ``window[-1]``, with contact noise ``model.sigma_p^2 I`` at the
+    likelihood's scale, draws its candidate from the corrected Gaussian
+    with the standard normals ``z``, and rates the candidate against every
+    contact of ``window``.  Returns ``(covs, cov_vecs, cov_evals, sampled,
     log_proposal, loglik)``; ``loglik`` is (N, w).
     """
-    R = config.measurement_noise()
+    R = model.sigma_p ** 2 * np.eye(3)
 
     def rows(lo, hi):
         means, covs = ukf_step_batch(state.means[lo:hi], state.covs[lo:hi], window[-1],

@@ -21,7 +21,7 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidFaceSubsetError, is_int
+from .errors import InvalidConfigError, is_int, read_lines
 from .geometry import Pose, TriMesh
 
 __all__ = [
@@ -92,11 +92,11 @@ class ScenarioSpec:
             return np.arange(mesh.n_faces)
         subset = np.asarray(self.face_subset, dtype=int)
         if subset.size == 0:
-            raise InvalidFaceSubsetError("face_subset must not be empty")
+            raise InvalidConfigError("face_subset must not be empty")
         if len(np.unique(subset)) != subset.size:
-            raise InvalidFaceSubsetError("face_subset contains duplicates")
+            raise InvalidConfigError("face_subset contains duplicates")
         if subset.min() < 0 or subset.max() >= mesh.n_faces:
-            raise InvalidFaceSubsetError(
+            raise InvalidConfigError(
                 f"face indices must lie in [0, {mesh.n_faces}), "
                 f"got range [{subset.min()}, {subset.max()}]")
         return subset
@@ -159,12 +159,7 @@ def _numbered_rows(lines, path):
 
 
 def read_measurements_csv(path) -> np.ndarray:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise InvalidConfigError(f"{path}: {exc}") from None
-    numbered = _numbered_rows(lines, path)
+    numbered = _numbered_rows(read_lines(path, "measurement"), path)
     _, header = next(numbered, (0, None))
     if header is None or tuple(h.strip() for h in header) != MEASUREMENT_HEADER:
         raise InvalidConfigError(
@@ -199,11 +194,11 @@ def write_ground_truth_json(path, spec: ScenarioSpec, contacts: np.ndarray) -> N
 
 
 def read_ground_truth_json(path) -> tuple[ScenarioSpec, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:   # not UTF-8 text, or not JSON
-            raise InvalidConfigError(f"{path}: {exc}") from None
+    text = "".join(read_lines(path, "ground-truth"))
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:   # not JSON, or an integer too long to convert
+        raise InvalidConfigError(f"{path}: {exc}") from None
     if not isinstance(payload, dict) or payload.get("schema") != GROUND_TRUTH_SCHEMA:
         raise InvalidConfigError(f"{path}: not a {GROUND_TRUTH_SCHEMA} object")
     try:
@@ -217,5 +212,5 @@ def read_ground_truth_json(path) -> tuple[ScenarioSpec, np.ndarray]:
         return ScenarioSpec(**kwargs), np.asarray(payload["contacts"], dtype=float)
     except KeyError as exc:
         raise InvalidConfigError(f"{path}: ground truth lacks key {exc}") from None
-    except (InvalidConfigError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:   # InvalidConfigError among them
         raise InvalidConfigError(f"{path}: malformed ground truth: {exc}") from None

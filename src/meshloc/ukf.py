@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularInnovationError, as_real
+from .errors import InvalidConfigError, SingularInnovationError, as_real
 from .geometry import TriMesh, points_into_object_frame, points_to_world_frame
 from . import unscented
 
@@ -49,7 +49,7 @@ class MeasurementModel:
     def __post_init__(self):
         sigma_p = as_real(self.sigma_p, "sigma_p", "a number")
         if not (np.isfinite(sigma_p) and sigma_p > 0.0):
-            raise ValueError("sigma_p must be positive and finite")
+            raise InvalidConfigError("sigma_p must be positive and finite")
         object.__setattr__(self, "sigma_p", sigma_p)
 
     def surface_distances(self, ys: np.ndarray, poses: np.ndarray) -> np.ndarray:

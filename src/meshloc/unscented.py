@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, as_real
+from .errors import InvalidConfigError, NotPositiveDefiniteError, as_real
 
 __all__ = ["SutParams", "sigma_points_batch", "unscented_transform"]
 
@@ -56,11 +56,11 @@ class SutParams:
             object.__setattr__(self, f.name, as_real(getattr(self, f.name), f.name, "a number"))
         for f in fields(self):
             if not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+                raise InvalidConfigError(f"{f.name} must be finite")
         if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+            raise InvalidConfigError("alpha must be positive")
         if self.k < 0.0:
-            raise ValueError("k must be non-negative")
+            raise InvalidConfigError("k must be non-negative")
 
     def lam(self, n: int) -> float:
         """Scaling ``lambda`` for n-dimensional Gaussians."""

@@ -212,6 +212,7 @@ def test_criterion_5_each_measurement_rated_in_m_updates():
               f"{all(got[k] == 5 for k in range(1, 17))}")
 
 
+@pytest.mark.slow
 def test_criterion_6_pinned_box_accuracy(pinned_batches):
     reports = pinned_batches[10]
     final = np.array([r.final_index for r in reports])
@@ -225,6 +226,7 @@ def test_criterion_6_pinned_box_accuracy(pinned_batches):
               f"mean runtime {mean_elapsed:.2f}s (<=30s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_memory_beats_memoryless(pinned_batches):
     mean_m10 = float(np.mean([r.final_index for r in pinned_batches[10]]))
     mean_m1 = float(np.mean([r.final_index for r in pinned_batches[1]]))
@@ -237,6 +239,7 @@ def test_criterion_7_memory_beats_memoryless(pinned_batches):
               f"reliability {rel_m1:.2f} < {rel_m10:.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_8_index_trace_converges(pinned_batches):
     config = FilterConfig()
     successful = [r for r in pinned_batches[10] if r.success]

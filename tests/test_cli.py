@@ -722,6 +722,23 @@ class TestDirectoryPaths:
         assert not (tmp_path / "r.json").exists()
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("command", ["simulate", "localize", "batch"])
+    def test_output_below_a_file_exits_2_before_any_work(self, tmp_path, inputs, capsys,
+                                                         monkeypatch, command):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+
+        def no_work(*a, **k):
+            raise AssertionError("the mesh was read")
+
+        monkeypatch.setattr(cli, "load_obj", no_work)
+        argv = inputs[:2] if command == "simulate" else inputs   # simulate: --mesh only
+        trials = ["--trials", "2"] if command == "batch" else []
+        rc = cli.main([command, *argv, *trials, "--output", str(afile / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --output: {afile} is not a directory\n"
+        assert afile.read_text() == ""
+
     def test_replace_failure_leaves_no_tmp(self, tmp_path):
         folder = tmp_path / "out"
         folder.mkdir()

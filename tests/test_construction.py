@@ -2,10 +2,11 @@
 
 `FilterConfig`, `SutParams` and `MeasurementModel` convert each number
 field when they are built.  Whatever a caller passes, the record either
-holds finite floats of the documented shape or the constructor raises its
-error naming the field: `InvalidConfigError` (with the profile key) for
-`FilterConfig`, `ValueError` for the other two.  `ScenarioSpec` either
-holds each field in its JSON type or raises `InvalidConfigError` naming it.
+holds finite floats of the documented shape or the constructor raises
+`InvalidConfigError`, the one error for refused input, naming the field
+(the profile key for `FilterConfig`).  `ScenarioSpec` either holds each
+field in its JSON type or raises it naming the field.  Some checks below
+catch `ValueError`, which `InvalidConfigError` subclasses.
 """
 
 import json

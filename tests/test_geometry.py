@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshloc.errors import EmptyMeshError
+from meshloc.errors import InvalidConfigError
 from meshloc.geometry import (
     LEAF_SIZE,
     Pose,
@@ -232,7 +232,7 @@ class TestClosestPoint:
         npt.assert_allclose(d1, d0, atol=1e-9)
 
     def test_empty_mesh_raises(self):
-        with pytest.raises(EmptyMeshError):
+        with pytest.raises(InvalidConfigError):
             TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
 
     def test_batch_query_projects_onto_face(self, unit_box):
@@ -255,7 +255,7 @@ class TestBvh:
         assert len(box.bvh.bbox_min) == 1
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyMeshError):
+        with pytest.raises(InvalidConfigError):
             build_bvh(np.zeros((1, 3)), np.zeros((0, 3), dtype=int))
 
     def test_bvh_equals_brute_force_large_soup(self):
@@ -461,7 +461,7 @@ class TestMeshIo:
                     [[0, 1, 2], [0, 1, 3]])
 
     def test_all_faces_degenerate_raises(self):
-        with pytest.raises(EmptyMeshError):
+        with pytest.raises(InvalidConfigError):
             TriMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
 
 

@@ -32,7 +32,7 @@ from meshloc.mupf import (
     _resample_indices,
     _rng_for_step,
 )
-from meshloc.ukf import log_likelihood_batch
+from meshloc.ukf import log_likelihood_batch, ukf_step_batch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -98,6 +98,9 @@ _MORE_REFUSALS = {
     "process_noise-flat": _wrong_value("process_noise", [1e-5] * 36, "a 6x6 matrix"),
     "prior_mean-2x3": _wrong_value("prior_mean", [[0, 0, 0], [0, 0, 0]],
                                    "a list of 6 numbers"),
+    # More particles than numpy can address: named here, not inside numpy.
+    "particles-huge": ("particles", 10 ** 30,
+                       f"particles (n_particles) must be at most {2 ** 63 // 288}"),
 }
 
 
@@ -118,7 +121,7 @@ class TestFilterConfig:
 
     def test_default_measurement_noise_is_isotropic(self):
         cfg = FilterConfig(sigma_p=2e-3)
-        assert np.allclose(cfg.measurement_noise(), 4e-6 * np.eye(3))
+        assert np.allclose(cfg.to_dict()["measurement_noise"], 4e-6 * np.eye(3))
 
     @pytest.mark.parametrize("kw", [
         dict(n_particles=0),
@@ -455,6 +458,23 @@ class TestStepBookkeeping:
         assert diag["degenerate"] is True
         assert np.allclose(np.exp(state.log_weights), 1 / cfg.n_particles)
 
+    def test_contact_noise_is_the_models(self, setup):
+        # The UKF's contact noise and the likelihood read one sigma_p, the
+        # model's, even when the config holds another.
+        _, box_model, meas = setup
+        cfg = _small_config(memory=3, sigma_p=1e-4)
+        model = MeasurementModel(mesh=box_model.mesh, sigma_p=1e-2)
+        state = init(cfg)
+        new, diag = step(state, meas[0], model, cfg)
+        assert not diag["resampled"]
+        _, covs = ukf_step_batch(state.means, state.covs, meas[0], model, cfg.process_noise,
+                                 R=model.sigma_p ** 2 * np.eye(3), sut=cfg.sut)
+        assert np.array_equal(new.covs, covs)
+        _, config_covs = ukf_step_batch(state.means, state.covs, meas[0], model,
+                                        cfg.process_noise, R=cfg.sigma_p ** 2 * np.eye(3),
+                                        sut=cfg.sut)
+        assert not np.allclose(new.covs, config_covs)
+
     def test_transition_density_flag_changes_weights(self, setup):
         cfg, model, meas = setup
         cfg_on = _small_config(memory=3, transition_density_in_weights=True)
@@ -607,6 +627,7 @@ class TestExtraction:
         assert est.map_score == pytest.approx(dens[best], abs=1e-9)
         assert np.allclose(est.extraction_weights, np.exp(lw), rtol=1e-9)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("profile", ["simulation.yaml", "robot.yaml"])
     def test_readout_equals_dense_reference_bitwise(self, box, profile):
         # The pinned box scenario at N=700 and N=1200, every step.

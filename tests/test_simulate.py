@@ -8,7 +8,6 @@ import pytest
 
 from meshloc import (
     InvalidConfigError,
-    InvalidFaceSubsetError,
     Pose,
     ScenarioSpec,
     box_mesh,
@@ -97,15 +96,15 @@ class TestScenarioValidation:
             _spec(noise_sigma=-0.1)
 
     def test_empty_subset_rejected(self, box):
-        with pytest.raises(InvalidFaceSubsetError):
+        with pytest.raises(InvalidConfigError):
             sample_contacts(_spec(face_subset=()), box)
 
     def test_out_of_range_subset_rejected(self, box):
-        with pytest.raises(InvalidFaceSubsetError):
+        with pytest.raises(InvalidConfigError):
             sample_contacts(_spec(face_subset=(0, 12)), box)
 
     def test_duplicate_subset_rejected(self, box):
-        with pytest.raises(InvalidFaceSubsetError):
+        with pytest.raises(InvalidConfigError):
             sample_contacts(_spec(face_subset=(3, 3)), box)
 
     @pytest.mark.parametrize("field, value", [("n_measurements", True), ("seed", True),
