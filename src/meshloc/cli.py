@@ -1,7 +1,8 @@
 """Command-line front end: simulate scenarios, run the filter, batch trials.
 
-Exit codes: 0 success, 2 validation problem (bad flags, bad config, missing
-files), 3 runtime or numerical failure.  Every report embeds the fully
+Exit codes: 0 success, 2 refused input (bad flags, bad config, missing
+files: `InvalidConfigError`), 3 runtime or numerical failure, any other
+`ValueError` included.  Every report embeds the fully
 resolved configuration, so a report plus the mesh is enough to rerun the
 exact experiment.  Timing fields are wall-clock and therefore not a
 function of the seed; ``--omit-timing`` strips them so reports from
@@ -372,14 +373,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:
-        # A ValueError subclass, but a numerical failure, not bad input.
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 3
-    except (FileNotFoundError, ValueError) as exc:   # InvalidConfigError among them
+    except (InvalidConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MeshlocError, ArithmeticError) as exc:
+    except (MeshlocError, ArithmeticError, ValueError) as exc:   # LinAlgError among them
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 

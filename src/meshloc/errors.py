@@ -65,6 +65,21 @@ def as_real(value, name: str, what: str, shape=()):
     raise InvalidConfigError(f"{name} must be {what}, got {value!r}")
 
 
+# The least and the greatest positive float whose square is a normal float.
+_SQUARE_RANGE = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max))
+
+
+def check_square(value: float, name: str) -> None:
+    """Refuse a scale the arithmetic squares (``sigma_p``, ``alpha``),
+    naming ``name``, unless its square is a positive, normal, finite float."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise InvalidConfigError(f"{name} must be positive and finite")
+    low, high = _SQUARE_RANGE
+    if not low <= value <= high:
+        raise InvalidConfigError(f"{name} must lie between {low:.4g} and {high:.4g}, "
+                                 f"where its square is a normal float, got {value!r}")
+
+
 def read_lines(path, what: str) -> list[str]:
     """The lines of the UTF-8 text file ``path``, line ends translated to
     ``\\n``; ``what`` names the kind of file in the errors.

@@ -297,11 +297,14 @@ def build_bvh(vertices: np.ndarray, faces: np.ndarray) -> Bvh:
 class TriMesh:
     """Indexed triangle mesh with a BVH for closest-point queries.
 
-    Non-finite vertex coordinates raise ``ValueError``.  Zero-area faces
+    Arrays of the wrong shape, non-finite vertex coordinates and face
+    indices out of range raise ``InvalidConfigError``.  Zero-area faces
     (repeated vertex indices or collinear corners) are dropped at
     construction with a warning; at least one usable face must remain, or
     ``InvalidConfigError`` is raised.
-    All arrays are read-only after construction.
+    All arrays are read-only after construction.  `closest_points_posed`
+    is the one query from world contacts to the posed surface: the
+    likelihood, the UKF prediction and the performance index all use it.
     """
 
     __slots__ = ("vertices", "faces", "bvh", "_a", "_b", "_c")
@@ -310,13 +313,13 @@ class TriMesh:
         vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         faces = np.ascontiguousarray(np.asarray(faces, dtype=np.int64))
         if vertices.ndim != 2 or vertices.shape[1] != 3:
-            raise ValueError("vertices must have shape (V, 3)")
+            raise InvalidConfigError("vertices must have shape (V, 3)")
         if faces.ndim != 2 or faces.shape[1] != 3:
-            raise ValueError("faces must have shape (F, 3)")
+            raise InvalidConfigError("faces must have shape (F, 3)")
         if not np.isfinite(vertices).all():
-            raise ValueError("vertex coordinates must be finite")
+            raise InvalidConfigError("vertex coordinates must be finite")
         if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
-            raise ValueError("face indices out of range")
+            raise InvalidConfigError("face indices out of range")
 
         keep = self._usable(vertices, faces)
         dropped = int(len(faces) - keep.sum())
@@ -384,6 +387,14 @@ class TriMesh:
             e = min(M, s + chunk)
             d2[s:e], faces[s:e], points[s:e] = self._traverse(Q[s:e])
         return np.sqrt(d2), points, faces
+
+    def closest_points_posed(self, points, poses):
+        """The contact-to-surface query: `closest_points` for world ``points``
+        (K, 3) against the mesh posed at each row of ``poses`` (B, 6).
+        Returns distances (B, K) and object-frame nearest points (B, K, 3)."""
+        local = points_into_object_frame(np.atleast_2d(points), np.atleast_2d(poses))
+        d, nearest, _ = self.closest_points(local.reshape(-1, 3))
+        return d.reshape(local.shape[:2]), nearest.reshape(local.shape)
 
     def _traverse(self, Q: np.ndarray):
         """All queries descend the tree together (Ericson 2004, ch. 6)."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidConfigError
 from .geometry import Pose, TriMesh, rotation_matrices
 
 __all__ = [
@@ -47,14 +48,10 @@ class TrialReport:
 
 
 def performance_index(measurements: np.ndarray, estimate: Pose, mesh: TriMesh) -> float:
-    """Mean measurement-to-surface distance under the estimated pose."""
-    measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-    if len(measurements) == 0:
-        raise ValueError("performance index needs at least one measurement")
-    pose = estimate.to_array()
-    R = rotation_matrices(pose)
-    local = (measurements - pose[:3]) @ R
-    d, _, _ = mesh.closest_points(local)
+    """Mean of the contact-to-surface distances the likelihood rates, at ``estimate``."""
+    if len(np.atleast_2d(measurements)) == 0:
+        raise InvalidConfigError("performance index needs at least one measurement")
+    d, _ = mesh.closest_points_posed(measurements, estimate.to_array())
     return float(d.mean())
 
 

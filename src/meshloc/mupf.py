@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, as_real, is_int
+from .errors import InvalidConfigError, as_real, check_square, is_int
 from .geometry import Pose
 from .metrics import TrialReport, performance_index, pose_error, success_test
 from .ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
@@ -69,6 +69,8 @@ _UNDERFLOW_MARGIN = 746.0
 # The most particles whose (N, 6, 6) covariance stack numpy can address; a
 # larger population would fail inside numpy, without naming the key.
 _MAX_PARTICLES = np.iinfo(np.intp).max // (36 * 8)
+# The longest window that `init` and `extract_pose` count exactly as floats.
+_MAX_MEMORY = 2 ** 53
 
 
 # Profile keys that `FilterConfig.from_mapping` reads and `to_dict` writes,
@@ -144,11 +146,13 @@ class FilterConfig:
                 raise InvalidConfigError(f"{_label(key, name)} must be an integer >= {low}")
         if self.n_particles > _MAX_PARTICLES:
             raise InvalidConfigError(f"particles (n_particles) must be at most {_MAX_PARTICLES}")
+        if self.memory > _MAX_MEMORY:
+            raise InvalidConfigError(f"memory must be at most 2**53 ({_MAX_MEMORY})")
         for key in _PROFILE_FLAGS:
             if not isinstance(getattr(self, key), (bool, np.bool_)):
                 raise InvalidConfigError(f"{key} must be true or false")
-        if not (np.isfinite(self.sigma_p) and self.sigma_p > 0.0):
-            raise InvalidConfigError("sigma_p must be positive and finite")
+        check_square(self.sigma_p, "sigma_p")
+        self.sut.weights(6)   # refuses a transform with no finite weights for a pose
         if not np.isfinite(self.prior_mean).all():
             raise InvalidConfigError("prior_mean must be a finite 6-vector")
         for key, dim in _PROFILE_MATRICES.items():
@@ -503,9 +507,9 @@ def run(measurements: np.ndarray, model, config: FilterConfig,
     """
     measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
     if measurements.ndim != 2 or measurements.shape[0] < 1 or measurements.shape[1] != 3:
-        raise ValueError("measurements must have shape (L, 3) with L >= 1")
+        raise InvalidConfigError("measurements must have shape (L, 3) with L >= 1")
     if not np.isfinite(measurements).all():
-        raise ValueError("measurements must be finite")
+        raise InvalidConfigError("measurements must be finite")
 
     started = time.perf_counter()
     state = init(config)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, SingularInnovationError, as_real
-from .geometry import TriMesh, points_into_object_frame, points_to_world_frame
+from .errors import SingularInnovationError, as_real, check_square
+from .geometry import TriMesh, points_to_world_frame
 from . import unscented
 
 __all__ = [
@@ -48,26 +48,19 @@ class MeasurementModel:
 
     def __post_init__(self):
         sigma_p = as_real(self.sigma_p, "sigma_p", "a number")
-        if not (np.isfinite(sigma_p) and sigma_p > 0.0):
-            raise InvalidConfigError("sigma_p must be positive and finite")
+        check_square(sigma_p, "sigma_p")
         object.__setattr__(self, "sigma_p", sigma_p)
 
     def surface_distances(self, ys: np.ndarray, poses: np.ndarray) -> np.ndarray:
         """Distances from world points ``ys`` (K, 3) to the surface posed at
         each row of ``poses`` (B, 6).  Returns (B, K)."""
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        poses = np.atleast_2d(np.asarray(poses, dtype=float))
-        B, K = len(poses), len(ys)
-        local = points_into_object_frame(ys, poses).reshape(B * K, 3)
-        d, _, _ = self.mesh.closest_points(local)
-        return d.reshape(B, K)
+        return self.mesh.closest_points_posed(ys, poses)[0]
 
     def predict_batch(self, y: np.ndarray, poses: np.ndarray) -> np.ndarray:
         """Nearest surface points to ``y`` for a pose batch, in world frame."""
         poses = np.atleast_2d(np.asarray(poses, dtype=float))
-        local = points_into_object_frame(np.asarray(y, dtype=float)[None, :], poses)
-        _, pts, _ = self.mesh.closest_points(local.reshape(-1, 3))
-        return points_to_world_frame(pts[:, None, :], poses)[:, 0, :]
+        _, pts = self.mesh.closest_points_posed(y, poses)
+        return points_to_world_frame(pts, poses)[:, 0, :]
 
 
 def log_likelihood_batch(model: MeasurementModel, ys: np.ndarray,

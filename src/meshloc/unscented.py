@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidConfigError, NotPositiveDefiniteError, as_real
+from .errors import InvalidConfigError, NotPositiveDefiniteError, as_real, check_square
 
 __all__ = ["SutParams", "sigma_points_batch", "unscented_transform"]
 
@@ -51,14 +51,14 @@ class SutParams:
 
     def __post_init__(self):
         # Each field becomes a float once; alpha > 0 and k >= 0 keep
-        # n + lam = alpha^2 (n + k) positive.
+        # n + lam = alpha^2 (n + k) positive, and `weights` refuses where
+        # rounding does not.
         for f in fields(self):
             object.__setattr__(self, f.name, as_real(getattr(self, f.name), f.name, "a number"))
         for f in fields(self):
             if not np.isfinite(getattr(self, f.name)):
                 raise InvalidConfigError(f"{f.name} must be finite")
-        if self.alpha <= 0.0:
-            raise InvalidConfigError("alpha must be positive")
+        check_square(self.alpha, "alpha")
         if self.k < 0.0:
             raise InvalidConfigError("k must be non-negative")
 
@@ -67,12 +67,19 @@ class SutParams:
         return self.alpha ** 2 * (n + self.k) - n
 
     def weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance weight vectors of length 2 n + 1."""
+        """Mean and covariance weight vectors of length 2 n + 1; refused,
+        naming the parameters, where ``n + lam`` rounds to 0 or overflows or
+        ``1 - alpha^2 + beta`` overflows."""
         lam = self.lam(n)
+        central = 1.0 - self.alpha ** 2 + self.beta
+        if not (0.0 < n + lam < np.inf and np.isfinite(central)):
+            raise InvalidConfigError(
+                f"alpha, k and beta give no finite sigma-point weights for n = {n}: "
+                f"n + lambda = {n + lam!r}, 1 - alpha**2 + beta = {central!r}")
         w_mean = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
         w_cov = w_mean.copy()
         w_mean[0] = lam / (n + lam)
-        w_cov[0] = lam / (n + lam) + (1.0 - self.alpha ** 2 + self.beta)
+        w_cov[0] = lam / (n + lam) + central
         return w_mean, w_cov
 
 

@@ -398,7 +398,10 @@ class TestLocalize:
                                             ("prior_mean", [1, 2]), ("sigma_p", True),
                                             ("prior_cov", np.eye(6).tolist()),
                                             ("beta", float("inf")), ("k", float("nan")),
-                                            ("alpha", 0.0)])
+                                            ("alpha", 0.0),
+                                            # Values the arithmetic cannot carry.
+                                            pytest.param("memory", 10 ** 400, id="memory-huge"),
+                                            ("sigma_p", 1e-300), ("alpha", 1e200)])
     def test_config_error_names_profile_key(self, tmp_path, box_obj, tiny_config,
                                             capsys, key, value):
         meas = _simulate(tmp_path, box_obj)
@@ -434,7 +437,7 @@ class TestLocalize:
 
     def test_linalg_failure_exits_3(self, tmp_path, box_obj, tiny_config,
                                     monkeypatch, capsys):
-        # LinAlgError subclasses ValueError, which otherwise means bad input.
+        # LinAlgError subclasses ValueError; only InvalidConfigError means bad input.
         meas = _simulate(tmp_path, box_obj)
 
         def explode(*a, **k):
@@ -446,6 +449,20 @@ class TestLocalize:
                        "--output", str(tmp_path / "r.json")])
         assert rc == 3
         assert "runtime failure" in capsys.readouterr().err
+
+    def test_value_error_inside_run_exits_3(self, tmp_path, box_obj, tiny_config,
+                                            monkeypatch, capsys):
+        # A ValueError from numpy inside the filter is a failure, not refused input.
+        meas = _simulate(tmp_path, box_obj)
+
+        def explode(*a, **k):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "run", explode)
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", tiny_config, "--output", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("runtime failure: operands")
 
     def test_runtime_failure_exits_3(self, tmp_path, box_obj, tiny_config,
                                      monkeypatch, capsys):

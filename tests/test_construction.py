@@ -12,6 +12,7 @@ catch `ValueError`, which `InvalidConfigError` subclasses.
 import json
 import math
 import re
+import warnings
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshloc import (FilterConfig, InvalidConfigError, MeasurementModel, Pose, ScenarioSpec,
-                     SutParams, box_mesh)
+from meshloc import (FilterConfig, InvalidConfigError, MeasurementModel, MeshlocError, Pose,
+                     ScenarioSpec, SutParams, box_mesh, run)
 from meshloc.errors import is_int
 
 BOX = box_mesh(0.1, 0.3, 0.2)
@@ -164,6 +165,25 @@ def test_transform_and_model_refuse_wrong_type(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: FilterConfig(memory=10 ** 400), "memory"),
+    (lambda: FilterConfig(sigma_p=1e300), "sigma_p"),
+    (lambda: FilterConfig(sigma_p=1e-300), "sigma_p"),
+    (lambda: FilterConfig(sigma_p=5e-324), "sigma_p"),
+    (lambda: MeasurementModel(BOX, 1e-300), "sigma_p"),
+    (lambda: MeasurementModel(BOX, 1e300), "sigma_p"),
+    (lambda: SutParams(alpha=1e-300), "alpha"),
+    (lambda: SutParams(alpha=1e200), "alpha"),
+    (lambda: FilterConfig(sut=SutParams(alpha=1e-10, k=0.0)), "alpha"),
+], ids=["memory-huge", "sigma_p-huge", "sigma_p-tiny", "sigma_p-subnormal", "model-tiny",
+        "model-huge", "alpha-tiny", "alpha-huge", "alpha-no-spread"])
+def test_refuses_what_the_arithmetic_cannot_carry(build, name):
+    # Unrefused, each makes the filter raise OverflowError or
+    # ZeroDivisionError, or degenerate at every step.
+    with pytest.raises(InvalidConfigError, match=f"^{name}"):
+        build()
+
+
 def test_number_fields_are_converted_once():
     cfg = FilterConfig(sigma_p=np.float64(2e-4), prior_mean=[0, 0, 0, 1, 2, 3],
                        n_particles=40.0)
@@ -173,3 +193,46 @@ def test_number_fields_are_converted_once():
     cfg = FilterConfig(prior_cov=given_cov)
     assert given_cov.flags.writeable          # the caller's array is copied, not frozen
     assert cfg.prior_cov is not given_cov
+
+
+# Extreme but valid settings: zeros, subnormals, +-1e+-300 and huge integers,
+# with the edges of what a float square and a float count carry.
+_EXTREME = st.sampled_from([
+    0, 0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e-300, 1.5e-154, 1e-10, 1.0, 1e154,
+    1.35e154, 1e300, -1e300, 1.7e308, 2, 10 ** 20, 2 ** 53, 2 ** 53 + 1, 10 ** 400])
+_MATRICES = ("process_noise", "prior_cov")
+# Three contacts on three faces of BOX.
+_CONTACTS = np.array([[0.05, 0.0, 0.0], [0.0, 0.15, 0.01], [0.01, 0.02, 0.1]])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(particles=st.integers(1, 8),
+       mapping=st.dictionaries(
+           st.sampled_from(["memory", "resampling_delay", "seed", "workers", "sigma_p",
+                            "alpha", "k", "beta", "prior_mean", *_MATRICES]),
+           _EXTREME, min_size=1, max_size=3),
+       transition=st.booleans())
+def test_a_config_that_builds_can_run(particles, mapping, transition):
+    # Either the config is refused naming a key it was given, or the filter
+    # runs to finite estimates, or it fails as a MeshlocError or LinAlgError:
+    # no bare OverflowError or ZeroDivisionError from a value it accepted.
+    # numpy's overflow warnings are messages, not outcomes, so they are let
+    # pass; the index may be inf where a distance's square overflows.
+    profile = {key: [value] * 6 if key == "prior_mean"
+               else [[value if i == j else 0 for j in range(6)] for i in range(6)]
+               if key in _MATRICES else value
+               for key, value in mapping.items()}
+    try:
+        cfg = FilterConfig.from_mapping(profile | {
+            "particles": particles, "transition_density_in_weights": transition})
+    except InvalidConfigError as exc:
+        assert any(re.search(rf"\b{key}\b", str(exc)) for key in mapping), str(exc)
+        return
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            estimates, report = run(_CONTACTS, cfg.model_for(BOX), cfg)
+    except (MeshlocError, np.linalg.LinAlgError):
+        return
+    assert all(np.isfinite(e.pose.to_array()).all() for e in estimates)
+    assert not np.isnan(report.final_index)

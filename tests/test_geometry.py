@@ -456,9 +456,18 @@ class TestMeshIo:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vertex_raises(self, bad):
         # Not dropped as a degenerate face: the coordinate is at fault.
-        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+        with pytest.raises(InvalidConfigError, match="vertex coordinates must be finite"):
             TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [bad, 0, 1]],
                     [[0, 1, 2], [0, 1, 3]])
+
+    @pytest.mark.parametrize("vertices, faces, message", [
+        (np.zeros((3, 2)), [[0, 1, 2]], "vertices must have shape"),
+        (np.eye(3), [0, 1, 2], "faces must have shape"),
+        (np.eye(3), [[0, 1, 3]], "face indices out of range"),
+    ], ids=["vertices-shape", "faces-shape", "face-index"])
+    def test_malformed_arrays_are_refused_input(self, vertices, faces, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            TriMesh(vertices, faces)
 
     def test_all_faces_degenerate_raises(self):
         with pytest.raises(InvalidConfigError):

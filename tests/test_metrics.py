@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from meshloc import (
+    InvalidConfigError,
+    MeasurementModel,
     Pose,
+    TriMesh,
     TrialReport,
     aggregate_reports,
     box_mesh,
@@ -14,7 +17,20 @@ from meshloc import (
 )
 from meshloc.geometry import points_to_world_frame
 
+from conftest import random_soup
+
 from oracles import closest_point_brute, quat_angle_between, quat_from_matrix
+
+
+def _subdivided(mesh: TriMesh, rounds: int) -> TriMesh:
+    """Each triangle cut into four at its edge midpoints, ``rounds`` times."""
+    tri = mesh.vertices[mesh.faces]
+    for _ in range(rounds):
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+        ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+        tri = np.concatenate([np.stack(t, axis=1) for t in
+                              ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))])
+    return TriMesh(tri.reshape(-1, 3), np.arange(3 * len(tri)).reshape(-1, 3))
 
 
 def _report(final_index, position_error=None, orientation_error=None,
@@ -80,8 +96,25 @@ class TestPerformanceIndex:
         assert performance_index(moved_pts, moved_pose, box) == pytest.approx(base, rel=1e-9)
 
     def test_empty_measurements_rejected(self, box):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             performance_index(np.empty((0, 3)), Pose.from_array(np.zeros(6)), box)
+
+    @pytest.mark.parametrize("build", [lambda: box_mesh(0.1, 0.3, 0.2),
+                                       lambda: random_soup(60, seed=4, scale=0.1),
+                                       lambda: _subdivided(box_mesh(0.1, 0.3, 0.2), 2)],
+                             ids=["box", "soup", "subdivided"])
+    def test_is_the_mean_of_the_rated_distances(self, build):
+        # The index reports exactly the distances the likelihood rates: one
+        # query, so the same bytes.
+        mesh = build()
+        model = MeasurementModel(mesh, 1e-3)
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            pose = Pose.from_array(np.r_[rng.normal(scale=0.05, size=3),
+                                         rng.uniform(-np.pi, np.pi, 3)])
+            ys = rng.normal(scale=0.12, size=(15, 3))
+            rated = model.surface_distances(ys, pose.to_array()[None]).mean()
+            assert performance_index(ys, pose, mesh) == rated
 
 
 class TestPoseError:

@@ -76,7 +76,7 @@ _REFUSALS = [
     ("sigma_p_is_variance", False, "unknown config keys: ['sigma_p_is_variance']"),
     ("prior_map_exponent", True, "unknown config keys: ['prior_map_exponent']"),
     ("resampling", "multinomial", "unknown config keys: ['resampling']"),
-    ("alpha", 0, "alpha must be positive"),
+    ("alpha", 0, "alpha must be positive and finite"),
     ("k", -1, "k must be non-negative"),
     ("beta", np.inf, "beta must be finite"),
     ("sigma_p", 0, "sigma_p must be positive and finite"),
@@ -101,6 +101,14 @@ _MORE_REFUSALS = {
     # More particles than numpy can address: named here, not inside numpy.
     "particles-huge": ("particles", 10 ** 30,
                        f"particles (n_particles) must be at most {2 ** 63 // 288}"),
+    # Values whose arithmetic a float cannot carry.
+    "memory-huge": ("memory", 2 ** 53 + 1, "memory must be at most 2**53 (9007199254740992)"),
+    **{f"{key}-{value!r}": (key, value, f"{key} must lie between 1.492e-154 and "
+                            f"1.341e+154, where its square is a normal float, got {value!r}")
+       for key, value in [("sigma_p", 1e-300), ("sigma_p", 5e-324), ("sigma_p", 1e300),
+                          ("alpha", 1e-300), ("alpha", 1e200)]},
+    "alpha-no-spread": ("alpha", 1e-10, "alpha, k and beta give no finite sigma-point "
+                        "weights for n = 6: n + lambda = 0.0, 1 - alpha**2 + beta = 31.0"),
 }
 
 
@@ -802,14 +810,14 @@ class TestRun:
     def test_rejects_bad_measurement_shapes(self, box):
         cfg = _small_config()
         model = cfg.model_for(box)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             run(np.zeros((0, 3)), model, cfg)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             run(np.zeros((4, 2)), model, cfg)
 
     def test_rejects_non_finite_measurements(self, box):
         cfg = _small_config()
         meas = np.zeros((3, 3))
         meas[1, 2] = np.nan
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(InvalidConfigError, match="finite"):
             run(meas, cfg.model_for(box), cfg)

@@ -106,3 +106,14 @@ def test_bench_span_targets_resolve():
     spec.loader.exec_module(spans)
     for owner, attr, name, _ in spans.TARGETS:
         assert callable(owner.__dict__.get(attr)), f"{name}: {owner!r}.{attr}"
+
+
+def test_only_geometry_maps_contacts_onto_the_mesh():
+    # One contact-to-surface query: every other module goes through
+    # TriMesh.closest_points_posed, so the index and the likelihood agree.
+    for path in sorted((ROOT / "src" / "meshloc").glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            assert name not in ("closest_points", "points_into_object_frame"), path.name
