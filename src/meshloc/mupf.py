@@ -27,10 +27,13 @@ information forward from one step to the next.
 Determinism: every step derives its generator from ``(seed, t)`` and draws
 in a fixed order, and all per-particle reductions run in particle order, so
 serial and worker-parallel executions produce bit-identical states.
-``n_workers`` threads split each step's one pass over the population (UKF
-correction, proposal draw and density, window likelihoods) and
-extraction's likelihoods into contiguous particle slices; the draws' normal
-deviates are taken from the step's generator before the pass.
+A step runs the UKF correction and the covariance factorization once per
+distinct resampling parent (copies of a parent share its mean and
+covariance), then the proposal draw and density and the window
+likelihoods once per particle.  ``n_workers`` threads split the distinct
+parents, then the particles, and extraction's likelihoods into contiguous
+row slices; the draws' normal deviates are taken from the step's
+generator before either pass.
 """
 
 from __future__ import annotations
@@ -230,9 +233,16 @@ class FilterState:
     """The filter between two measurements.
 
     The prior weights of the next step are always 1/N (resampling or not),
-    so they are not stored.  The last five fields are step ``t``'s
-    pre-resampling quantities, which :func:`extract_pose` rates; they are
-    ``None`` before the first step.
+    so they are not stored.  The five fields from ``sampled`` to
+    ``log_weights`` are step ``t``'s pre-resampling quantities, which
+    :func:`extract_pose` rates; they are ``None`` before the first step.
+
+    ``parents`` holds step ``t``'s resampling indices: particle ``i``
+    is a copy of candidate ``parents[i]``, so copies of one parent share
+    ``means`` and ``covs`` rows, and the next step runs its UKF correction
+    once per distinct parent.  It is ``None`` before the first step and
+    after a step that did not resample; the next step then corrects every
+    particle.
     """
 
     means: np.ndarray            # (N, 6) particle means x_{t|t}
@@ -244,6 +254,7 @@ class FilterState:
     cov_evals: np.ndarray | None = None     # (N, 6) eigenvalues floored for densities
     log_proposal: np.ndarray | None = None  # (N,) log N(xhat; xbar, P)
     log_weights: np.ndarray | None = None   # (N,) normalized log w~_t, -inf where zero
+    parents: np.ndarray | None = None       # (N,) step t's resampling indices
 
     @property
     def n_particles(self) -> int:
@@ -314,8 +325,8 @@ def _resample_indices(rng: np.random.Generator, weights: np.ndarray) -> np.ndarr
 def _rows(fn, n: int, workers: int):
     """``fn(lo, hi)`` over contiguous slices of ``n`` rows, one thread each.
 
-    ``fn`` returns a tuple of arrays with one row per particle of its
-    slice; each is joined in row order.
+    ``fn`` returns a tuple of arrays with one row per row of its slice;
+    each is joined in row order.
     """
     per = -(-n // min(workers, n))
     bounds = [(lo, min(n, lo + per)) for lo in range(0, n, per)]
@@ -351,27 +362,40 @@ def init(config: FilterConfig) -> FilterState:
 
 def _propose(state: FilterState, window: np.ndarray, model,
              config: FilterConfig, z: np.ndarray):
-    """One pass over the population, run on row slices in threads.
+    """The UKF once per distinct parent, then one pass over the population.
 
-    Each particle is corrected by the UKF against the newest contact
-    ``window[-1]``, with contact noise ``model.sigma_p^2 I`` at the
-    likelihood's scale, draws its candidate from the corrected Gaussian
-    with the standard normals ``z``, and rates the candidate against every
-    contact of ``window``.  Returns ``(covs, cov_vecs, cov_evals, sampled,
-    log_proposal, loglik)``; ``loglik`` is (N, w).
+    The UKF correction against the newest contact ``window[-1]``, with
+    contact noise ``model.sigma_p^2 I`` at the likelihood's scale, and the
+    covariance factorization run on one row per distinct parent in
+    ``state.parents`` (every particle when it is ``None``) and are gathered
+    back to the particles; both are row-independent, so this is bitwise one
+    UKF per particle.  Each particle then draws its candidate from its
+    corrected Gaussian with the standard normals ``z`` and rates it against
+    every contact of ``window``.  Threads split each pass into row slices.
+    Returns ``(covs, cov_vecs, cov_evals, sampled, log_proposal,
+    loglik)``; ``loglik`` is (N, w).
     """
+    n = state.n_particles
+    parents = np.arange(n) if state.parents is None else state.parents
+    _, first, owner = np.unique(parents, return_index=True, return_inverse=True)
     R = model.sigma_p ** 2 * np.eye(3)
 
-    def rows(lo, hi):
-        means, covs = ukf_step_batch(state.means[lo:hi], state.covs[lo:hi], window[-1],
+    def corrected(lo, hi):
+        rows = first[lo:hi]
+        means, covs = ukf_step_batch(state.means[rows], state.covs[rows], window[-1],
                                      model, config.process_noise, R=R, sut=config.sut)
         vecs, evals_sample, evals_density = _factor_covariances(covs)
-        scale = vecs * np.sqrt(evals_sample)[:, None, :]
-        sampled = means + np.einsum("bij,bj->bi", scale, z[lo:hi])
-        log_q = _log_gauss_factored(sampled - means, vecs, evals_density)
-        return (covs, vecs, evals_density, sampled, log_q,
-                log_likelihood_batch(model, window, sampled))
-    return _rows(rows, state.n_particles, config.n_workers)
+        return means, covs, vecs, evals_density, vecs * np.sqrt(evals_sample)[:, None, :]
+    means, covs, vecs, evals_density, scale = (
+        a[owner] for a in _rows(corrected, len(first), config.n_workers))
+
+    def drawn(lo, hi):
+        sampled = means[lo:hi] + np.einsum("bij,bj->bi", scale[lo:hi], z[lo:hi])
+        log_q = _log_gauss_factored(sampled - means[lo:hi], vecs[lo:hi],
+                                    evals_density[lo:hi])
+        return sampled, log_q, log_likelihood_batch(model, window, sampled)
+    sampled, log_q, ll = _rows(drawn, n, config.n_workers)
+    return covs, vecs, evals_density, sampled, log_q, ll
 
 
 def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
@@ -380,7 +404,10 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     Returns ``(new_state, diagnostics)``; the input state is not mutated.
     Diagnostics carry the rated window, effective sample size, and whether
     resampling ran or the weights degenerated (all-underflow weights are
-    reset to uniform and flagged rather than raised).
+    reset to uniform and flagged rather than raised).  ``unique_parents``
+    counts the distinct resampling parents (N when the step did not
+    resample), which is also the number of rows the next step's UKF
+    correction runs on.
     """
     y = np.asarray(y, dtype=float).reshape(3)
     n = state.n_particles
@@ -412,6 +439,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
         new_covs = ukf_covs[idx]
         unique_parents = int(len(np.unique(idx)))
     else:
+        idx = None
         new_means = sampled
         new_covs = ukf_covs
         unique_parents = n
@@ -428,6 +456,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
         means=new_means, covs=new_covs, t=t, window=window,
         sampled=sampled, cov_vecs=vecs, cov_evals=evals_density,
         log_proposal=log_q, log_weights=log_weights_t,
+        parents=idx,
     )
     return new_state, diagnostics
 

@@ -78,7 +78,9 @@ def _solve_gain(S: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
             return np.swapaxes(Kt, -1, -2)
     except np.linalg.LinAlgError:
         pass
-    out = np.empty_like(np.swapaxes(Gamma, -1, -2))
+    # C-ordered like the batched solve's result: the einsums that read K
+    # round differently on other strides.
+    out = np.empty((len(S), Gamma.shape[2], Gamma.shape[1]))
     for i in range(len(S)):
         Si = S[i]
         try:

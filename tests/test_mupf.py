@@ -24,6 +24,7 @@ from meshloc import (
     sample_contacts,
     step,
 )
+from meshloc import mupf
 from meshloc.mupf import (
     _LN_2PI,
     _UNDERFLOW_MARGIN,
@@ -492,6 +493,51 @@ class TestStepBookkeeping:
         # same draws (same rng stream), different weighting rule
         assert np.array_equal(s_off.sampled, s_on.sampled)
         assert not np.allclose(np.exp(s_off.log_weights), np.exp(s_on.log_weights))
+
+
+class TestDistinctParents:
+    """The UKF runs once per distinct resampling parent; the step is
+    bitwise the step that corrects every particle."""
+
+    @pytest.fixture()
+    def setup(self, box):
+        cfg = _small_config(n_particles=37, memory=3, resampling_delay=0, seed=9)
+        model = cfg.model_for(box)
+        return cfg, model, _measurements(box, cfg.prior_mean, 4, 1e-3, seed=3)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_step_equals_the_step_over_every_particle(self, setup, workers):
+        cfg, model, meas = setup
+        cfg = replace(cfg, n_workers=workers)
+        state = init(cfg)
+        for y in meas:
+            a, diag_a = step(state, y, model, cfg)
+            b, diag_b = step(replace(state, parents=None), y, model, cfg)
+            assert diag_a == diag_b
+            for f in fields(FilterState):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+            state = a
+            assert len(np.unique(state.parents)) < cfg.n_particles
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ukf_rows_are_the_distinct_parents(self, setup, monkeypatch, workers):
+        cfg, model, meas = setup
+        cfg = replace(cfg, n_workers=workers, resampling_delay=1)
+        rows = []
+        batch = mupf.ukf_step_batch
+
+        def counted(means, *args, **kwargs):
+            rows.append(len(means))
+            return batch(means, *args, **kwargs)
+        monkeypatch.setattr(mupf, "ukf_step_batch", counted)
+        state, expected = init(cfg), cfg.n_particles
+        for y in meas:
+            rows.clear()
+            state, diag = step(state, y, model, cfg)
+            assert sum(rows) == expected
+            expected = diag["unique_parents"]
+            assert (state.parents is None) == (not diag["resampled"])
+        assert expected < cfg.n_particles
 
 
 class TestUpfReduction:

@@ -4,9 +4,11 @@ import pytest
 
 from meshloc.errors import SingularInnovationError
 from meshloc.geometry import Pose, box_mesh
+from meshloc import unscented
 from meshloc.ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
 from meshloc.unscented import SutParams
 
+from conftest import random_soup
 from oracles import closest_point_brute, kalman_update
 from test_unscented import random_spd
 
@@ -199,3 +201,105 @@ class TestUkfStep:
         with pytest.raises(SingularInnovationError):
             ukf_step_batch(np.zeros((1, 6)), np.eye(6)[None], np.zeros(3), NanStub(),
                            Q=np.zeros((6, 6)), R=np.eye(3), sut=SutParams())
+
+
+class FlatBeyond:
+    """The model's nearest points, but the origin for poses with x > 5: a
+    particle out there has zero innovation covariance when R is zero."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict_batch(self, y, poses):
+        out = self.model.predict_batch(y, poses)
+        out[poses[:, 0] > 5.0] = 0.0
+        return out
+
+
+class TestRowIndependence:
+    """A row of `ukf_step_batch` does not depend on the other rows of its
+    batch, bit for bit: `mupf.step` corrects only the distinct resampling
+    parents and gathers the rows back to their copies."""
+
+    Q = np.diag([1e-5] * 3 + [1e-4] * 3)
+    Y = np.array([0.07, -0.1, 0.04])
+
+    @pytest.fixture(params=["box", "soup"])
+    def mesh_model(self, request, box):
+        mesh = box if request.param == "box" else random_soup(300, seed=5, scale=0.3)
+        return MeasurementModel(mesh=mesh, sigma_p=0.01)
+
+    @staticmethod
+    def _particles(n, seed):
+        rng = np.random.default_rng(seed)
+        means = rng.normal(scale=0.2, size=(n, 6))
+        covs = np.stack([random_spd(rng, 6, scale=0.02) for _ in range(n)])
+        return means, covs
+
+    def _assert_rows_independent(self, means, covs, model, Q, R):
+        """Every row alone, and a gather with repeats, equal the batch."""
+        sut = SutParams()
+        full = ukf_step_batch(means, covs, self.Y, model, Q, R=R, sut=sut)
+        for i in range(len(means)):
+            alone = ukf_step_batch(means[i:i + 1], covs[i:i + 1], self.Y, model, Q,
+                                   R=R, sut=sut)
+            for got, want in zip(alone, full):
+                npt.assert_array_equal(got[0], want[i])
+        idx = np.array([3, 3, 0, len(means) - 1, 3, 1, 0])
+        gathered = ukf_step_batch(means[idx], covs[idx], self.Y, model, Q, R=R, sut=sut)
+        for got, want in zip(gathered, full):
+            npt.assert_array_equal(got, want[idx])
+        return full
+
+    def test_rows_alone_and_gathered_equal_the_batch(self, mesh_model):
+        means, covs = self._particles(40, seed=61)
+        self._assert_rows_independent(means, covs, mesh_model, self.Q,
+                                      noise(mesh_model))
+
+    def test_per_row_gain_fallback_keeps_the_other_rows(self, box, monkeypatch):
+        # Row 2's innovation covariance is exactly zero, so the batched
+        # solve fails and `_solve_gain` solves row by row.
+        model = FlatBeyond(MeasurementModel(mesh=box, sigma_p=0.01))
+        means, covs = self._particles(12, seed=67)
+        means[2, 0] = 100.0
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            solves.append(1)
+            return solve(*args)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        R = np.zeros((3, 3))
+        full = self._assert_rows_independent(means, covs, model, self.Q, R)
+        solves.clear()
+        ukf_step_batch(means, covs, self.Y, model, self.Q, R=R, sut=SutParams())
+        assert len(solves) > 1
+        keep = np.arange(12) != 2
+        batched = ukf_step_batch(means[keep], covs[keep], self.Y, model, self.Q,
+                                 R=R, sut=SutParams())
+        for got, want in zip(batched, full):
+            npt.assert_array_equal(got, want[keep])
+
+    def test_jittered_cholesky_fallback_keeps_the_other_rows(self, box, monkeypatch):
+        # Row 4's predicted covariance is zero, so the batched Cholesky
+        # fails and `sigma_points_batch` factors row by row with jitter.
+        model = MeasurementModel(mesh=box, sigma_p=0.01)
+        means, covs = self._particles(12, seed=71)
+        covs[4] = 0.0
+        jittered = []
+        factor = unscented._cholesky_jittered
+
+        def counted(mat):
+            jittered.append(1)
+            return factor(mat)
+        monkeypatch.setattr(unscented, "_cholesky_jittered", counted)
+        Q = np.zeros((6, 6))
+        full = self._assert_rows_independent(means, covs, model, Q, noise(model))
+        jittered.clear()
+        ukf_step_batch(means, covs, self.Y, model, Q, R=noise(model), sut=SutParams())
+        assert len(jittered) == 12
+        keep = np.arange(12) != 4
+        batched = ukf_step_batch(means[keep], covs[keep], self.Y, model, Q,
+                                 R=noise(model), sut=SutParams())
+        for got, want in zip(batched, full):
+            npt.assert_array_equal(got, want[keep])

@@ -114,6 +114,23 @@ class TestSigmaPoints:
             for got, want in zip(single_moments, moments):
                 npt.assert_array_equal(got[0], want[i])
 
+    def test_jittered_row_keeps_the_other_rows(self):
+        # One semidefinite row sends the whole batch through the per-row
+        # jittered Cholesky; every row still equals its batch without it.
+        rng = np.random.default_rng(6)
+        p = SutParams()
+        means = rng.normal(size=(7, 6))
+        covs = np.stack([random_spd(rng, 6) for _ in range(7)])
+        covs[3] = np.diag([1.0] * 5 + [0.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(covs[3])
+        batch = sigma_points_batch(means, covs, p)
+        keep = np.arange(7) != 3
+        npt.assert_array_equal(batch[keep], sigma_points_batch(means[keep], covs[keep], p))
+        for i in range(7):
+            npt.assert_array_equal(batch[i], sigma_points_batch(means[i:i + 1],
+                                                                covs[i:i + 1], p)[0])
+
     def test_psd_singular_gets_jitter(self):
         p = SutParams()
         cov = np.diag([1.0, 1.0, 0.0])  # semidefinite
