@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 2 refused input (bad flags, bad config, missing
 files: `InvalidConfigError`), 3 runtime or numerical failure, any other
-`ValueError` included.  Every report embeds the fully
-resolved configuration, so a report plus the mesh is enough to rerun the
-exact experiment.  Timing fields are wall-clock and therefore not a
-function of the seed; ``--omit-timing`` strips them so reports from
-repeated runs can be compared byte for byte.
+`ValueError` included.  Every report embeds the fully resolved
+configuration as a profile that ``--config`` reads back, so a report plus
+the mesh is enough to rerun the exact experiment.  Timing fields are
+wall-clock and therefore not a function of the seed; ``--omit-timing``
+strips them so reports from repeated runs can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = ["main"]
 
 logger = logging.getLogger(__name__)
 
-REPORT_SCHEMA = "meshloc-report-1"
+REPORT_SCHEMA = "meshloc-report-2"
 _TIMING_KEYS = ("elapsed", "mean_elapsed", "max_elapsed")
 
 
@@ -147,7 +147,9 @@ def _write_text(path, text: str) -> None:
 
 def _write_json(path, payload: dict, omit_timing: bool) -> None:
     payload = _strip_timing(payload) if omit_timing else payload
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # allow_nan=False: a non-finite number would write JSON no parser accepts.
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+                + "\n")
 
 
 # Scenario flag destinations.  Their parsers default them to None, so that

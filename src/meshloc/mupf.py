@@ -27,13 +27,13 @@ information forward from one step to the next.
 Determinism: every step derives its generator from ``(seed, t)`` and draws
 in a fixed order, and all per-particle reductions run in particle order, so
 serial and worker-parallel executions produce bit-identical states.
-A step runs the UKF correction and the covariance factorization once per
-distinct resampling parent (copies of a parent share its mean and
-covariance), then the proposal draw and density and the window
-likelihoods once per particle.  ``n_workers`` threads split the distinct
-parents, then the particles, and extraction's likelihoods into contiguous
-row slices; the draws' normal deviates are taken from the step's
-generator before either pass.
+The state holds each step's candidates once, with the resampling indices
+into them; the next step runs the UKF correction and the covariance
+factorization once per distinct parent, then the proposal draw and density
+and the window likelihoods once per particle.  ``n_workers`` threads split
+the distinct parents, then the particles, and extraction's likelihoods
+into contiguous row slices; the draws' normal deviates are taken from the
+step's generator before either pass.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, as_real, check_square, is_int
+from .errors import InvalidConfigError, MeshlocError, as_real, check_square, is_int
 from .geometry import Pose
 from .metrics import TrialReport, performance_index, pose_error, success_test
 from .ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
@@ -203,10 +203,8 @@ class FilterConfig:
 
     def to_dict(self) -> dict:
         """Fully resolved configuration for report embedding: each profile
-        key (matrices in full) plus the derived ``measurement_noise`` and
-        the fixed parts of the method under the keys of report schema
-        ``meshloc-report-1``: ``effective_sigma_p`` (equal to ``sigma_p``),
-        ``sigma_p_is_variance``, ``resampling`` and ``prior_map_exponent``.
+        key, matrices in full, so that `from_mapping` reads it back to the
+        same config.
 
         Deliberately omits ``workers``: it changes how the arithmetic is
         scheduled, never what it computes, and reports must be identical
@@ -217,48 +215,38 @@ class FilterConfig:
         out |= {key: bool(getattr(self, key)) for key in _PROFILE_FLAGS}
         out |= {key: float(getattr(self.sut, key)) for key in _SUT_KEYS}
         out |= {key: getattr(self, key).tolist() for key in _PROFILE_MATRICES}
-        return out | {
-            "measurement_noise": (self.sigma_p ** 2 * np.eye(3)).tolist(),
-            "prior_mean": self.prior_mean.tolist(),
-            "sigma_p": self.sigma_p,
-            "effective_sigma_p": self.sigma_p,
-            "sigma_p_is_variance": False,
-            "resampling": "multinomial",
-            "prior_map_exponent": True,
-        }
+        return out | {"prior_mean": self.prior_mean.tolist(), "sigma_p": self.sigma_p}
 
 
 @dataclass(frozen=True)
 class FilterState:
-    """The filter between two measurements.
+    """The filter between two measurements: one population and one index.
 
-    The prior weights of the next step are always 1/N (resampling or not),
-    so they are not stored.  The five fields from ``sampled`` to
-    ``log_weights`` are step ``t``'s pre-resampling quantities, which
+    ``sampled`` and ``covs`` are step ``t``'s candidates and their
+    corrected covariances, in candidate order (before the first step, the
+    prior draws and ``prior_cov``).  ``parents`` holds step ``t``'s
+    resampling indices, ``arange(N)`` when the step did not resample:
+    particle ``i`` is the Gaussian ``(sampled[parents[i]],
+    covs[parents[i]])``, so the next step runs its UKF correction once per
+    distinct parent.  The prior weights of the next step are always 1/N
+    (resampling or not), so they are not stored.  The four fields from
+    ``cov_vecs`` to ``log_weights`` complete the candidates that
     :func:`extract_pose` rates; they are ``None`` before the first step.
-
-    ``parents`` holds step ``t``'s resampling indices: particle ``i``
-    is a copy of candidate ``parents[i]``, so copies of one parent share
-    ``means`` and ``covs`` rows, and the next step runs its UKF correction
-    once per distinct parent.  It is ``None`` before the first step and
-    after a step that did not resample; the next step then corrects every
-    particle.
     """
 
-    means: np.ndarray            # (N, 6) particle means x_{t|t}
-    covs: np.ndarray             # (N, 6, 6) particle covariances P_{t|t}
+    sampled: np.ndarray          # (N, 6) candidates xhat_t
+    covs: np.ndarray             # (N, 6, 6) their corrected covariances P_t
+    parents: np.ndarray          # (N,) step t's resampling indices into the candidates
     t: int
     window: np.ndarray           # (w, 3) y_k for k = t-w+1..t, w = min(t, m)
-    sampled: np.ndarray | None = None       # (N, 6) proposal draws xhat_t
     cov_vecs: np.ndarray | None = None      # (N, 6, 6) eigenvectors of P_t
     cov_evals: np.ndarray | None = None     # (N, 6) eigenvalues floored for densities
     log_proposal: np.ndarray | None = None  # (N,) log N(xhat; xbar, P)
     log_weights: np.ndarray | None = None   # (N,) normalized log w~_t, -inf where zero
-    parents: np.ndarray | None = None       # (N,) step t's resampling indices
 
     @property
     def n_particles(self) -> int:
-        return len(self.means)
+        return len(self.parents)
 
 
 @dataclass(frozen=True)
@@ -344,7 +332,7 @@ def init(config: FilterConfig) -> FilterState:
     ``prior_cov / m``, so that the population density is the prior raised
     to the m-th power (which is what makes the MAP readout weight the prior
     on par with each windowed measurement).  Per-particle covariances start
-    at ``prior_cov`` itself.
+    at ``prior_cov`` itself, and each draw is its own parent.
     """
     n = config.n_particles
     vecs, evals_sample, _ = _factor_covariances((config.prior_cov / config.memory)[None])
@@ -352,12 +340,8 @@ def init(config: FilterConfig) -> FilterState:
     rng = _rng_for_step(config.seed, 0)
     z = rng.standard_normal((n, 6))
     draws = config.prior_mean + z @ scale.T
-    return FilterState(
-        means=draws,
-        covs=np.tile(config.prior_cov, (n, 1, 1)),
-        t=0,
-        window=np.empty((0, 3)),
-    )
+    return FilterState(sampled=draws, covs=np.tile(config.prior_cov, (n, 1, 1)),
+                       parents=np.arange(n), t=0, window=np.empty((0, 3)))
 
 
 def _propose(state: FilterState, window: np.ndarray, model,
@@ -366,35 +350,33 @@ def _propose(state: FilterState, window: np.ndarray, model,
 
     The UKF correction against the newest contact ``window[-1]``, with
     contact noise ``model.sigma_p^2 I`` at the likelihood's scale, and the
-    covariance factorization run on one row per distinct parent in
-    ``state.parents`` (every particle when it is ``None``) and are gathered
-    back to the particles; both are row-independent, so this is bitwise one
-    UKF per particle.  Each particle then draws its candidate from its
+    covariance factorization run on the candidates that ``state.parents``
+    names, once each, and are gathered to the particles by the inverse
+    index; both are row-independent, so this is bitwise one UKF per
+    particle.  Each particle then draws its candidate from its
     corrected Gaussian with the standard normals ``z`` and rates it against
     every contact of ``window``.  Threads split each pass into row slices.
     Returns ``(covs, cov_vecs, cov_evals, sampled, log_proposal,
     loglik)``; ``loglik`` is (N, w).
     """
-    n = state.n_particles
-    parents = np.arange(n) if state.parents is None else state.parents
-    _, first, owner = np.unique(parents, return_index=True, return_inverse=True)
+    rows, owner = np.unique(state.parents, return_inverse=True)
     R = model.sigma_p ** 2 * np.eye(3)
 
     def corrected(lo, hi):
-        rows = first[lo:hi]
-        means, covs = ukf_step_batch(state.means[rows], state.covs[rows], window[-1],
-                                     model, config.process_noise, R=R, sut=config.sut)
+        means, covs = ukf_step_batch(state.sampled[rows[lo:hi]], state.covs[rows[lo:hi]],
+                                     window[-1], model, config.process_noise, R=R,
+                                     sut=config.sut)
         vecs, evals_sample, evals_density = _factor_covariances(covs)
         return means, covs, vecs, evals_density, vecs * np.sqrt(evals_sample)[:, None, :]
     means, covs, vecs, evals_density, scale = (
-        a[owner] for a in _rows(corrected, len(first), config.n_workers))
+        a[owner] for a in _rows(corrected, len(rows), config.n_workers))
 
     def drawn(lo, hi):
         sampled = means[lo:hi] + np.einsum("bij,bj->bi", scale[lo:hi], z[lo:hi])
         log_q = _log_gauss_factored(sampled - means[lo:hi], vecs[lo:hi],
                                     evals_density[lo:hi])
         return sampled, log_q, log_likelihood_batch(model, window, sampled)
-    sampled, log_q, ll = _rows(drawn, n, config.n_workers)
+    sampled, log_q, ll = _rows(drawn, len(owner), config.n_workers)
     return covs, vecs, evals_density, sampled, log_q, ll
 
 
@@ -404,10 +386,11 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     Returns ``(new_state, diagnostics)``; the input state is not mutated.
     Diagnostics carry the rated window, effective sample size, and whether
     resampling ran or the weights degenerated (all-underflow weights are
-    reset to uniform and flagged rather than raised).  ``unique_parents``
-    counts the distinct resampling parents (N when the step did not
-    resample), which is also the number of rows the next step's UKF
-    correction runs on.
+    reset to uniform and flagged rather than raised).  The new state holds
+    the step's candidates and its resampling indices, ``arange(N)`` when it
+    did not resample.  ``unique_parents`` counts the distinct indices,
+    which is also the number of rows the next step's UKF correction runs
+    on.
     """
     y = np.asarray(y, dtype=float).reshape(3)
     n = state.n_particles
@@ -415,8 +398,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     rng = _rng_for_step(config.seed, t)
     window = np.vstack((state.window, y))[-config.memory:]
     z = rng.standard_normal((n, 6))   # the step's first draw: the UKF draws nothing
-    ukf_covs, vecs, evals_density, sampled, log_q, ll = \
-        _propose(state, window, model, config, z)
+    covs, vecs, evals_density, sampled, log_q, ll = _propose(state, window, model, config, z)
     ll_sum = ll.sum(axis=1)
     # The prior weights are all 1/N.  This scalar equals every element of
     # np.log(np.full(n, 1.0 / n)) (numpy 2.4, n < 5000), so lw is bitwise
@@ -424,7 +406,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     lw = np.log(1.0 / n) + ll_sum - log_q
     if config.transition_density_in_weights:
         q_vecs, _, q_evals = _factor_covariances(config.process_noise[None])
-        lw = lw + _log_gauss_factored(sampled - state.means,
+        lw = lw + _log_gauss_factored(sampled - state.sampled[state.parents],
                                       np.broadcast_to(q_vecs, (n, 6, 6)),
                                       np.broadcast_to(q_evals, (n, 6)))
     weights_t, log_weights_t, degenerate = _normalize_log_weights(lw)
@@ -433,16 +415,7 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
                        "resetting to uniform", t)
 
     resampled = t > config.resampling_delay
-    if resampled:
-        idx = _resample_indices(rng, weights_t)
-        new_means = sampled[idx]
-        new_covs = ukf_covs[idx]
-        unique_parents = int(len(np.unique(idx)))
-    else:
-        idx = None
-        new_means = sampled
-        new_covs = ukf_covs
-        unique_parents = n
+    parents = _resample_indices(rng, weights_t) if resampled else np.arange(n)
 
     diagnostics = {
         "t": t,
@@ -450,13 +423,12 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
         "ess": float(1.0 / np.sum(weights_t ** 2)),
         "resampled": bool(resampled),
         "degenerate": bool(degenerate),
-        "unique_parents": unique_parents,
+        "unique_parents": len(np.unique(parents)),
     }
     new_state = FilterState(
-        means=new_means, covs=new_covs, t=t, window=window,
-        sampled=sampled, cov_vecs=vecs, cov_evals=evals_density,
-        log_proposal=log_q, log_weights=log_weights_t,
-        parents=idx,
+        sampled=sampled, covs=covs, parents=parents, t=t, window=window,
+        cov_vecs=vecs, cov_evals=evals_density, log_proposal=log_q,
+        log_weights=log_weights_t,
     )
     return new_state, diagnostics
 
@@ -533,6 +505,8 @@ def run(measurements: np.ndarray, model, config: FilterConfig,
     Returns ``(estimates, report)``: the per-step MAP estimates and a
     :class:`TrialReport` with the performance-index trace.  ``truth``
     switches the success criterion from index-based to pose-error-based.
+    An estimate or index that is not finite raises `MeshlocError` naming
+    the step.
     """
     measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
     if measurements.ndim != 2 or measurements.shape[0] < 1 or measurements.shape[1] != 3:
@@ -553,7 +527,12 @@ def run(measurements: np.ndarray, model, config: FilterConfig,
         estimates.append(est)
         # Rated against the whole contact set: an offline diagnostic whose
         # trace decreases as the estimate converges.
-        index_trace.append(performance_index(measurements, est.pose, model.mesh))
+        index = performance_index(measurements, est.pose, model.mesh)
+        pose = est.pose.to_array()
+        if not (np.isfinite(pose).all() and np.isfinite(index)):
+            raise MeshlocError(f"step {k}: estimate {pose.tolist()} "
+                               f"or its performance index {index!r} is not finite")
+        index_trace.append(index)
     elapsed = time.perf_counter() - started
 
     final_pose = estimates[-1].pose.canonical()

@@ -212,7 +212,7 @@ def upf_step(state, y, model, config):
         mupf._propose(state, window, model, config, z)
     lw = np.log(1.0 / n) + ll.sum(axis=1) - log_q
     q_vecs, _, q_evals = mupf._factor_covariances(config.process_noise[None])
-    lw = lw + mupf._log_gauss_factored(sampled - state.means,
+    lw = lw + mupf._log_gauss_factored(sampled - state.sampled[state.parents],
                                        np.broadcast_to(q_vecs, (n, 6, 6)),
                                        np.broadcast_to(q_evals, (n, 6)))
     weights_t, log_weights_t, degenerate = mupf._normalize_log_weights(lw)
@@ -227,9 +227,9 @@ def upf_step(state, y, model, config):
         "unique_parents": int(len(np.unique(idx))),
     }
     new_state = mupf.FilterState(
-        means=sampled[idx], covs=ukf_covs[idx], t=t, window=window,
-        sampled=sampled, cov_vecs=vecs, cov_evals=evals_density,
-        log_proposal=log_q, log_weights=log_weights_t,
+        sampled=sampled, covs=ukf_covs, parents=idx, t=t, window=window,
+        cov_vecs=vecs, cov_evals=evals_density, log_proposal=log_q,
+        log_weights=log_weights_t,
     )
     return new_state, diagnostics
 

@@ -9,6 +9,7 @@ trials per memory setting, scenario seeds 100..119 and filter seeds 0..19.
 
 import json
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from oracles import closest_point_brute, kalman_update, upf_step
 import meshloc.cli as cli
 from meshloc import (
     FilterConfig,
+    FilterState,
     Pose,
     ScenarioSpec,
     SutParams,
@@ -162,10 +164,8 @@ def test_criterion_4_memoryless_filter_reduces_to_upf():
     for y in measurements:
         sa, _ = step(sa, y, model, config)
         sb, _ = upf_step(sb, y, model, config)
-        exact = exact and (np.array_equal(sa.means, sb.means)
-                           and np.array_equal(sa.covs, sb.covs)
-                           and np.array_equal(sa.sampled, sb.sampled)
-                           and np.array_equal(sa.log_weights, sb.log_weights))
+        exact = exact and all(np.array_equal(getattr(sa, f.name), getattr(sb, f.name))
+                              for f in fields(FilterState))
     _gate(4, "memory 1 with immediate resampling reduces to the plain UPF",
           exact, f"10 steps bitwise {'identical' if exact else 'DIVERGED'}")
 

@@ -6,14 +6,18 @@ caller that binds a traced function where the swap cannot reach it, would
 leave a span silent; this short traced run catches that before a
 benchmark run does.  ``bench/run.py`` drives the streaming API and reads
 the step diagnostics and the estimate fields; a short drive catches a
-change to either.
+change to either.  Each workload's set-up, as the benchmark runs it, builds
+its profile and trials and takes one contact, so a profile key or a config
+field the library stops accepting fails here first.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from meshloc import FilterConfig, Pose, ScenarioSpec, geometry, metrics, mupf, sample_contacts
 
@@ -55,12 +59,16 @@ def test_traced_run_fires_every_span():
     assert by_name["ukf.log_likelihood_batch"].get("mupf.extract_pose", {}).get("calls") == 2
 
 
-def test_drive_reads_what_the_api_returns(monkeypatch):
+def _load_run(monkeypatch):
     # bench/run.py pins three BLAS thread variables when it loads; setting
     # them here first lets teardown restore them.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    run = _load("run")
+    return _load("run")
+
+
+def test_drive_reads_what_the_api_returns(monkeypatch):
+    run = _load_run(monkeypatch)
     config = FilterConfig(n_particles=8, resampling_delay=1, seed=0)
     mesh = geometry.box_mesh(0.1, 0.3, 0.2)
     spec = ScenarioSpec(mesh_path=None, true_pose=Pose(x=0.02, phi=0.4), n_measurements=2,
@@ -72,3 +80,16 @@ def test_drive_reads_what_the_api_returns(monkeypatch):
     assert len(loop.latencies) == len(loop.support) == 2
     assert len(loop.parents) == 1          # step 2 resamples, step 1 does not
     assert run.estimates_finite(loop)
+
+
+_WORKLOADS = [w["name"] for w in
+              json.loads((BENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("name", _WORKLOADS)
+def test_set_up_builds_each_workload(monkeypatch, name):
+    run = _load_run(monkeypatch)
+    monkeypatch.syspath_prepend(str(BENCH))     # set_up imports bench/workloads.py
+    _, workload, setup, mupf_module, _ = run.set_up(name, 0)
+    assert workload.name == name and mupf_module is mupf
+    assert setup.trials

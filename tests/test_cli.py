@@ -57,33 +57,27 @@ def _simulate(tmp_path, box_obj, **over):
 # report embeds, for the library defaults and the shipped profiles.
 _CONFIG_ECHOES = {
     "default": (
-        '{"alpha": 1.0, "beta": 30.0, "effective_sigma_p": 0.0001, "k": 2.0, '
-        '"measurement_noise": [[1e-08, 0.0, 0.0], [0.0, 1e-08, 0.0], [0.0, 0.0, '
-        '1e-08]], "memory": 10, "particles": 700, "prior_cov": [[0.04, 0.0, 0.0, '
-        '0.0, 0.0, 0.0], [0.0, 0.04, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.04, 0.0, 0.0, '
-        '0.0], [0.0, 0.0, 0.0, 9.869604401089358, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, '
-        '2.4674011002723395, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 9.869604401089358]], '
-        '"prior_map_exponent": true, "prior_mean": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], '
+        '{"alpha": 1.0, "beta": 30.0, "k": 2.0, "memory": 10, "particles": 700, '
+        '"prior_cov": [[0.04, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.04, 0.0, 0.0, 0.0, '
+        '0.0], [0.0, 0.0, 0.04, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 9.869604401089358, '
+        '0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 2.4674011002723395, 0.0], [0.0, 0.0, 0.0, '
+        '0.0, 0.0, 9.869604401089358]], "prior_mean": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], '
         '"process_noise": [[1e-05, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1e-05, 0.0, 0.0, '
         '0.0, 0.0], [0.0, 0.0, 1e-05, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0001, 0.0, '
-        '0.0], [0.0, 0.0, 0.0, 0.0, 0.0001, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, '
-        '0.0001]], "resampling": "multinomial", "resampling_delay": 2, "seed": 0, '
-        '"sigma_p": 0.0001, "sigma_p_is_variance": false, '
+        '0.0], [0.0, 0.0, 0.0, 0.0, 0.0001, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.0001]], '
+        '"resampling_delay": 2, "seed": 0, "sigma_p": 0.0001, '
         '"transition_density_in_weights": false}'
     ),
     "robot": (
-        '{"alpha": 1.0, "beta": 30.0, "effective_sigma_p": 0.0004, "k": 2.0, '
-        '"measurement_noise": [[1.6e-07, 0.0, 0.0], [0.0, 1.6e-07, 0.0], [0.0, 0.0, '
-        '1.6e-07]], "memory": 10, "particles": 1200, "prior_cov": [[0.04, 0.0, 0.0, '
-        '0.0, 0.0, 0.0], [0.0, 0.04, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.04, 0.0, 0.0, '
-        '0.0], [0.0, 0.0, 0.0, 9.869604401089358, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, '
-        '2.4674011002723395, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 9.869604401089358]], '
-        '"prior_map_exponent": true, "prior_mean": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], '
+        '{"alpha": 1.0, "beta": 30.0, "k": 2.0, "memory": 10, "particles": 1200, '
+        '"prior_cov": [[0.04, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.04, 0.0, 0.0, 0.0, '
+        '0.0], [0.0, 0.0, 0.04, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 9.869604401089358, '
+        '0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 2.4674011002723395, 0.0], [0.0, 0.0, 0.0, '
+        '0.0, 0.0, 9.869604401089358]], "prior_mean": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], '
         '"process_noise": [[1e-05, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1e-05, 0.0, 0.0, '
         '0.0, 0.0], [0.0, 0.0, 1e-05, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.001, 0.0, '
         '0.0], [0.0, 0.0, 0.0, 0.0, 0.001, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.001]], '
-        '"resampling": "multinomial", "resampling_delay": 2, "seed": 0, '
-        '"sigma_p": 0.0004, "sigma_p_is_variance": false, '
+        '"resampling_delay": 2, "seed": 0, "sigma_p": 0.0004, '
         '"transition_density_in_weights": false}'
     ),
 }
@@ -209,14 +203,15 @@ class TestLocalize:
                        "--config", tiny_config, "--output", out])
         assert rc == 0
         rep = json.loads(Path(out).read_text())
-        assert rep["schema"] == "meshloc-report-1"
+        assert rep["schema"] == "meshloc-report-2"
         assert rep["kind"] == "localize"
         cfg = rep["config"]
         assert cfg["particles"] == 40
         assert cfg["memory"] == 3
         assert cfg["sigma_p"] == 1e-3
-        assert cfg["effective_sigma_p"] == 1e-3
-        assert "workers" not in cfg
+        # Every profile key, matrices in full, and no worker count.
+        assert set(cfg) == {key for key in _PROFILE_KEYS
+                            if not key.endswith("_diag")} - {"workers"}
         body = rep["report"]
         assert len(body["index_trace"]) == 10
         assert body["final_index"] == body["index_trace"][-1]
@@ -478,6 +473,29 @@ class TestLocalize:
         assert rc == 3
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_non_finite_result_exits_3_naming_the_step(self, tmp_path, box_obj, capsys):
+        # Squared distances from a pose near 1e154 overflow, so the index is
+        # inf, which no JSON report can hold.
+        meas = _simulate(tmp_path, box_obj, count=4)
+        profile = tmp_path / "far.yaml"
+        profile.write_text("particles: 1\nsigma_p: 1.0e-3\n"
+                           "prior_mean: [1.0e154, 1.0e154, 1.0e154, 0, 0, 0]\n")
+        out = tmp_path / "r.json"
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", str(profile), "--output", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: step 1: "), err
+        assert "not finite" in err
+        assert not list(tmp_path.glob("r.json*"))
+
+    def test_json_writer_refuses_non_finite_numbers(self, tmp_path):
+        out = tmp_path / "r.json"
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                cli._write_json(out, {"final_index": value}, omit_timing=False)
+        assert not list(tmp_path.iterdir())
+
     def test_seed_override_changes_result(self, tmp_path, box_obj, tiny_config):
         meas = _simulate(tmp_path, box_obj)
         outs = []
@@ -503,6 +521,18 @@ class TestReproducibleReports:
             blobs.append(Path(out).read_bytes())
         assert blobs[0] == blobs[1]
         assert b"elapsed" not in blobs[0]
+
+    def test_report_config_reruns_the_report(self, tmp_path, box_obj, tiny_config):
+        # A report's config block is a profile: cut out and given back as
+        # --config (JSON is YAML), it reproduces the report byte for byte.
+        meas = _simulate(tmp_path, box_obj)
+        argv = ["localize", "--mesh", box_obj, "--measurements", meas, "--omit-timing"]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert cli.main(argv + ["--config", tiny_config, "--output", str(first)]) == 0
+        profile = tmp_path / "echo.yaml"
+        profile.write_text(json.dumps(json.loads(first.read_text())["config"]))
+        assert cli.main(argv + ["--config", str(profile), "--output", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
 
     def test_serial_and_parallel_reports_identical(self, tmp_path, box_obj,
                                                    tiny_config):

@@ -205,26 +205,32 @@ _MATRICES = ("process_noise", "prior_cov")
 _CONTACTS = np.array([[0.05, 0.0, 0.0], [0.0, 0.15, 0.01], [0.01, 0.02, 0.1]])
 
 
+# Profiles of up to three extreme settings, a vector or matrix holding its
+# value on every entry or on the diagonal, with a small population.
+_EXTREME_KEYS = st.dictionaries(
+    st.sampled_from(["memory", "resampling_delay", "seed", "workers", "sigma_p",
+                     "alpha", "k", "beta", "prior_mean", *_MATRICES]),
+    _EXTREME, min_size=1, max_size=3)
+
+
+def _profile(particles, mapping, transition):
+    return {key: [value] * 6 if key == "prior_mean"
+            else [[value if i == j else 0 for j in range(6)] for i in range(6)]
+            if key in _MATRICES else value
+            for key, value in mapping.items()} | {
+        "particles": particles, "transition_density_in_weights": transition}
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(particles=st.integers(1, 8),
-       mapping=st.dictionaries(
-           st.sampled_from(["memory", "resampling_delay", "seed", "workers", "sigma_p",
-                            "alpha", "k", "beta", "prior_mean", *_MATRICES]),
-           _EXTREME, min_size=1, max_size=3),
-       transition=st.booleans())
+@given(particles=st.integers(1, 8), mapping=_EXTREME_KEYS, transition=st.booleans())
 def test_a_config_that_builds_can_run(particles, mapping, transition):
     # Either the config is refused naming a key it was given, or the filter
-    # runs to finite estimates, or it fails as a MeshlocError or LinAlgError:
-    # no bare OverflowError or ZeroDivisionError from a value it accepted.
-    # numpy's overflow warnings are messages, not outcomes, so they are let
-    # pass; the index may be inf where a distance's square overflows.
-    profile = {key: [value] * 6 if key == "prior_mean"
-               else [[value if i == j else 0 for j in range(6)] for i in range(6)]
-               if key in _MATRICES else value
-               for key, value in mapping.items()}
+    # runs to finite estimates and indices, or it fails as a MeshlocError or
+    # LinAlgError: no bare OverflowError or ZeroDivisionError from a value it
+    # accepted.  numpy's overflow warnings are messages, not outcomes, so
+    # they are let pass; where a distance's square overflows, `run` raises.
     try:
-        cfg = FilterConfig.from_mapping(profile | {
-            "particles": particles, "transition_density_in_weights": transition})
+        cfg = FilterConfig.from_mapping(_profile(particles, mapping, transition))
     except InvalidConfigError as exc:
         assert any(re.search(rf"\b{key}\b", str(exc)) for key in mapping), str(exc)
         return
@@ -235,4 +241,16 @@ def test_a_config_that_builds_can_run(particles, mapping, transition):
     except (MeshlocError, np.linalg.LinAlgError):
         return
     assert all(np.isfinite(e.pose.to_array()).all() for e in estimates)
-    assert not np.isnan(report.final_index)
+    assert np.isfinite(report.index_trace).all()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(particles=st.integers(1, 10 ** 6), mapping=_EXTREME_KEYS, transition=st.booleans())
+def test_to_dict_reads_back_as_the_same_config(particles, mapping, transition):
+    # A report's config block is a profile that builds the same config.
+    try:
+        cfg = FilterConfig.from_mapping(_profile(particles, mapping, transition))
+    except InvalidConfigError:
+        return
+    echo = cfg.to_dict()
+    assert FilterConfig.from_mapping(echo).to_dict() == echo

@@ -128,9 +128,15 @@ class TestFilterConfig:
         assert cfg.resampling_delay == 2
         assert cfg.transition_density_in_weights is False
 
-    def test_default_measurement_noise_is_isotropic(self):
-        cfg = FilterConfig(sigma_p=2e-3)
-        assert np.allclose(cfg.to_dict()["measurement_noise"], 4e-6 * np.eye(3))
+    def test_default_measurement_noise_is_isotropic(self, box):
+        # The UKF's contact noise is sigma_p^2 I, with no setting of its own.
+        cfg = _small_config(n_particles=8, sigma_p=2e-3)
+        model, y = cfg.model_for(box), np.array([0.05, 0.01, 0.02])
+        state = init(cfg)
+        new, _ = step(state, y, model, cfg)
+        _, covs = ukf_step_batch(state.sampled, state.covs, y, model, cfg.process_noise,
+                                 R=4e-6 * np.eye(3), sut=cfg.sut)
+        assert np.array_equal(new.covs, covs)
 
     @pytest.mark.parametrize("kw", [
         dict(n_particles=0),
@@ -194,10 +200,9 @@ class TestFilterConfig:
                            transition_density_in_weights=True,
                            sut=SutParams(alpha=0.9, k=2.0, beta=10.0))
         d = cfg.to_dict()
-        # Derived values and fixed parts of the method, echoed but not input keys.
-        for echoed in ("measurement_noise", "effective_sigma_p", "sigma_p_is_variance",
-                       "resampling", "prior_map_exponent"):
-            d.pop(echoed)
+        # No derived value or fixed part of the method is echoed.
+        assert not {"measurement_noise", "effective_sigma_p", "sigma_p_is_variance",
+                    "resampling", "prior_map_exponent"} & set(d)
         cfg2 = FilterConfig.from_mapping(d)
         assert cfg2.to_dict() == cfg.to_dict()
         assert cfg2.n_particles == 40
@@ -351,11 +356,12 @@ class TestInit:
     def test_shapes_and_uniform_weights(self):
         cfg = _small_config(n_particles=64)
         state = init(cfg)
-        assert state.means.shape == (64, 6)
+        assert state.sampled.shape == (64, 6)
         assert state.covs.shape == (64, 6, 6)
+        assert np.array_equal(state.parents, np.arange(64))
         assert state.n_particles == 64
         assert state.t == 0 and state.window.shape == (0, 3)
-        assert state.sampled is None and state.log_weights is None
+        assert state.cov_vecs is None and state.log_weights is None
 
     def test_per_particle_covs_start_at_prior(self):
         cfg = _small_config(n_particles=16)
@@ -370,8 +376,8 @@ class TestInit:
         base = dict(n_particles=200_000, prior_mean=np.zeros(6), prior_cov=p0)
         wide = init(FilterConfig(memory=1, **base))
         tight = init(FilterConfig(memory=9, **base))
-        std_w = wide.means.std(axis=0)
-        std_t = tight.means.std(axis=0)
+        std_w = wide.sampled.std(axis=0)
+        std_t = tight.sampled.std(axis=0)
         assert np.allclose(std_w, np.sqrt(np.diag(p0)), rtol=0.02)
         assert np.allclose(std_t, np.sqrt(np.diag(p0) / 9), rtol=0.02)
 
@@ -379,8 +385,8 @@ class TestInit:
         a = init(_small_config(seed=5))
         b = init(_small_config(seed=5))
         c = init(_small_config(seed=6))
-        assert np.array_equal(a.means, b.means)
-        assert not np.array_equal(a.means, c.means)
+        assert np.array_equal(a.sampled, b.sampled)
+        assert not np.array_equal(a.sampled, c.sampled)
 
 
 class TestStepBookkeeping:
@@ -413,7 +419,8 @@ class TestStepBookkeeping:
         a, _ = step(state, meas[-1], model, cfg)
         b, _ = step(skewed, meas[-1], model, cfg)
         assert np.array_equal(a.log_weights, b.log_weights)
-        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.sampled, b.sampled)
+        assert np.array_equal(a.parents, b.parents)
 
     def test_resampling_delayed_then_always_on(self, setup):
         cfg, model, meas = setup
@@ -427,12 +434,14 @@ class TestStepBookkeeping:
     def test_input_state_not_mutated(self, setup):
         cfg, model, meas = setup
         state = init(cfg)
-        means_before = state.means.copy()
+        sampled_before = state.sampled.copy()
         covs_before = state.covs.copy()
+        parents_before = state.parents.copy()
         step(state, meas[0], model, cfg)
-        assert np.array_equal(state.means, means_before)
+        assert np.array_equal(state.sampled, sampled_before)
         assert np.array_equal(state.covs, covs_before)
-        assert state.t == 0 and state.window.shape == (0, 3) and state.sampled is None
+        assert np.array_equal(state.parents, parents_before)
+        assert state.t == 0 and state.window.shape == (0, 3) and state.cov_vecs is None
 
     def test_snapshot_consistency(self, setup):
         cfg, model, meas = setup
@@ -444,8 +453,8 @@ class TestStepBookkeeping:
         assert state.cov_vecs.shape == (n, 6, 6)
         assert state.cov_evals.shape == (n, 6) and (state.cov_evals > 0).all()
         assert state.log_proposal.shape == (n,)
-        # No resampling at step 1: the particles are the proposal draws.
-        assert np.array_equal(state.means, state.sampled)
+        # No resampling at step 1: each candidate is its own parent.
+        assert np.array_equal(state.parents, np.arange(n))
         assert np.exp(state.log_weights).sum() == pytest.approx(1.0)
 
     def test_all_underflow_flags_degenerate_and_resets(self, box):
@@ -476,10 +485,10 @@ class TestStepBookkeeping:
         state = init(cfg)
         new, diag = step(state, meas[0], model, cfg)
         assert not diag["resampled"]
-        _, covs = ukf_step_batch(state.means, state.covs, meas[0], model, cfg.process_noise,
+        _, covs = ukf_step_batch(state.sampled, state.covs, meas[0], model, cfg.process_noise,
                                  R=model.sigma_p ** 2 * np.eye(3), sut=cfg.sut)
         assert np.array_equal(new.covs, covs)
-        _, config_covs = ukf_step_batch(state.means, state.covs, meas[0], model,
+        _, config_covs = ukf_step_batch(state.sampled, state.covs, meas[0], model,
                                         cfg.process_noise, R=cfg.sigma_p ** 2 * np.eye(3),
                                         sut=cfg.sut)
         assert not np.allclose(new.covs, config_covs)
@@ -512,7 +521,11 @@ class TestDistinctParents:
         state = init(cfg)
         for y in meas:
             a, diag_a = step(state, y, model, cfg)
-            b, diag_b = step(replace(state, parents=None), y, model, cfg)
+            # The reference lays the particles out as copies, each its own parent.
+            copies = replace(state, sampled=state.sampled[state.parents],
+                             covs=state.covs[state.parents],
+                             parents=np.arange(cfg.n_particles))
+            b, diag_b = step(copies, y, model, cfg)
             assert diag_a == diag_b
             for f in fields(FilterState):
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
@@ -536,7 +549,8 @@ class TestDistinctParents:
             state, diag = step(state, y, model, cfg)
             assert sum(rows) == expected
             expected = diag["unique_parents"]
-            assert (state.parents is None) == (not diag["resampled"])
+            unmoved = np.array_equal(state.parents, np.arange(cfg.n_particles))
+            assert unmoved == (not diag["resampled"])
         assert expected < cfg.n_particles
 
 
@@ -550,10 +564,8 @@ class TestUpfReduction:
         for y in meas:
             sa, da = step(sa, y, model, cfg)
             sb, db = upf_step(sb, y, model, cfg)
-            assert np.array_equal(sa.means, sb.means)
-            assert np.array_equal(sa.covs, sb.covs)
-            assert np.array_equal(sa.sampled, sb.sampled)
-            assert np.array_equal(sa.log_weights, sb.log_weights)
+            for f in fields(FilterState):
+                assert np.array_equal(getattr(sa, f.name), getattr(sb, f.name)), f.name
             assert da == db
 
     def test_memory_changes_the_recursion(self, box):
@@ -585,8 +597,8 @@ def _mixture_state(sampled, log_weights, covs):
     """A one-contact state whose extraction weights are ``log_weights``,
     normalized: under `_FlatModel` with memory 1 the window adds nothing."""
     evals, vecs = np.linalg.eigh(covs)
-    return FilterState(means=sampled, covs=covs, t=1, window=np.zeros((1, 3)),
-                       sampled=sampled, cov_vecs=vecs, cov_evals=evals,
+    return FilterState(sampled=sampled, covs=covs, parents=np.arange(len(sampled)), t=1,
+                       window=np.zeros((1, 3)), cov_vecs=vecs, cov_evals=evals,
                        log_proposal=np.zeros(len(sampled)), log_weights=log_weights)
 
 
@@ -616,8 +628,8 @@ class TestExtraction:
         sampled = np.tile(pose_a, (n, 1))
         sampled[90:] = pose_b
         state = FilterState(
-            means=sampled, covs=np.tile(np.eye(6), (n, 1, 1)),
-            t=1, window=np.zeros((1, 3)), sampled=sampled,
+            sampled=sampled, covs=np.tile(np.eye(6), (n, 1, 1)), parents=np.arange(n),
+            t=1, window=np.zeros((1, 3)),
             cov_vecs=np.tile(np.eye(6), (n, 1, 1)),
             cov_evals=np.ones((n, 6)),
             log_proposal=np.zeros(n),
@@ -642,8 +654,8 @@ class TestExtraction:
         lw0 = rng.normal(size=n)
         lw0 -= logw_norm(lw0)
         ys = np.array([[0.3, 0.0, 0.1], [-0.2, 0.1, 0.0]])   # k = 1, 2
-        state = FilterState(means=sampled, covs=covs, t=t, window=ys,
-                            sampled=sampled, cov_vecs=vecs, cov_evals=evals,
+        state = FilterState(sampled=sampled, covs=covs, parents=np.arange(n), t=t,
+                            window=ys, cov_vecs=vecs, cov_evals=evals,
                             log_proposal=log_proposal, log_weights=lw0)
 
         class _RadialModel:
