@@ -17,6 +17,7 @@ import dataclasses
 import io
 import json
 import logging
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -188,7 +189,7 @@ def cmd_localize(args) -> int:
     trace_path = Path(args.output).with_suffix(".trace.csv")
     if args.emit_trace:
         _require_output(trace_path, "--emit-trace")
-    config = _load_config(args.config, {"seed": args.seed, "workers": args.workers})
+    config = _load_config(args.config, {"seed": args.seed})
     mesh = load_obj(args.mesh)
     measurements = read_measurements_csv(args.measurements)
 
@@ -222,9 +223,12 @@ def _batch_trial(trial: tuple) -> TrialReport:
 
 
 def _run_batch(trials: list[tuple], trial_workers: int) -> list[TrialReport]:
-    if trial_workers <= 1 or len(trials) <= 1:
+    # A process pool starts all its workers at once: no more than there are
+    # trials or CPUs.
+    workers = min(trial_workers, len(trials), os.cpu_count() or 1)
+    if workers <= 1:
         return [_batch_trial(t) for t in trials]
-    with ProcessPoolExecutor(max_workers=trial_workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_batch_trial, trials))
 
 
@@ -233,7 +237,7 @@ def cmd_batch(args) -> int:
     sweep_csv = Path(args.output).with_suffix(".sweep.csv")
     if args.sweep_m:
         _require_output(sweep_csv, "--sweep-m")
-    config = _load_config(args.config, {"seed": args.seed, "workers": args.workers})
+    config = _load_config(args.config, {"seed": args.seed})
     given = [f"--{dest.replace('_', '-')}" for dest in _SCENARIO_DESTS
              if getattr(args, dest) is not None]
     if args.measurements is not None and given:
@@ -325,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     filt.add_argument("--config", default=None, help="YAML parameter profile")
     filt.add_argument("--seed", type=int, default=None,
                       help="override the profile seed (batch trial i adds i)")
-    filt.add_argument("--workers", type=int, default=None,
-                      help="threads for the particle batches inside each filter run")
     filt.add_argument("--omit-timing", action="store_true",
                       help="strip wall-clock fields from the report")
 

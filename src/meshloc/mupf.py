@@ -26,22 +26,18 @@ information forward from one step to the next.
 
 Determinism: every step derives its generator from ``(seed, t)`` and draws
 in a fixed order, and all per-particle reductions run in particle order, so
-serial and worker-parallel executions produce bit-identical states.
-The state holds each step's candidates once, with the resampling indices
-into them; the next step runs the UKF correction and the covariance
-factorization once per distinct parent, then the proposal draw and density
-and the window likelihoods once per particle.  ``n_workers`` threads split
-the distinct parents, then the particles, and extraction's likelihoods
-into contiguous row slices; the draws' normal deviates are taken from the
-step's generator before either pass.
+a run is bitwise reproducible.  The state holds each step's candidates
+once, with the resampling indices into them; the next step runs the UKF
+correction and the covariance factorization once per distinct parent, then
+the proposal draw and density and the window likelihoods once per particle,
+each pass one batch on the calling thread.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -83,7 +79,7 @@ _MAX_MEMORY = 2 ** 53
 # `SutParams`.  `_PROFILE_KEYS` is every key a profile may set.
 _PROFILE_COUNTS = {"particles": ("n_particles", 1), "memory": ("memory", 1),
                    "resampling_delay": ("resampling_delay", 0),
-                   "seed": ("seed", 0), "workers": ("n_workers", 1)}
+                   "seed": ("seed", 0)}
 _PROFILE_FLAGS = ("transition_density_in_weights",)
 _PROFILE_MATRICES = {"process_noise": 6, "prior_cov": 6}
 _SUT_KEYS = ("alpha", "k", "beta")
@@ -121,10 +117,18 @@ class FilterConfig:
     sut: SutParams = field(default_factory=SutParams)
     resampling_delay: int = 2
     transition_density_in_weights: bool = False
-    n_workers: int = 1
     seed: int = 0
+    # Accepted only so that callers written when the filter had row
+    # threads, such as the benchmark's `replace(profile, n_workers=1)`,
+    # still build a config; not stored and never echoed.  Goes when no
+    # caller passes it.
+    n_workers: InitVar[int] = 1
 
-    def __post_init__(self):
+    def __post_init__(self, n_workers):
+        if not (is_int(n_workers) and n_workers == 1):
+            raise InvalidConfigError(f"n_workers must be 1 (the filter is serial), "
+                                     f"got {n_workers!r}")
+
         def convert(key, what, shape):
             object.__setattr__(self, key, as_real(getattr(self, key), key, what, shape))
 
@@ -205,13 +209,8 @@ class FilterConfig:
         """Fully resolved configuration for report embedding: each profile
         key, matrices in full, so that `from_mapping` reads it back to the
         same config.
-
-        Deliberately omits ``workers``: it changes how the arithmetic is
-        scheduled, never what it computes, and reports must be identical
-        across serial and parallel execution of the same seed.
         """
-        out = {key: int(getattr(self, name))
-               for key, (name, _) in _PROFILE_COUNTS.items() if key != "workers"}
+        out = {key: int(getattr(self, name)) for key, (name, _) in _PROFILE_COUNTS.items()}
         out |= {key: bool(getattr(self, key)) for key in _PROFILE_FLAGS}
         out |= {key: float(getattr(self.sut, key)) for key in _SUT_KEYS}
         out |= {key: getattr(self, key).tolist() for key in _PROFILE_MATRICES}
@@ -310,21 +309,6 @@ def _resample_indices(rng: np.random.Generator, weights: np.ndarray) -> np.ndarr
     return rng.choice(n, size=n, replace=True, p=weights / weights.sum())
 
 
-def _rows(fn, n: int, workers: int):
-    """``fn(lo, hi)`` over contiguous slices of ``n`` rows, one thread each.
-
-    ``fn`` returns a tuple of arrays with one row per row of its slice;
-    each is joined in row order.
-    """
-    per = -(-n // min(workers, n))
-    bounds = [(lo, min(n, lo + per)) for lo in range(0, n, per)]
-    if len(bounds) == 1:
-        return fn(0, n)
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        parts = list(pool.map(lambda b: fn(*b), bounds))
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
 def init(config: FilterConfig) -> FilterState:
     """Draw the initial particle population.
 
@@ -353,30 +337,22 @@ def _propose(state: FilterState, window: np.ndarray, model,
     covariance factorization run on the candidates that ``state.parents``
     names, once each, and are gathered to the particles by the inverse
     index; both are row-independent, so this is bitwise one UKF per
-    particle.  Each particle then draws its candidate from its
-    corrected Gaussian with the standard normals ``z`` and rates it against
-    every contact of ``window``.  Threads split each pass into row slices.
-    Returns ``(covs, cov_vecs, cov_evals, sampled, log_proposal,
-    loglik)``; ``loglik`` is (N, w).
+    particle.  Each particle then draws its candidate from its corrected
+    Gaussian with the standard normals ``z`` and rates it against every
+    contact of ``window``.  Returns ``(covs, cov_vecs, cov_evals, sampled,
+    log_proposal, loglik)``; ``loglik`` is (N, w).
     """
     rows, owner = np.unique(state.parents, return_inverse=True)
     R = model.sigma_p ** 2 * np.eye(3)
-
-    def corrected(lo, hi):
-        means, covs = ukf_step_batch(state.sampled[rows[lo:hi]], state.covs[rows[lo:hi]],
-                                     window[-1], model, config.process_noise, R=R,
-                                     sut=config.sut)
-        vecs, evals_sample, evals_density = _factor_covariances(covs)
-        return means, covs, vecs, evals_density, vecs * np.sqrt(evals_sample)[:, None, :]
+    means, covs = ukf_step_batch(state.sampled[rows], state.covs[rows], window[-1],
+                                 model, config.process_noise, R=R, sut=config.sut)
+    vecs, evals_sample, evals_density = _factor_covariances(covs)
+    scale = vecs * np.sqrt(evals_sample)[:, None, :]
     means, covs, vecs, evals_density, scale = (
-        a[owner] for a in _rows(corrected, len(rows), config.n_workers))
-
-    def drawn(lo, hi):
-        sampled = means[lo:hi] + np.einsum("bij,bj->bi", scale[lo:hi], z[lo:hi])
-        log_q = _log_gauss_factored(sampled - means[lo:hi], vecs[lo:hi],
-                                    evals_density[lo:hi])
-        return sampled, log_q, log_likelihood_batch(model, window, sampled)
-    sampled, log_q, ll = _rows(drawn, len(owner), config.n_workers)
+        a[owner] for a in (means, covs, vecs, evals_density, scale))
+    sampled = means + np.einsum("bij,bj->bi", scale, z)
+    log_q = _log_gauss_factored(sampled - means, vecs, evals_density)
+    ll = log_likelihood_batch(model, window, sampled)
     return covs, vecs, evals_density, sampled, log_q, ll
 
 
@@ -460,10 +436,7 @@ def extract_pose(state: FilterState, model, config: FilterConfig) -> PoseEstimat
     # Measurement k = t-w+1..t gets exponent m - t + k - 1: with the
     # min(t - k + 1, m) powers the propagated weights hold, a total of m.
     m, w, n = config.memory, len(state.window), len(state.sampled)
-
-    def rows(lo, hi):
-        return (log_likelihood_batch(model, state.window, state.sampled[lo:hi]),)
-    ll, = _rows(rows, n, config.n_workers)
+    ll = log_likelihood_batch(model, state.window, state.sampled)
     lw = state.log_weights + ll @ np.arange(m - w, m, dtype=float) - state.log_proposal
     wbar, log_wbar, degenerate = _normalize_log_weights(lw)
     if degenerate:

@@ -111,6 +111,9 @@ def sample_contacts(spec: ScenarioSpec, mesh: TriMesh):
     Returns ``(measurements, contacts)``, both (L, 3).  ``contacts`` lie
     exactly on the posed surface; ``measurements`` add world-frame
     isotropic Gaussian noise of standard deviation ``spec.noise_sigma``.
+    A measurement that is not finite, which `read_measurements_csv` would
+    refuse, raises `InvalidConfigError` naming ``noise_sigma`` and
+    ``true_pose``.
     """
     subset = spec.resolved_subset(mesh)
     n = spec.n_measurements
@@ -118,7 +121,7 @@ def sample_contacts(spec: ScenarioSpec, mesh: TriMesh):
 
     picks = subset[rng.integers(0, len(subset), size=n)]
     uv = rng.random((n, 2))
-    noise = rng.standard_normal((n, 3)) * spec.noise_sigma
+    normals = rng.standard_normal((n, 3))
 
     # Square-root reparameterization makes the barycentric draw uniform in
     # area rather than clustered toward the first vertex.
@@ -134,7 +137,13 @@ def sample_contacts(spec: ScenarioSpec, mesh: TriMesh):
 
     R = spec.true_pose.rotation()
     contacts = local @ R.T + spec.true_pose.translation()
-    return contacts + noise, contacts
+    with np.errstate(over="ignore"):
+        measurements = contacts + normals * spec.noise_sigma
+    if not np.isfinite(measurements).all():
+        raise InvalidConfigError(
+            f"noise_sigma {spec.noise_sigma!r} or true_pose "
+            f"{spec.true_pose.to_array().tolist()} gives measurements that are not finite")
+    return measurements, contacts
 
 
 def write_measurements_csv(path, points: np.ndarray) -> None:

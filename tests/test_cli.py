@@ -38,6 +38,29 @@ def tiny_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def serial_pool(monkeypatch):
+    """Replace the batch process pool by one that maps serially and starts
+    no process; the list records each pool's ``max_workers``."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
 def _simulate(tmp_path, box_obj, **over):
     out = str(tmp_path / over.pop("name", "meas.csv"))
     argv = ["simulate", "--mesh", box_obj, "--output", out,
@@ -181,6 +204,18 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: {field}")
         assert not out.exists()
 
+    def test_non_finite_measurements_exit_2_and_write_nothing(self, tmp_path, box_obj,
+                                                              capsys):
+        # Finite settings whose noise overflows: the file would hold inf,
+        # which `localize` refuses.
+        out = tmp_path / "m.csv"
+        rc = cli.main(["simulate", "--mesh", box_obj, "--output", str(out),
+                       "--noise-sigma", "1e308", "--count", "15", "--seed", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise_sigma") and "true_pose" in err
+        assert list(tmp_path.iterdir()) == [Path(box_obj)]
+
 
     def test_creates_output_directories(self, tmp_path, box_obj):
         out = tmp_path / "new" / "c.csv"
@@ -209,9 +244,8 @@ class TestLocalize:
         assert cfg["particles"] == 40
         assert cfg["memory"] == 3
         assert cfg["sigma_p"] == 1e-3
-        # Every profile key, matrices in full, and no worker count.
-        assert set(cfg) == {key for key in _PROFILE_KEYS
-                            if not key.endswith("_diag")} - {"workers"}
+        # Every profile key, matrices in full.
+        assert set(cfg) == {key for key in _PROFILE_KEYS if not key.endswith("_diag")}
         body = rep["report"]
         assert len(body["index_trace"]) == 10
         assert body["final_index"] == body["index_trace"][-1]
@@ -356,12 +390,12 @@ class TestLocalize:
         # Fixed parts of the method, not settings: refused as unknown keys.
         ("sigma_p_is_variance", "false"),
         ("prior_map_exponent", 0),
+        ("workers", 1.5),   # the filter is serial
         ("transition_density_in_weights", "yes"),
         ("particles", 40.9),
         ("memory", True),
         ("resampling_delay", 1.5),
         ("seed", 0.5),
-        ("workers", 1.5),
         ("sigma_p", float("inf")),
         ("alpha", float("nan")),
         ("beta", float("inf")),
@@ -396,7 +430,8 @@ class TestLocalize:
                                             ("alpha", 0.0),
                                             # Values the arithmetic cannot carry.
                                             pytest.param("memory", 10 ** 400, id="memory-huge"),
-                                            ("sigma_p", 1e-300), ("alpha", 1e200)])
+                                            ("sigma_p", 1e-300), ("alpha", 1e200),
+                                            ("resampling_delay", -1)])
     def test_config_error_names_profile_key(self, tmp_path, box_obj, tiny_config,
                                             capsys, key, value):
         meas = _simulate(tmp_path, box_obj)
@@ -407,7 +442,12 @@ class TestLocalize:
         rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
                        "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {key}")
+        err = capsys.readouterr().err
+        if key in _PROFILE_KEYS:
+            assert err.startswith(f"error: {key}")
+        else:
+            # A removed setting (the filter is serial): refused as unknown, by name.
+            assert err == f"error: unknown config keys: [{key!r}]\n"
 
     def test_malformed_yaml_exits_2(self, tmp_path, box_obj, capsys):
         meas = _simulate(tmp_path, box_obj)
@@ -496,6 +536,17 @@ class TestLocalize:
                 cli._write_json(out, {"final_index": value}, omit_timing=False)
         assert not list(tmp_path.iterdir())
 
+    def test_workers_flag_exits_2(self, tmp_path, box_obj, tiny_config, capsys):
+        # The filter is serial: there is no thread count to set.
+        meas = _simulate(tmp_path, box_obj)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                      "--config", tiny_config, "--workers", "1",
+                      "--output", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_seed_override_changes_result(self, tmp_path, box_obj, tiny_config):
         meas = _simulate(tmp_path, box_obj)
         outs = []
@@ -533,19 +584,6 @@ class TestReproducibleReports:
         profile.write_text(json.dumps(json.loads(first.read_text())["config"]))
         assert cli.main(argv + ["--config", str(profile), "--output", str(second)]) == 0
         assert second.read_bytes() == first.read_bytes()
-
-    def test_serial_and_parallel_reports_identical(self, tmp_path, box_obj,
-                                                   tiny_config):
-        meas = _simulate(tmp_path, box_obj)
-        blobs = []
-        for name, workers in (("ser.json", "1"), ("par.json", "4")):
-            out = str(tmp_path / name)
-            rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
-                           "--config", tiny_config, "--output", out,
-                           "--workers", workers, "--omit-timing"])
-            assert rc == 0
-            blobs.append(Path(out).read_bytes())
-        assert blobs[0] == blobs[1]
 
 
 class TestBatch:
@@ -615,6 +653,32 @@ class TestBatch:
                            "--output", out])
             assert rc == 0
             blobs.append(Path(out).read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("trials, trial_workers, cpus, pool", [
+        (2, 100000, 64, [2]), (5, 100000, 3, [3]), (5, 4, 64, [4]),
+        (5, 100000, None, []), (5, 100000, 1, []), (1, 8, 64, []), (5, 1, 64, [])])
+    def test_trial_workers_capped_by_trials_and_cpus(self, monkeypatch, serial_pool,
+                                                     trials, trial_workers, cpus, pool):
+        # A process pool starts all its workers at once, so the pool asked
+        # for is never larger than the trials or the CPUs; at one, no pool.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_batch_trial", lambda trial: 10 * trial)
+        assert cli._run_batch(list(range(trials)), trial_workers) == [
+            10 * i for i in range(trials)]
+        assert serial_pool == pool
+
+    def test_huge_trial_workers_runs_the_batch(self, tmp_path, box_obj, tiny_config,
+                                               monkeypatch, serial_pool):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        blobs = []
+        for name, tw in (("serial.json", "1"), ("capped.json", "100000")):
+            out = tmp_path / name
+            assert cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                             "--trials", "2", "--count", "6", "--trial-workers", tw,
+                             "--omit-timing", "--output", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert serial_pool == [2]
         assert blobs[0] == blobs[1]
 
     def test_sweep_loads_mesh_once(self, tmp_path, box_obj, tiny_config, monkeypatch):

@@ -27,9 +27,8 @@ from meshloc.errors import is_int
 BOX = box_mesh(0.1, 0.3, 0.2)
 
 # FilterConfig field -> the profile key its errors name.
-_KEYS = {f.name: f.name for f in fields(FilterConfig)} | {
-    "n_particles": "particles", "n_workers": "workers"}
-_COUNTS = ("n_particles", "memory", "resampling_delay", "seed", "n_workers")
+_KEYS = {f.name: f.name for f in fields(FilterConfig)} | {"n_particles": "particles"}
+_COUNTS = ("n_particles", "memory", "resampling_delay", "seed")
 _FLAGS = ("transition_density_in_weights",)
 _ARRAYS = {"process_noise": (6, 6), "prior_mean": (6,), "prior_cov": (6, 6)}
 
@@ -208,7 +207,7 @@ _CONTACTS = np.array([[0.05, 0.0, 0.0], [0.0, 0.15, 0.01], [0.01, 0.02, 0.1]])
 # Profiles of up to three extreme settings, a vector or matrix holding its
 # value on every entry or on the diagonal, with a small population.
 _EXTREME_KEYS = st.dictionaries(
-    st.sampled_from(["memory", "resampling_delay", "seed", "workers", "sigma_p",
+    st.sampled_from(["memory", "resampling_delay", "seed", "sigma_p",
                      "alpha", "k", "beta", "prior_mean", *_MATRICES]),
     _EXTREME, min_size=1, max_size=3)
 

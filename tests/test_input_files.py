@@ -34,7 +34,6 @@ particles: 16
 memory: 3
 resampling_delay: 2
 seed: 0
-workers: 1
 sigma_p: 1.0e-3
 alpha: 1.0
 k: 2.0
@@ -118,7 +117,7 @@ def _check_echo(fmt, mutated, report):
         for key, value in yaml.safe_load(mutated).items():
             if key.endswith("_diag"):
                 assert _same(np.diag(report["config"][key[:-5]]).tolist(), value), key
-            elif key != "workers":   # scheduling only, never echoed
+            else:
                 assert _same(report["config"][key], value), key
     elif fmt == "json":
         scenario = json.loads(mutated)["scenario"]

@@ -60,7 +60,8 @@ _REFUSALS = [
     ("memory", 2.5, "memory must be an integer >= 1"),
     ("resampling_delay", -1, "resampling_delay must be an integer >= 0"),
     ("seed", True, "seed must be an integer >= 0"),
-    ("workers", 0, "workers (n_workers) must be an integer >= 1"),
+    # The filter has no thread setting: the key is refused as unknown.
+    ("workers", 1, "unknown config keys: ['workers']"),
     ("transition_density_in_weights", None,
      "transition_density_in_weights must be true or false"),
     ("process_noise", (np.eye(6) + np.eye(6, k=1)).tolist(),
@@ -234,13 +235,22 @@ class TestFilterConfig:
         # from_mapping holds no defaults of its own, so none can drift.
         cfg = FilterConfig.from_mapping({})
         assert cfg.to_dict() == FilterConfig().to_dict()
-        assert cfg.n_workers == FilterConfig().n_workers
+
+    @pytest.mark.parametrize("value", [0, 2, True, 1.5, 1.0, "1"])
+    def test_n_workers_accepts_only_one(self, value):
+        with pytest.raises(InvalidConfigError, match="^n_workers must be 1 "):
+            FilterConfig(n_workers=value)
 
     def test_workers_accepted_but_not_echoed(self):
-        cfg = FilterConfig.from_mapping({"workers": 4})
-        assert cfg.n_workers == 4
-        assert "workers" not in cfg.to_dict()
-        assert "n_workers" not in cfg.to_dict()
+        # n_workers=1 is accepted for callers that still pass it, and is no
+        # field. Arrays make `==` ambiguous; the echo holds every field.
+        cfg = _small_config()
+        assert not {"workers", "n_workers"} & set(FilterConfig(n_workers=1).to_dict())
+        assert replace(cfg, n_workers=1).to_dict() == cfg.to_dict()
+        five = replace(cfg, memory=5)
+        assert replace(cfg, memory=5, n_workers=1).to_dict() == five.to_dict()
+        assert "n_workers" not in {f.name for f in fields(FilterConfig)}
+        assert "n_workers" not in repr(cfg)
 
     def test_to_dict_is_json_ready(self):
         import json
@@ -514,10 +524,8 @@ class TestDistinctParents:
         model = cfg.model_for(box)
         return cfg, model, _measurements(box, cfg.prior_mean, 4, 1e-3, seed=3)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_step_equals_the_step_over_every_particle(self, setup, workers):
+    def test_step_equals_the_step_over_every_particle(self, setup):
         cfg, model, meas = setup
-        cfg = replace(cfg, n_workers=workers)
         state = init(cfg)
         for y in meas:
             a, diag_a = step(state, y, model, cfg)
@@ -532,10 +540,9 @@ class TestDistinctParents:
             state = a
             assert len(np.unique(state.parents)) < cfg.n_particles
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_ukf_rows_are_the_distinct_parents(self, setup, monkeypatch, workers):
+    def test_ukf_rows_are_the_distinct_parents(self, setup, monkeypatch):
         cfg, model, meas = setup
-        cfg = replace(cfg, n_workers=workers, resampling_delay=1)
+        cfg = replace(cfg, resampling_delay=1)
         rows = []
         batch = mupf.ukf_step_batch
 
@@ -712,8 +719,8 @@ class TestExtraction:
     # Supports the pinned scenario never produces.  Each state is held
     # bitwise to the dense reference, which evaluates every component.
     @staticmethod
-    def _assert_dense(state, workers=1):
-        cfg = FilterConfig(n_particles=len(state.sampled), memory=1, n_workers=workers)
+    def _assert_dense(state):
+        cfg = FilterConfig(n_particles=len(state.sampled), memory=1)
         est = extract_pose(state, _FlatModel(), cfg)
         best, score = map_readout(state, _FlatModel(), cfg)
         assert np.array_equal(est.pose.to_array(), state.sampled[best])
@@ -770,13 +777,6 @@ class TestExtraction:
         sampled = 1e-2 * rng.normal(size=(n, 6))
         covs = _random_covs(n, 1e-4, seed=n)
         self._assert_dense(_mixture_state(sampled, _spread_weights(rng, n), covs))
-
-    def test_two_workers(self):
-        rng = np.random.default_rng(4)
-        n = 257
-        sampled = 1e-2 * rng.normal(size=(n, 6))
-        self._assert_dense(_mixture_state(sampled, _spread_weights(rng, n),
-                                          _random_covs(n, 1e-4)), workers=2)
 
     def test_component_bound_premise(self, box):
         # The readout leaves out a component whose term is at most
@@ -841,29 +841,6 @@ class TestRun:
         assert rep_a.seed == 3
         assert np.array_equal(rep_a.index_trace, rep_b.index_trace)
         assert np.array_equal(est_a[-1].pose.to_array(), est_b[-1].pose.to_array())
-
-    def test_parallel_workers_bitwise_identical(self, box):
-        # Uneven slices (37 rows on 2, 3 and 4 threads) and more threads
-        # than particles: at every step each state array, the diagnostics
-        # and the estimate equal the serial run's bit for bit.
-        for n, workers in [(37, 2), (37, 3), (37, 4), (3, 4)]:
-            serial = _small_config(n_particles=n, seed=8)
-            threaded = replace(serial, n_workers=workers)
-            model = serial.model_for(box)
-            meas = _measurements(box, serial.prior_mean, 5, 1e-3, seed=6)
-            a, b = init(serial), init(threaded)
-            for y in meas:
-                a, diag_a = step(a, y, model, serial)
-                b, diag_b = step(b, y, model, threaded)
-                assert diag_a == diag_b
-                for f in fields(FilterState):
-                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), \
-                        (n, workers, f.name)
-                est_a = extract_pose(a, model, serial)
-                est_b = extract_pose(b, model, threaded)
-                assert np.array_equal(est_a.pose.to_array(), est_b.pose.to_array())
-                assert est_a.map_score == est_b.map_score
-                assert np.array_equal(est_a.extraction_weights, est_b.extraction_weights)
 
     def test_rejects_bad_measurement_shapes(self, box):
         cfg = _small_config()
