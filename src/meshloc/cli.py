@@ -42,7 +42,7 @@ __all__ = ["main"]
 
 logger = logging.getLogger(__name__)
 
-REPORT_SCHEMA = "meshloc-report-2"
+REPORT_SCHEMA = "meshloc-report-3"
 _TIMING_KEYS = ("elapsed", "mean_elapsed", "max_elapsed")
 
 

@@ -70,8 +70,8 @@ _SQUARE_RANGE = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max))
 
 
 def check_square(value: float, name: str) -> None:
-    """Refuse a scale the arithmetic squares (``sigma_p``, ``alpha``),
-    naming ``name``, unless its square is a positive, normal, finite float."""
+    """Refuse a scale the arithmetic squares (``sigma_p``), naming
+    ``name``, unless its square is a positive, normal, finite float."""
     if not (np.isfinite(value) and value > 0.0):
         raise InvalidConfigError(f"{name} must be positive and finite")
     low, high = _SQUARE_RANGE

@@ -45,7 +45,6 @@ from .errors import InvalidConfigError, MeshlocError, as_real, check_square, is_
 from .geometry import Pose
 from .metrics import TrialReport, performance_index, pose_error, success_test
 from .ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
-from .unscented import SutParams
 
 __all__ = [
     "FilterConfig",
@@ -75,16 +74,15 @@ _MAX_MEMORY = 2 ** 53
 # Profile keys that `FilterConfig.from_mapping` reads and `to_dict` writes,
 # each stated once and grouped by how it is read and checked: a count maps
 # to a field and holds its least value, a flag is true or false, a matrix
-# may also be given as its ``_diag``, and the transform parameters go to
-# `SutParams`.  `_PROFILE_KEYS` is every key a profile may set.
+# may also be given as its ``_diag``.  `_PROFILE_KEYS` is every key a
+# profile may set.
 _PROFILE_COUNTS = {"particles": ("n_particles", 1), "memory": ("memory", 1),
                    "resampling_delay": ("resampling_delay", 0),
                    "seed": ("seed", 0)}
 _PROFILE_FLAGS = ("transition_density_in_weights",)
 _PROFILE_MATRICES = {"process_noise": 6, "prior_cov": 6}
-_SUT_KEYS = ("alpha", "k", "beta")
 _PROFILE_KEYS = frozenset({
-    *_PROFILE_COUNTS, *_PROFILE_FLAGS, *_SUT_KEYS, "sigma_p", "prior_mean",
+    *_PROFILE_COUNTS, *_PROFILE_FLAGS, "sigma_p", "prior_mean",
     *(key + suffix for key in _PROFILE_MATRICES for suffix in ("", "_diag"))})
 
 
@@ -114,7 +112,6 @@ class FilterConfig:
     prior_cov: np.ndarray = field(default_factory=lambda: np.diag(
         [0.04, 0.04, 0.04, np.pi ** 2, (np.pi / 2.0) ** 2, np.pi ** 2]))
     sigma_p: float = 1e-4
-    sut: SutParams = field(default_factory=SutParams)
     resampling_delay: int = 2
     transition_density_in_weights: bool = False
     seed: int = 0
@@ -140,8 +137,6 @@ class FilterConfig:
             value = getattr(self, name)
             if isinstance(value, float) and value.is_integer():
                 object.__setattr__(self, name, int(value))
-        if not isinstance(self.sut, SutParams):
-            raise InvalidConfigError(f"sut must be a SutParams, got {self.sut!r}")
         self.validate()
 
     def validate(self) -> None:
@@ -159,7 +154,6 @@ class FilterConfig:
             if not isinstance(getattr(self, key), (bool, np.bool_)):
                 raise InvalidConfigError(f"{key} must be true or false")
         check_square(self.sigma_p, "sigma_p")
-        self.sut.weights(6)   # refuses a transform with no finite weights for a pose
         if not np.isfinite(self.prior_mean).all():
             raise InvalidConfigError("prior_mean must be a finite 6-vector")
         for key, dim in _PROFILE_MATRICES.items():
@@ -182,16 +176,15 @@ class FilterConfig:
         """Build a config from a flat mapping (the on-disk profile format).
 
         Only the keys the mapping sets are passed on: the defaults of
-        `FilterConfig` and `SutParams` fill in the rest, and their
-        constructors convert and check each value.  A matrix given as its
-        ``_diag`` shorthand is expanded here.
+        `FilterConfig` fill in the rest, and its constructor converts and
+        checks each value.  A matrix given as its ``_diag`` shorthand is
+        expanded here.
         """
         unknown = set(mapping) - _PROFILE_KEYS
         if unknown:
             raise InvalidConfigError(
                 f"unknown config keys: {sorted(unknown, key=str)}")
-        kwargs = {"sut": SutParams(**{key: mapping[key] for key in _SUT_KEYS
-                                      if key in mapping})}
+        kwargs = {}
         for key, dim in _PROFILE_MATRICES.items():
             diag_key = key + "_diag"
             if key in mapping and diag_key in mapping:
@@ -212,7 +205,6 @@ class FilterConfig:
         """
         out = {key: int(getattr(self, name)) for key, (name, _) in _PROFILE_COUNTS.items()}
         out |= {key: bool(getattr(self, key)) for key in _PROFILE_FLAGS}
-        out |= {key: float(getattr(self.sut, key)) for key in _SUT_KEYS}
         out |= {key: getattr(self, key).tolist() for key in _PROFILE_MATRICES}
         return out | {"prior_mean": self.prior_mean.tolist(), "sigma_p": self.sigma_p}
 
@@ -241,7 +233,7 @@ class FilterState:
     cov_vecs: np.ndarray | None = None      # (N, 6, 6) eigenvectors of P_t
     cov_evals: np.ndarray | None = None     # (N, 6) eigenvalues floored for densities
     log_proposal: np.ndarray | None = None  # (N,) log N(xhat; xbar, P)
-    log_weights: np.ndarray | None = None   # (N,) normalized log w~_t, -inf where zero
+    log_weights: np.ndarray | None = None   # (N,) normalized log w~_t, finite at w~_t = 0
 
     @property
     def n_particles(self) -> int:
@@ -288,9 +280,9 @@ def _normalize_log_weights(lw: np.ndarray):
     """Exp-normalize with max subtraction.
 
     Returns ``(weights, log_weights, degenerate)``.  Log weights are
-    normalized in log space, so entries that underflow to zero linear
-    weight keep a finite-math -inf log weight instead of tripping a
-    log-of-zero warning downstream.
+    normalized in log space, so an entry whose linear weight underflows to
+    exactly 0.0 keeps its log weight ``lw - top - log(total)``, finite where
+    ``lw`` is, not ``log(0) = -inf``.
     """
     if np.isnan(lw).any():
         raise FloatingPointError("non-finite log-weights in update")
@@ -345,7 +337,7 @@ def _propose(state: FilterState, window: np.ndarray, model,
     rows, owner = np.unique(state.parents, return_inverse=True)
     R = model.sigma_p ** 2 * np.eye(3)
     means, covs = ukf_step_batch(state.sampled[rows], state.covs[rows], window[-1],
-                                 model, config.process_noise, R=R, sut=config.sut)
+                                 model, config.process_noise, R=R)
     vecs, evals_sample, evals_density = _factor_covariances(covs)
     scale = vecs * np.sqrt(evals_sample)[:, None, :]
     means, covs, vecs, evals_density, scale = (

@@ -101,8 +101,7 @@ def _solve_gain(S: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
 
 
 def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
-                   model, Q: np.ndarray, *, R: np.ndarray,
-                   sut: unscented.SutParams):
+                   model, Q: np.ndarray, *, R: np.ndarray):
     """One unscented Kalman cycle for a batch of particle Gaussians.
 
     Parameters
@@ -112,7 +111,6 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     model : object with ``predict_batch(y, poses)``.
     Q : (6, 6) process noise added in the time update.
     R : (3, 3) measurement noise.
-    sut : sigma-point parameters.
 
     Returns
     -------
@@ -130,7 +128,7 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     P_pred = covs + Q
 
     y_hat, S, Gamma = unscented.unscented_transform(
-        means, P_pred, lambda X: model.predict_batch(y, X), sut, noise=R)
+        means, P_pred, lambda X: model.predict_batch(y, X), noise=R)
 
     K = _solve_gain(S, Gamma)                            # (B, n, p)
     innov = y[None, :] - y_hat

@@ -12,6 +12,13 @@ with ``lam = alpha^2 (n + k) - n`` and weights::
     W_0^cov  = lam / (n + lam) + (1 - alpha^2 + beta)
     W_i^mean = W_i^cov = 1 / (2 (n + lam))       i >= 1
 
+The parameters are fixed at ``alpha = 1``, ``k = 2`` and ``beta = 30``,
+the scaled transform of Julier (2002) that the unscented particle filter
+of van der Merwe et al. (2000) runs: for a 6-D pose, ``lam = 2`` and the
+13 sigma points weigh ``W_0^mean = 1/4``, ``W_0^cov = 30.25`` and
+``W_i = 1/16``.  ``alpha = 1`` keeps the spread at ``sqrt(n + k)``;
+``beta = 30`` overweights the central covariance residual.
+
 The matrix square root is the lower Cholesky factor.  When a covariance is
 only positive semidefinite, a diagonal jitter of ``1e-12 * trace / n`` is
 added and escalated by factors of 10 up to ``1e-6 * trace / n`` before
@@ -25,62 +32,29 @@ place the filter forms them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
-from .errors import InvalidConfigError, NotPositiveDefiniteError, as_real, check_square
+from .errors import NotPositiveDefiniteError
 
-__all__ = ["SutParams", "sigma_points_batch", "unscented_transform"]
+__all__ = ["sigma_points_batch", "unscented_transform"]
 
 _JITTER_STEPS = 7  # 1e-12 .. 1e-6 relative, factor 10 per step
+_ALPHA, _K, _BETA = 1.0, 2.0, 30.0   # the transform's parameters
 
 
-@dataclass(frozen=True)
-class SutParams:
-    """Scaled unscented transform parameters.
+def _lam(n: int) -> float:
+    """Scaling ``lambda`` for n-dimensional Gaussians."""
+    return _ALPHA ** 2 * (n + _K) - n
 
-    Defaults match the shipped estimation profiles: ``alpha=1`` keeps the
-    spread at sqrt(n + k), ``beta=30`` overweights the central covariance
-    residual.
-    """
 
-    alpha: float = 1.0
-    k: float = 2.0
-    beta: float = 30.0
-
-    def __post_init__(self):
-        # Each field becomes a float once; alpha > 0 and k >= 0 keep
-        # n + lam = alpha^2 (n + k) positive, and `weights` refuses where
-        # rounding does not.
-        for f in fields(self):
-            object.__setattr__(self, f.name, as_real(getattr(self, f.name), f.name, "a number"))
-        for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)):
-                raise InvalidConfigError(f"{f.name} must be finite")
-        check_square(self.alpha, "alpha")
-        if self.k < 0.0:
-            raise InvalidConfigError("k must be non-negative")
-
-    def lam(self, n: int) -> float:
-        """Scaling ``lambda`` for n-dimensional Gaussians."""
-        return self.alpha ** 2 * (n + self.k) - n
-
-    def weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance weight vectors of length 2 n + 1; refused,
-        naming the parameters, where ``n + lam`` rounds to 0 or overflows or
-        ``1 - alpha^2 + beta`` overflows."""
-        lam = self.lam(n)
-        central = 1.0 - self.alpha ** 2 + self.beta
-        if not (0.0 < n + lam < np.inf and np.isfinite(central)):
-            raise InvalidConfigError(
-                f"alpha, k and beta give no finite sigma-point weights for n = {n}: "
-                f"n + lambda = {n + lam!r}, 1 - alpha**2 + beta = {central!r}")
-        w_mean = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
-        w_cov = w_mean.copy()
-        w_mean[0] = lam / (n + lam)
-        w_cov[0] = lam / (n + lam) + central
-        return w_mean, w_cov
+def _weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance weight vectors of length 2 n + 1."""
+    lam = _lam(n)
+    w_mean = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
+    w_cov = w_mean.copy()
+    w_mean[0] = lam / (n + lam)
+    w_cov[0] = lam / (n + lam) + (1.0 - _ALPHA ** 2 + _BETA)
+    return w_mean, w_cov
 
 
 def _cholesky_jittered(mat: np.ndarray) -> np.ndarray:
@@ -103,8 +77,7 @@ def _cholesky_jittered(mat: np.ndarray) -> np.ndarray:
         f"covariance not positive definite after jitter up to {scale * 1e-6:.3e}")
 
 
-def sigma_points_batch(means: np.ndarray, covs: np.ndarray,
-                       params: SutParams) -> np.ndarray:
+def sigma_points_batch(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Sigma points for a batch of Gaussians.
 
     ``means`` has shape (B, n), ``covs`` shape (B, n, n); the result is
@@ -113,7 +86,7 @@ def sigma_points_batch(means: np.ndarray, covs: np.ndarray,
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     B, n = means.shape
-    scaled = (n + params.lam(n)) * 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    scaled = (n + _lam(n)) * 0.5 * (covs + np.swapaxes(covs, -1, -2))
     try:
         L = np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
@@ -126,8 +99,7 @@ def sigma_points_batch(means: np.ndarray, covs: np.ndarray,
     return points
 
 
-def unscented_transform(means: np.ndarray, covs: np.ndarray, g,
-                        params: SutParams, noise=0.0):
+def unscented_transform(means: np.ndarray, covs: np.ndarray, g, noise=0.0):
     """Output moments of ``g`` for a batch of Gaussians.
 
     ``means`` is (B, n) and ``covs`` (B, n, n); ``g`` maps an (M, n) stack
@@ -136,9 +108,9 @@ def unscented_transform(means: np.ndarray, covs: np.ndarray, g,
     is symmetrized afterwards; ``P_xy`` is taken about ``means``.
     """
     means = np.asarray(means, dtype=float)
-    X = sigma_points_batch(means, covs, params)          # (B, S, n)
+    X = sigma_points_batch(means, covs)          # (B, S, n)
     B, S_count, n = X.shape
-    w_mean, w_cov = params.weights(n)
+    w_mean, w_cov = _weights(n)
 
     Y = g(X.reshape(B * S_count, n)).reshape(B, S_count, -1)
     y_mean = np.einsum("s,bsp->bp", w_mean, Y)

@@ -24,7 +24,6 @@ from meshloc import (
     FilterState,
     Pose,
     ScenarioSpec,
-    SutParams,
     box_mesh,
     init,
     run,
@@ -91,7 +90,7 @@ def test_criterion_1_unscented_affine_exactness():
         a = rng.normal(size=(3, 6))
         b = rng.normal(size=3)
         y_mean, p_y, p_xy = unscented_transform(mean[None], cov[None],
-                                                lambda X: X @ a.T + b, SutParams())
+                                                lambda X: X @ a.T + b)
         worst = max(worst,
                     _rel_err(y_mean[0], a @ mean + b),
                     _rel_err(p_y[0], a @ cov @ a.T),
@@ -139,7 +138,7 @@ def test_criterion_3_ukf_matches_linear_kalman():
         rf = rng.normal(size=(3, 3))
         r = rf @ rf.T + 0.1 * np.eye(3)
         got_x, got_p = ukf_step_batch(x[None], p[None], y, _AffineModel(a, b),
-                                      q, R=r, sut=SutParams())
+                                      q, R=r)
         want_x, want_p = kalman_update(x, p, y, a, b, r, q)
         worst = max(worst, _rel_err(got_x[0], want_x), _rel_err(got_p[0], want_p))
     elapsed = time.perf_counter() - started
@@ -252,7 +251,7 @@ def test_criterion_8_index_trace_converges(pinned_batches):
               f"({frac:.0%} >= 90%)")
 
 
-def test_criterion_9_reports_identical_across_scheduling(tmp_path):
+def test_criterion_9_reports_identical_across_scheduling(tmp_path, monkeypatch):
     mesh_path = str(tmp_path / "box.obj")
     save_obj(box_mesh(0.1, 0.3, 0.2), mesh_path)
     cfg_path = tmp_path / "small.yaml"
@@ -272,9 +271,21 @@ def test_criterion_9_reports_identical_across_scheduling(tmp_path):
                      "--measurements", meas_path, "--config", str(cfg_path),
                      "--omit-timing", "--output", loc_path]) == 0
 
+    # The two-worker batch runs in a process pool on every host: the CPU
+    # count that caps the pool reads 2, and the pool records its entry.
+    pools = []
+
+    class SpyPool(cli.ProcessPoolExecutor):
+        def __enter__(self):
+            pools.append(self._max_workers)
+            return super().__enter__()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
     bat_blobs = []
     for name, tw in (("bat1.json", "1"), ("bat2.json", "2")):
         out = str(tmp_path / name)
+        if tw == "2":
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         assert cli.main(["batch", "--mesh", mesh_path,
                          "--config", str(cfg_path), "--trials", "2",
                          "--count", "6", "--noise-sigma", "5e-4",
@@ -283,9 +294,10 @@ def test_criterion_9_reports_identical_across_scheduling(tmp_path):
         bat_blobs.append(Path(out).read_bytes())
 
     bat_ok = bat_blobs[0] == bat_blobs[1]
+    pool_ok = pools == [2]
     report = json.loads(Path(loc_path).read_text())
     echo_ok = "workers" not in report["config"] and "elapsed" not in report["report"]
-    ok = bat_ok and echo_ok
+    ok = bat_ok and pool_ok and echo_ok
     _gate(9, "reports are byte-identical across trial-worker counts",
-          ok, f"batch identical: {bat_ok}, "
+          ok, f"batch identical: {bat_ok}, 2-process pool entered: {pool_ok}, "
               f"no scheduling keys in echo: {echo_ok}")

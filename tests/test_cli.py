@@ -80,7 +80,7 @@ def _simulate(tmp_path, box_obj, **over):
 # report embeds, for the library defaults and the shipped profiles.
 _CONFIG_ECHOES = {
     "default": (
-        '{"alpha": 1.0, "beta": 30.0, "k": 2.0, "memory": 10, "particles": 700, '
+        '{"memory": 10, "particles": 700, '
         '"prior_cov": [[0.04, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.04, 0.0, 0.0, 0.0, '
         '0.0], [0.0, 0.0, 0.04, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 9.869604401089358, '
         '0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 2.4674011002723395, 0.0], [0.0, 0.0, 0.0, '
@@ -92,7 +92,7 @@ _CONFIG_ECHOES = {
         '"transition_density_in_weights": false}'
     ),
     "robot": (
-        '{"alpha": 1.0, "beta": 30.0, "k": 2.0, "memory": 10, "particles": 1200, '
+        '{"memory": 10, "particles": 1200, '
         '"prior_cov": [[0.04, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.04, 0.0, 0.0, 0.0, '
         '0.0], [0.0, 0.0, 0.04, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 9.869604401089358, '
         '0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 2.4674011002723395, 0.0], [0.0, 0.0, 0.0, '
@@ -238,7 +238,7 @@ class TestLocalize:
                        "--config", tiny_config, "--output", out])
         assert rc == 0
         rep = json.loads(Path(out).read_text())
-        assert rep["schema"] == "meshloc-report-2"
+        assert rep["schema"] == "meshloc-report-3"
         assert rep["kind"] == "localize"
         cfg = rep["config"]
         assert cfg["particles"] == 40
@@ -387,7 +387,8 @@ class TestLocalize:
         assert "unknown config keys: [1, 'foo']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        # Fixed parts of the method, not settings: refused as unknown keys.
+        # Fixed parts of the method, not settings: refused as unknown keys,
+        # as are alpha, k and beta below.
         ("sigma_p_is_variance", "false"),
         ("prior_map_exponent", 0),
         ("workers", 1.5),   # the filter is serial
@@ -420,17 +421,21 @@ class TestLocalize:
         rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
                        "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         assert rc == 2
-        # Matrix errors name the key as "<matrix>[_diag]".
-        assert key.removesuffix("_diag") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if key in _PROFILE_KEYS:
+            # Matrix errors name the key as "<matrix>[_diag]".
+            assert key.removesuffix("_diag") in err
+        else:
+            assert err == f"error: unknown config keys: [{key!r}]\n"
 
     @pytest.mark.parametrize("key, value", [("particles", 0), ("workers", 1.5),
                                             ("prior_mean", [1, 2]), ("sigma_p", True),
                                             ("prior_cov", np.eye(6).tolist()),
                                             ("beta", float("inf")), ("k", float("nan")),
-                                            ("alpha", 0.0),
+                                            ("alpha", 0.0), ("alpha", 1e200),
                                             # Values the arithmetic cannot carry.
                                             pytest.param("memory", 10 ** 400, id="memory-huge"),
-                                            ("sigma_p", 1e-300), ("alpha", 1e200),
+                                            ("sigma_p", 1e-300),
                                             ("resampling_delay", -1)])
     def test_config_error_names_profile_key(self, tmp_path, box_obj, tiny_config,
                                             capsys, key, value):
@@ -446,7 +451,8 @@ class TestLocalize:
         if key in _PROFILE_KEYS:
             assert err.startswith(f"error: {key}")
         else:
-            # A removed setting (the filter is serial): refused as unknown, by name.
+            # A removed setting (the filter is serial, the transform's
+            # parameters are fixed): refused as unknown, by name.
             assert err == f"error: unknown config keys: [{key!r}]\n"
 
     def test_malformed_yaml_exits_2(self, tmp_path, box_obj, capsys):
@@ -874,7 +880,6 @@ class TestShippedProfiles:
                               [1e-5, 1e-5, 1e-5, 1e-4, 1e-4, 1e-4])
         assert np.diag(cfg.prior_cov)[3] == np.pi ** 2
         assert np.diag(cfg.prior_cov)[4] == (np.pi / 2) ** 2
-        assert (cfg.sut.alpha, cfg.sut.k, cfg.sut.beta) == (1.0, 2.0, 30.0)
         assert cfg.resampling_delay == 2
 
     def test_robot_profile_parses(self, configs_dir):

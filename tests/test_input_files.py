@@ -35,9 +35,6 @@ memory: 3
 resampling_delay: 2
 seed: 0
 sigma_p: 1.0e-3
-alpha: 1.0
-k: 2.0
-beta: 30.0
 transition_density_in_weights: false
 prior_mean: [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 prior_cov_diag: [0.01, 0.01, 0.01, 0.2, 0.2, 0.2]

@@ -16,7 +16,6 @@ from meshloc import (
     MeasurementModel,
     Pose,
     ScenarioSpec,
-    SutParams,
     box_mesh,
     extract_pose,
     init,
@@ -74,13 +73,14 @@ _REFUSALS = [
     # Not profile keys: measurement noise is sigma_p^2 I, reported by to_dict.
     ("measurement_noise", np.eye(3).tolist(), "unknown config keys: ['measurement_noise']"),
     ("measurement_noise_diag", [1e-6] * 3, "unknown config keys: ['measurement_noise_diag']"),
-    # Nor are the fixed parts of the method, even at the value to_dict echoes.
+    # Nor are the fixed parts of the method, at any value, even one an
+    # older report echoed.
     ("sigma_p_is_variance", False, "unknown config keys: ['sigma_p_is_variance']"),
     ("prior_map_exponent", True, "unknown config keys: ['prior_map_exponent']"),
     ("resampling", "multinomial", "unknown config keys: ['resampling']"),
-    ("alpha", 0, "alpha must be positive and finite"),
-    ("k", -1, "k must be non-negative"),
-    ("beta", np.inf, "beta must be finite"),
+    ("alpha", 0, "unknown config keys: ['alpha']"),
+    ("k", -1, "unknown config keys: ['k']"),
+    ("beta", np.inf, "unknown config keys: ['beta']"),
     ("sigma_p", 0, "sigma_p must be positive and finite"),
     ("prior_mean", [0.0, np.nan, 0.0, 0.0, 0.0, 0.0], "prior_mean must be a finite 6-vector"),
 ]
@@ -107,10 +107,12 @@ _MORE_REFUSALS = {
     "memory-huge": ("memory", 2 ** 53 + 1, "memory must be at most 2**53 (9007199254740992)"),
     **{f"{key}-{value!r}": (key, value, f"{key} must lie between 1.492e-154 and "
                             f"1.341e+154, where its square is a normal float, got {value!r}")
-       for key, value in [("sigma_p", 1e-300), ("sigma_p", 5e-324), ("sigma_p", 1e300),
-                          ("alpha", 1e-300), ("alpha", 1e200)]},
-    "alpha-no-spread": ("alpha", 1e-10, "alpha, k and beta give no finite sigma-point "
-                        "weights for n = 6: n + lambda = 0.0, 1 - alpha**2 + beta = 31.0"),
+       for key, value in [("sigma_p", 1e-300), ("sigma_p", 5e-324), ("sigma_p", 1e300)]},
+    # The transform parameters are fixed, so a value their arithmetic
+    # could not carry is refused as an unknown key too.
+    **{f"alpha-{value!r}": ("alpha", value, "unknown config keys: ['alpha']")
+       for value in (1e-300, 1e200)},
+    "alpha-no-spread": ("alpha", 1e-10, "unknown config keys: ['alpha']"),
 }
 
 
@@ -125,7 +127,6 @@ class TestFilterConfig:
         assert np.allclose(np.diag(cfg.prior_cov)[3:],
                            [np.pi ** 2, (np.pi / 2) ** 2, np.pi ** 2])
         assert cfg.sigma_p == 1e-4
-        assert (cfg.sut.alpha, cfg.sut.k, cfg.sut.beta) == (1.0, 2.0, 30.0)
         assert cfg.resampling_delay == 2
         assert cfg.transition_density_in_weights is False
 
@@ -136,7 +137,7 @@ class TestFilterConfig:
         state = init(cfg)
         new, _ = step(state, y, model, cfg)
         _, covs = ukf_step_batch(state.sampled, state.covs, y, model, cfg.process_noise,
-                                 R=4e-6 * np.eye(3), sut=cfg.sut)
+                                 R=4e-6 * np.eye(3))
         assert np.array_equal(new.covs, covs)
 
     @pytest.mark.parametrize("kw", [
@@ -198,17 +199,15 @@ class TestFilterConfig:
 
     def test_from_mapping_round_trip(self):
         cfg = FilterConfig(n_particles=40, memory=4, sigma_p=5e-4, seed=7,
-                           transition_density_in_weights=True,
-                           sut=SutParams(alpha=0.9, k=2.0, beta=10.0))
+                           transition_density_in_weights=True)
         d = cfg.to_dict()
         # No derived value or fixed part of the method is echoed.
         assert not {"measurement_noise", "effective_sigma_p", "sigma_p_is_variance",
-                    "resampling", "prior_map_exponent"} & set(d)
+                    "resampling", "prior_map_exponent", "alpha", "k", "beta"} & set(d)
         cfg2 = FilterConfig.from_mapping(d)
         assert cfg2.to_dict() == cfg.to_dict()
         assert cfg2.n_particles == 40
         assert cfg2.transition_density_in_weights is True
-        assert cfg2.sut.alpha == 0.9
 
     def test_from_mapping_diag_shorthand(self):
         cfg = FilterConfig.from_mapping({
@@ -228,8 +227,8 @@ class TestFilterConfig:
 
     def test_from_mapping_reads_numeric_strings(self):
         # PyYAML reads 1e-3, which has no dot, as the string '1e-3'.
-        cfg = FilterConfig.from_mapping({"sigma_p": "1e-3", "alpha": "0.5"})
-        assert (cfg.sigma_p, cfg.sut.alpha) == (1e-3, 0.5)
+        cfg = FilterConfig.from_mapping({"sigma_p": "1e-3", "prior_cov_diag": ["1e-2"] * 6})
+        assert (cfg.sigma_p, cfg.prior_cov[0, 0]) == (1e-3, 1e-2)
 
     def test_empty_profile_is_library_default(self):
         # from_mapping holds no defaults of its own, so none can drift.
@@ -496,11 +495,10 @@ class TestStepBookkeeping:
         new, diag = step(state, meas[0], model, cfg)
         assert not diag["resampled"]
         _, covs = ukf_step_batch(state.sampled, state.covs, meas[0], model, cfg.process_noise,
-                                 R=model.sigma_p ** 2 * np.eye(3), sut=cfg.sut)
+                                 R=model.sigma_p ** 2 * np.eye(3))
         assert np.array_equal(new.covs, covs)
         _, config_covs = ukf_step_batch(state.sampled, state.covs, meas[0], model,
-                                        cfg.process_noise, R=cfg.sigma_p ** 2 * np.eye(3),
-                                        sut=cfg.sut)
+                                        cfg.process_noise, R=cfg.sigma_p ** 2 * np.eye(3))
         assert not np.allclose(new.covs, config_covs)
 
     def test_transition_density_flag_changes_weights(self, setup):

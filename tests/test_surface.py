@@ -16,7 +16,7 @@ PUBLIC = [
     "FilterConfig", "FilterState", "InvalidConfigError",
     "MeasurementModel", "MeshlocError", "NotPositiveDefiniteError", "Pose",
     "PoseEstimate", "ScenarioSpec", "SingularInnovationError",
-    "SutParams", "TriMesh", "TrialReport", "aggregate_reports",
+    "TriMesh", "TrialReport", "aggregate_reports",
     "box_mesh", "euler_from_matrix",
     "extract_pose", "init", "load_obj",
     "log_likelihood_batch", "performance_index",
@@ -34,7 +34,7 @@ MODULE_ONLY = {"cli": {"main"}}
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC) == 36
+    assert len(PUBLIC) == 35
     assert sorted(meshloc.__all__) == sorted(PUBLIC + ["__version__"])
     for name in meshloc.__all__:
         assert hasattr(meshloc, name), name

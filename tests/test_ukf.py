@@ -6,7 +6,6 @@ from meshloc.errors import SingularInnovationError
 from meshloc.geometry import Pose, box_mesh
 from meshloc import unscented
 from meshloc.ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
-from meshloc.unscented import SutParams
 
 from conftest import random_soup
 from oracles import closest_point_brute, kalman_update
@@ -125,7 +124,6 @@ class TestPredictMeasurement:
 class TestUkfStep:
     def test_affine_map_matches_kalman_oracle(self):
         rng = np.random.default_rng(37)
-        sut = SutParams(alpha=1.0, k=2.0, beta=0.0)
         for _ in range(20):
             x = rng.normal(size=6)
             P = random_spd(rng, 6, scale=0.5)
@@ -135,7 +133,7 @@ class TestUkfStep:
             R = random_spd(rng, 3, scale=0.1)
             y = rng.normal(size=3)
             stub = AffineStub(A, b)
-            got_m, got_P = ukf_step_batch(x[None], P[None], y, stub, Q, R=R, sut=sut)
+            got_m, got_P = ukf_step_batch(x[None], P[None], y, stub, Q, R=R)
             exp_m, exp_P = kalman_update(x, P, y, A, b, R, Q)
             npt.assert_allclose(got_m[0], exp_m, rtol=1e-8, atol=1e-10)
             npt.assert_allclose(got_P[0], exp_P, rtol=1e-8, atol=1e-10)
@@ -144,7 +142,7 @@ class TestUkfStep:
         # Particle already explains the contact: no innovation, no motion.
         y = np.array([0.05, 0.0, 0.0])
         mean, cov = ukf_step_batch(np.zeros((1, 6)), np.zeros((1, 6, 6)), y, model,
-                                   Q=np.zeros((6, 6)), R=noise(model), sut=SutParams())
+                                   Q=np.zeros((6, 6)), R=noise(model))
         npt.assert_allclose(mean[0], np.zeros(6), atol=1e-9)
         assert np.abs(cov[0]).max() < 1e-9
 
@@ -155,19 +153,17 @@ class TestUkfStep:
             x = rng.normal(scale=0.2, size=6)
             P = random_spd(rng, 6, scale=0.05)
             y = rng.normal(scale=0.3, size=3)
-            _, P_corr = ukf_step_batch(x[None], P[None], y, model, Q=Q,
-                                       R=noise(model), sut=SutParams())
+            _, P_corr = ukf_step_batch(x[None], P[None], y, model, Q=Q, R=noise(model))
             gap_eigs = np.linalg.eigvalsh(P + Q - P_corr[0])
             assert gap_eigs.min() > -1e-9
 
     def test_correction_output_is_valid_covariance(self, model):
         rng = np.random.default_rng(47)
-        sut = SutParams()  # beta=30 profile
         Q = np.diag([1e-5] * 3 + [1e-4] * 3)
         poses = rng.normal(scale=0.3, size=(30, 6))
         covs = np.stack([random_spd(rng, 6, scale=0.05) for _ in range(30)])
         y = np.array([0.1, 0.05, -0.02])
-        means, P_corr = ukf_step_batch(poses, covs, y, model, Q, R=noise(model), sut=sut)
+        means, P_corr = ukf_step_batch(poses, covs, y, model, Q, R=noise(model))
         assert np.isfinite(means).all()
         npt.assert_allclose(P_corr, np.swapaxes(P_corr, -1, -2), atol=1e-10)
         assert np.linalg.eigvalsh(P_corr)[:, 0].min() >= -1e-10
@@ -178,7 +174,7 @@ class TestUkfStep:
         x = np.zeros(6)
         P = np.diag([0.01] * 3 + [0.1] * 3)
         mean, _ = ukf_step_batch(x[None], P[None], y, model, Q=np.zeros((6, 6)),
-                                 R=noise(model), sut=SutParams())
+                                 R=noise(model))
         d_before = model.surface_distances(y[None, :], x[None, :])[0, 0]
         d_after = model.surface_distances(y[None, :], mean)[0, 0]
         assert d_after < d_before
@@ -189,18 +185,17 @@ class TestUkfStep:
         means = rng.normal(scale=0.2, size=(8, 6))
         covs = np.stack([random_spd(rng, 6, scale=0.02) for _ in range(8)])
         y = np.array([0.07, -0.1, 0.04])
-        R, sut = noise(model), SutParams()
-        bm, bP = ukf_step_batch(means, covs, y, model, Q, R=R, sut=sut)
+        R = noise(model)
+        bm, bP = ukf_step_batch(means, covs, y, model, Q, R=R)
         for i in range(8):
-            sm, sP = ukf_step_batch(means[i:i + 1], covs[i:i + 1], y, model, Q,
-                                    R=R, sut=sut)
+            sm, sP = ukf_step_batch(means[i:i + 1], covs[i:i + 1], y, model, Q, R=R)
             npt.assert_array_equal(bm[i], sm[0])
             npt.assert_array_equal(bP[i], sP[0])
 
     def test_non_finite_innovation_raises(self):
         with pytest.raises(SingularInnovationError):
             ukf_step_batch(np.zeros((1, 6)), np.eye(6)[None], np.zeros(3), NanStub(),
-                           Q=np.zeros((6, 6)), R=np.eye(3), sut=SutParams())
+                           Q=np.zeros((6, 6)), R=np.eye(3))
 
 
 class FlatBeyond:
@@ -238,15 +233,13 @@ class TestRowIndependence:
 
     def _assert_rows_independent(self, means, covs, model, Q, R):
         """Every row alone, and a gather with repeats, equal the batch."""
-        sut = SutParams()
-        full = ukf_step_batch(means, covs, self.Y, model, Q, R=R, sut=sut)
+        full = ukf_step_batch(means, covs, self.Y, model, Q, R=R)
         for i in range(len(means)):
-            alone = ukf_step_batch(means[i:i + 1], covs[i:i + 1], self.Y, model, Q,
-                                   R=R, sut=sut)
+            alone = ukf_step_batch(means[i:i + 1], covs[i:i + 1], self.Y, model, Q, R=R)
             for got, want in zip(alone, full):
                 npt.assert_array_equal(got[0], want[i])
         idx = np.array([3, 3, 0, len(means) - 1, 3, 1, 0])
-        gathered = ukf_step_batch(means[idx], covs[idx], self.Y, model, Q, R=R, sut=sut)
+        gathered = ukf_step_batch(means[idx], covs[idx], self.Y, model, Q, R=R)
         for got, want in zip(gathered, full):
             npt.assert_array_equal(got, want[idx])
         return full
@@ -272,11 +265,10 @@ class TestRowIndependence:
         R = np.zeros((3, 3))
         full = self._assert_rows_independent(means, covs, model, self.Q, R)
         solves.clear()
-        ukf_step_batch(means, covs, self.Y, model, self.Q, R=R, sut=SutParams())
+        ukf_step_batch(means, covs, self.Y, model, self.Q, R=R)
         assert len(solves) > 1
         keep = np.arange(12) != 2
-        batched = ukf_step_batch(means[keep], covs[keep], self.Y, model, self.Q,
-                                 R=R, sut=SutParams())
+        batched = ukf_step_batch(means[keep], covs[keep], self.Y, model, self.Q, R=R)
         for got, want in zip(batched, full):
             npt.assert_array_equal(got, want[keep])
 
@@ -296,10 +288,10 @@ class TestRowIndependence:
         Q = np.zeros((6, 6))
         full = self._assert_rows_independent(means, covs, model, Q, noise(model))
         jittered.clear()
-        ukf_step_batch(means, covs, self.Y, model, Q, R=noise(model), sut=SutParams())
+        ukf_step_batch(means, covs, self.Y, model, Q, R=noise(model))
         assert len(jittered) == 12
         keep = np.arange(12) != 4
         batched = ukf_step_batch(means[keep], covs[keep], self.Y, model, Q,
-                                 R=noise(model), sut=SutParams())
+                                 R=noise(model))
         for got, want in zip(batched, full):
             npt.assert_array_equal(got, want[keep])
