@@ -1,12 +1,13 @@
 """Command-line front end: simulate scenarios, run the filter, batch trials.
 
 Exit codes: 0 success, 2 refused input (bad flags, bad config, missing
-files: `InvalidConfigError`), 3 runtime or numerical failure, any other
-`ValueError` included.  Every report embeds the fully resolved
-configuration as a profile that ``--config`` reads back, so a report plus
-the mesh is enough to rerun the exact experiment.  Timing fields are
-wall-clock and therefore not a function of the seed; ``--omit-timing``
-strips them so reports from repeated runs can be compared byte for byte.
+files: `InvalidConfigError`) or a file the OS refuses to read or write
+(`OSError`), 3 runtime or numerical failure, any other `ValueError`
+included.  Every report embeds the fully resolved configuration as a
+profile that ``--config`` reads back, so a report plus the mesh is enough
+to rerun the exact experiment.  Timing fields are wall-clock and
+therefore not a function of the seed; ``--omit-timing`` strips them so
+reports from repeated runs can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (InvalidConfigError, FileNotFoundError) as exc:
+    except (InvalidConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MeshlocError, ArithmeticError, ValueError) as exc:   # LinAlgError among them

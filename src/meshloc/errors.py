@@ -36,9 +36,10 @@ def is_int(value) -> bool:
             and not isinstance(value, (bool, np.bool_)))
 
 
-def _holds_bool(value) -> bool:
+def holds_bool(value) -> bool:
+    """True if ``value`` is a bool, a bool array or a (nested) list or tuple holding one."""
     if isinstance(value, (list, tuple)):
-        return any(_holds_bool(v) for v in value)
+        return any(holds_bool(v) for v in value)
     return isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == bool
 
 
@@ -51,7 +52,7 @@ def as_real(value, name: str, what: str, shape=()):
     not the number 1, and 36 numbers in a row are not a 6x6 matrix).
     """
     try:
-        if not _holds_bool(value):
+        if not holds_bool(value):
             if shape == ():
                 if np.ndim(value) == 0:
                     return float(value)
@@ -84,8 +85,8 @@ def read_lines(path, what: str) -> list[str]:
     """The lines of the UTF-8 text file ``path``, line ends translated to
     ``\\n``; ``what`` names the kind of file in the errors.
 
-    A missing file, a directory or bytes that are not UTF-8 raise
-    `InvalidConfigError` naming the file.
+    A missing file, a directory, a file the OS refuses to read and bytes
+    that are not UTF-8 raise `InvalidConfigError` naming the file.
     """
     if Path(path).is_dir():
         raise InvalidConfigError(f"{what} file is a directory: {path}")
@@ -96,3 +97,6 @@ def read_lines(path, what: str) -> list[str]:
             return fh.readlines()
     except UnicodeDecodeError as exc:
         raise InvalidConfigError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise InvalidConfigError(f"{what} file cannot be read: {path}: "
+                                 f"{exc.strerror or exc}") from None

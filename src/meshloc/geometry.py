@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, read_lines
+from .errors import InvalidConfigError, holds_bool, read_lines
 
 __all__ = [
     "Pose",
@@ -232,26 +232,18 @@ class Bvh:
     Node 0 is the root and node ``i`` has children ``2i + 1`` and ``2i + 2``.
     All leaves sit at depth ``depth``, the smallest at which median halving
     leaves at most ``LEAF_SIZE`` faces per leaf; they are the last
-    ``2**depth`` nodes, and leaf ``j`` owns ``order[bounds[j]:bounds[j + 1]]``
-    in ascending face index.  Leaf sizes differ by at most one.
+    ``2**depth`` nodes, and row ``j`` of ``leaves`` holds leaf ``j``'s faces
+    in ascending index, padded to the widest leaf by repeating its last
+    face.  Leaf sizes differ by at most one.
     """
 
     bbox_min: np.ndarray
     bbox_max: np.ndarray
-    bounds: np.ndarray
-    order: np.ndarray
-
-    @property
-    def n_inner(self) -> int:
-        return len(self.bounds) - 2
+    leaves: np.ndarray
 
     @property
     def depth(self) -> int:
-        return self.n_inner.bit_length()
-
-    @property
-    def leaf_width(self) -> int:
-        return int(np.diff(self.bounds).max())
+        return (len(self.leaves) - 1).bit_length()
 
 
 def build_bvh(vertices: np.ndarray, faces: np.ndarray) -> Bvh:
@@ -283,37 +275,44 @@ def build_bvh(vertices: np.ndarray, faces: np.ndarray) -> Bvh:
         bbox_min.append(lo)
         bbox_max.append(hi)
         if level == depth:
-            # Leaf faces ascending so within-leaf argmin ties pick the
-            # lowest face index.
-            order = order[np.lexsort((order, seg))]
             break
         axis = np.argmax(hi - lo, axis=1)
         order = order[np.lexsort((centroid[order, axis[seg]], seg))]
         mid = bounds[:-1] + np.diff(bounds) // 2
         bounds = np.append(np.stack([bounds[:-1], mid], axis=1).ravel(), len(faces))
-    return Bvh(np.concatenate(bbox_min), np.concatenate(bbox_max), bounds, order)
+    # Leaf rows: faces ascending, so within-leaf argmin ties pick the lowest
+    # face index, then the last face repeated up to the widest leaf, which
+    # never wins, since argmin takes the first minimum.
+    order = order[np.lexsort((order, seg))]
+    count = np.diff(bounds)
+    slot = np.minimum(np.arange(count.max()), count[:, None] - 1)
+    leaves = order[bounds[:-1, None] + slot]
+    return Bvh(np.concatenate(bbox_min), np.concatenate(bbox_max), leaves)
 
 
 class TriMesh:
     """Indexed triangle mesh with a BVH for closest-point queries.
 
-    Arrays of the wrong shape, non-finite vertex coordinates and face
-    indices out of range raise ``InvalidConfigError``.  Zero-area faces
-    (repeated vertex indices or collinear corners) are dropped at
-    construction with a warning; at least one usable face must remain, or
-    ``InvalidConfigError`` is raised.
+    Arrays of the wrong shape, non-finite vertex coordinates, face indices
+    that are not integers and face indices out of range raise
+    ``InvalidConfigError``.  Zero-area faces (repeated vertex indices or
+    collinear corners) are dropped at construction with a warning; at least
+    one usable face must remain, or ``InvalidConfigError`` is raised.
     All arrays are read-only after construction.  `closest_points_posed`
     is the one query from world contacts to the posed surface: the
     likelihood, the UKF prediction and the performance index all use it.
     """
 
-    __slots__ = ("vertices", "faces", "bvh", "_a", "_b", "_c")
+    __slots__ = ("vertices", "faces", "bvh", "_corners")
 
     def __init__(self, vertices, faces):
         vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
-        faces = np.ascontiguousarray(np.asarray(faces, dtype=np.int64))
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise InvalidConfigError("vertices must have shape (V, 3)")
+        # A float or bool index would be truncated to an integer face.
+        if np.asarray(faces).dtype.kind not in "iu" or holds_bool(faces):
+            raise InvalidConfigError("faces must be integer vertex indices")
+        faces = np.ascontiguousarray(faces, dtype=np.int64)
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise InvalidConfigError("faces must have shape (F, 3)")
         if not np.isfinite(vertices).all():
@@ -333,10 +332,9 @@ class TriMesh:
         self.faces = faces
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
-        self._a = np.ascontiguousarray(vertices[faces[:, 0]])
-        self._b = np.ascontiguousarray(vertices[faces[:, 1]])
-        self._c = np.ascontiguousarray(vertices[faces[:, 2]])
         self.bvh = build_bvh(vertices, faces)
+        # Corners a, b and c of every leaf row, shape (leaves, width, 3).
+        self._corners = tuple(vertices[faces[self.bvh.leaves, k]] for k in range(3))
 
     @staticmethod
     def _usable(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -381,7 +379,7 @@ class TriMesh:
         d2 = np.empty(M)
         points = np.empty((M, 3))
         faces = np.empty(M, dtype=np.int64)
-        chunk = max(1, min(_KERNEL_BLOCK // self.bvh.leaf_width,
+        chunk = max(1, min(_KERNEL_BLOCK // self.bvh.leaves.shape[1],
                            _PAIR_BUDGET // self.n_faces))
         for s in range(0, M, chunk):
             e = min(M, s + chunk)
@@ -446,19 +444,12 @@ class TriMesh:
     def _leaf_minima(self, Q, qi, nodes):
         """Nearest face of leaf ``nodes[i]`` to query ``Q[qi[i]]``, as
         ``(d2, face, point)``; ties go to the lowest face index."""
-        bvh = self.bvh
-        start = bvh.bounds[nodes - bvh.n_inner]
-        count = bvh.bounds[nodes - bvh.n_inner + 1] - start
-        # Rows padded to the widest leaf by repeating a leaf's last face; a
-        # repeat never wins, since argmin takes the first minimum.
-        slot = np.minimum(np.arange(bvh.leaf_width), count[:, None] - 1)
-        ids = bvh.order[start[:, None] + slot]
+        leaf = nodes - (len(self.bvh.leaves) - 1)
         pts, d2 = closest_point_on_triangles(
-            Q[qi, None, :], np.take(self._a, ids, axis=0),
-            np.take(self._b, ids, axis=0), np.take(self._c, ids, axis=0))
+            Q[qi, None, :], *(np.take(block, leaf, axis=0) for block in self._corners))
         j = np.argmin(d2, axis=1)
         rows = np.arange(len(qi))
-        return d2[rows, j], ids[rows, j], pts[rows, j]
+        return d2[rows, j], self.bvh.leaves[leaf, j], pts[rows, j]
 
 
 def load_obj(path) -> TriMesh:

@@ -13,6 +13,7 @@ import yaml
 from conftest import save_obj
 
 import meshloc.cli as cli
+import meshloc.errors as errors
 from meshloc import FilterConfig, InvalidConfigError, Pose, ScenarioSpec, TrialReport
 from meshloc.mupf import _PROFILE_KEYS
 
@@ -463,6 +464,49 @@ class TestLocalize:
                        "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         assert rc == 2
         assert "malformed YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, what", [
+        ("--measurements", "measurement"), ("--mesh", "mesh"), ("--config", "config"),
+        ("--ground-truth", "ground-truth"),
+    ], ids=["csv", "obj", "yaml", "json"])
+    def test_input_the_os_refuses_exits_2_naming_the_file(self, tmp_path, box_obj,
+                                                          tiny_config, monkeypatch, capsys,
+                                                          flag, what):
+        # Refused by a patched `open`, since chmod 000 denies nothing to root.
+        meas = _simulate(tmp_path, box_obj)
+        files = {"--mesh": box_obj, "--measurements": meas, "--config": tiny_config,
+                 "--ground-truth": str(tmp_path / "meas.truth.json")}
+
+        def refusing_open(file, *args, **kwargs):
+            if str(file) == files[flag]:
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(errors, "open", refusing_open, raising=False)
+        out = tmp_path / "r.json"
+        rc = cli.main(["localize", "--output", str(out),
+                       *(arg for pair in files.items() for arg in pair)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {what} file cannot be read: {files[flag]}: Permission denied\n")
+        assert not out.exists()
+
+    def test_unwritable_output_exits_2_naming_the_path(self, tmp_path, box_obj, tiny_config,
+                                                       monkeypatch, capsys):
+        meas = _simulate(tmp_path, box_obj)
+
+        def refusing_write(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "write_text", refusing_write)
+        out = tmp_path / "r.json"
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", tiny_config, "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 13] Permission denied: '{out}.tmp'\n")
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("payload", [{"schema": "meshloc-ground-truth-1"}, [1, 2]])
     def test_malformed_ground_truth_exits_2(self, tmp_path, box_obj, tiny_config,

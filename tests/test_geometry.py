@@ -240,17 +240,22 @@ class TestClosestPoint:
         npt.assert_allclose(points[0], [0.5, 0.0, 0.0], atol=1e-12)
 
 
+def _leaf_rows(bvh):
+    """Each leaf's faces: its row of the table without the padding."""
+    return [np.unique(row) for row in bvh.leaves]
+
+
 class TestBvh:
     def test_single_face_is_single_leaf(self):
         bvh = build_bvh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]),
                         np.array([[0, 1, 2]]))
         assert len(bvh.bbox_min) == 1
-        assert bvh.bounds.tolist() == [0, 1]
+        assert bvh.leaves.tolist() == [[0]]
 
     def test_leaf_size_bound(self, box):
         mesh = random_soup(300, seed=2)
-        assert np.diff(mesh.bvh.bounds).max() <= LEAF_SIZE == 16
-        assert np.sort(mesh.bvh.order).tolist() == list(range(300))
+        assert mesh.bvh.leaves.shape[1] <= LEAF_SIZE == 16
+        assert np.sort(np.concatenate(_leaf_rows(mesh.bvh))).tolist() == list(range(300))
         # The 12-face box is one leaf: one triangle-kernel call per batch.
         assert len(box.bvh.bbox_min) == 1
 
@@ -335,8 +340,8 @@ class TestExhaustiveParity:
         # Some tied faces sit in different leaves, so the lowest index wins
         # across leaves, not only inside one.
         leaf_of = np.empty(mesh.n_faces, dtype=np.int64)
-        bounds = mesh.bvh.bounds
-        leaf_of[mesh.bvh.order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        leaves = mesh.bvh.leaves
+        leaf_of[leaves] = np.arange(len(leaves))[:, None]
         assert any(len(set(leaf_of[ids])) > 1 for ids in incident)
 
 
@@ -354,18 +359,21 @@ class TestBvhInvariants:
         }[request.param]()
 
     def test_leaves_partition_faces_in_ascending_runs(self, mesh):
-        bvh = mesh.bvh
-        assert bvh.bounds[0] == 0 and bvh.bounds[-1] == mesh.n_faces
-        assert np.sort(bvh.order).tolist() == list(range(mesh.n_faces))
-        for j in range(len(bvh.bounds) - 1):
-            assert np.all(np.diff(bvh.order[bvh.bounds[j]:bvh.bounds[j + 1]]) > 0)
+        leaves = mesh.bvh.leaves
+        rows = _leaf_rows(mesh.bvh)
+        assert np.sort(np.concatenate(rows)).tolist() == list(range(mesh.n_faces))
+        for full, row in zip(leaves, rows):
+            # Strictly ascending (its distinct faces in order), then the
+            # last face repeated to the width.
+            npt.assert_array_equal(full[:len(row)], row)
+            assert np.all(full[len(row):] == row[-1])
 
     def test_depth_is_the_least_that_bounds_leaf_size(self, mesh):
         bvh = mesh.bvh
-        sizes = np.diff(bvh.bounds)
+        sizes = np.array([len(row) for row in _leaf_rows(bvh)])
         assert len(sizes) == 2 ** bvh.depth
         assert len(bvh.bbox_min) == len(bvh.bbox_max) == 2 * len(sizes) - 1
-        assert sizes.max() <= LEAF_SIZE
+        assert sizes.max() == bvh.leaves.shape[1] <= LEAF_SIZE
         assert sizes.max() - sizes.min() <= 1
         if bvh.depth:
             # Merging sibling leaves, i.e. one level less, overfills one.
@@ -374,11 +382,11 @@ class TestBvhInvariants:
     def test_boxes_enclose_faces_tightly(self, mesh):
         bvh = mesh.bvh
         tri = mesh.vertices[mesh.faces]
-        for j in range(len(bvh.bounds) - 1):
-            ids = bvh.order[bvh.bounds[j]:bvh.bounds[j + 1]]
-            npt.assert_array_equal(bvh.bbox_min[bvh.n_inner + j], tri[ids].min(axis=(0, 1)))
-            npt.assert_array_equal(bvh.bbox_max[bvh.n_inner + j], tri[ids].max(axis=(0, 1)))
-        inner = np.arange(bvh.n_inner)
+        n_inner = len(bvh.leaves) - 1
+        for j, ids in enumerate(_leaf_rows(bvh)):
+            npt.assert_array_equal(bvh.bbox_min[n_inner + j], tri[ids].min(axis=(0, 1)))
+            npt.assert_array_equal(bvh.bbox_max[n_inner + j], tri[ids].max(axis=(0, 1)))
+        inner = np.arange(n_inner)
         npt.assert_array_equal(bvh.bbox_min[inner], np.minimum(
             bvh.bbox_min[2 * inner + 1], bvh.bbox_min[2 * inner + 2]))
         npt.assert_array_equal(bvh.bbox_max[inner], np.maximum(
@@ -464,7 +472,12 @@ class TestMeshIo:
         (np.zeros((3, 2)), [[0, 1, 2]], "vertices must have shape"),
         (np.eye(3), [0, 1, 2], "faces must have shape"),
         (np.eye(3), [[0, 1, 3]], "face indices out of range"),
-    ], ids=["vertices-shape", "faces-shape", "face-index"])
+        (np.eye(3), [[0, 1.7, 2]], "faces must be integer vertex indices"),
+        (np.eye(3), [[0, True, 2]], "faces must be integer vertex indices"),
+        (np.eye(3), [[0, np.nan, 2]], "faces must be integer vertex indices"),
+        (np.eye(3), [[0, 3e19, 2]], "faces must be integer vertex indices"),
+    ], ids=["vertices-shape", "faces-shape", "face-index", "face-fraction", "face-bool",
+            "face-nan", "face-overflow"])
     def test_malformed_arrays_are_refused_input(self, vertices, faces, message):
         with pytest.raises(InvalidConfigError, match=message):
             TriMesh(vertices, faces)

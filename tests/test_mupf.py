@@ -645,10 +645,12 @@ class TestExtraction:
         est = extract_pose(state, _FlatModel(), cfg)
         assert np.array_equal(est.pose.to_array(), pose_a)
 
-    def test_mixture_density_matches_direct_evaluation(self):
-        # small handcrafted state checked against a direct mixture sum
+    @pytest.mark.parametrize("t, m", [(2, 3), (5, 3)])
+    def test_mixture_density_matches_direct_evaluation(self, t, m):
+        # small handcrafted state checked against a direct mixture sum; at
+        # t=5 the window is full and its exponents are 0, 1 and 2
         rng = np.random.default_rng(7)
-        n, t, m = 6, 2, 3
+        n = 6
         sampled = rng.normal(size=(n, 6))
         covs = np.empty((n, 6, 6))
         for i in range(n):
@@ -658,7 +660,7 @@ class TestExtraction:
         log_proposal = rng.normal(size=n)
         lw0 = rng.normal(size=n)
         lw0 -= logw_norm(lw0)
-        ys = np.array([[0.3, 0.0, 0.1], [-0.2, 0.1, 0.0]])   # k = 1, 2
+        ys = np.array([[0.3, 0.0, 0.1], [-0.2, 0.1, 0.0], [0.1, -0.3, 0.2]])[:min(t, m)]
         state = FilterState(sampled=sampled, covs=covs, parents=np.arange(n), t=t,
                             window=ys, cov_vecs=vecs, cov_evals=evals,
                             log_proposal=log_proposal, log_weights=lw0)
