@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 2 refused input (bad flags, bad config, missing
 files: `InvalidConfigError`) or a file the OS refuses to read or write
-(`OSError`), 3 runtime or numerical failure, any other `ValueError`
-included.  Every report embeds the fully resolved configuration as a
-profile that ``--config`` reads back, so a report plus the mesh is enough
-to rerun the exact experiment.  Timing fields are wall-clock and
-therefore not a function of the seed; ``--omit-timing`` strips them so
-reports from repeated runs can be compared byte for byte.
+(`OSError`), 3 runtime or numerical failure (`MeshlocError`), any other
+`ValueError` included.  Every report embeds the fully resolved
+configuration as a profile that ``--config`` reads back, so a report plus
+the mesh is enough to rerun the exact experiment.  Timing fields are
+wall-clock and therefore not a function of the seed; ``--omit-timing``
+strips them so reports from repeated runs can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import yaml
 from .errors import InvalidConfigError, MeshlocError, read_lines
 from .geometry import Pose, load_obj
 from .metrics import TrialReport, aggregate_reports
-from .mupf import FilterConfig, run
+from .mupf import _MAX_MEMORY, FilterConfig, run
 from .simulate import (
     ScenarioSpec,
     read_ground_truth_json,
@@ -69,22 +69,25 @@ def _parse_face_subset(text: str | None) -> tuple[int, ...] | None:
 
 
 def _parse_sweep(text: str) -> list[int]:
-    """Accept '1..15' (inclusive range) or a comma list like '1,5,10'."""
+    """Accept '1..15' (inclusive range) or a comma list like '1,5,10'.
+
+    A range is checked by its ends before its list is built.
+    """
     text = text.strip()
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(v) for v in text.split(",")]
+        ends = [int(v) for v in text.split("..", 1)] if ".." in text else None
+        values = ends if ends is not None else [int(v) for v in text.split(",")]
     except ValueError:
         raise InvalidConfigError("--sweep-m must be an inclusive range '<lo>..<hi>' or "
                                  f"comma-separated integers, got {text!r}") from None
-    if not values:
+    if ends is not None and ends[0] > ends[1]:
         raise InvalidConfigError(f"--sweep-m range {text!r} is empty")
-    if any(v < 1 for v in values):
+    if min(values) < 1:
         raise InvalidConfigError(f"--sweep-m values must be positive integers, got {text!r}")
-    return values
+    if max(values) > _MAX_MEMORY:
+        raise InvalidConfigError(f"--sweep-m values must be at most 2**53 ({_MAX_MEMORY}), "
+                                 f"the most memory accepts, got {text!r}")
+    return list(range(ends[0], ends[1] + 1)) if ends is not None else values
 
 
 def _require_output(path, flag: str):

@@ -1,29 +1,22 @@
 """Exception types, the number checks shared across the package, and the
 one reader of input files.
 
+The package raises two error types.  `MeshlocError` is a run that failed,
+numerically or otherwise; the command line exits 3 on it.  Its subclass
 `InvalidConfigError` is the one error for refused input: a setting, a
-scenario, a mesh or a file.  It is a `ValueError` too, so callers that
-catch `ValueError` keep working.
+scenario, a mesh or a file; the command line exits 2 on it.  It is a
+`ValueError` too, so callers that catch `ValueError` keep working.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MeshlocError", "NotPositiveDefiniteError", "SingularInnovationError",
-           "InvalidConfigError"]
+__all__ = ["MeshlocError", "InvalidConfigError"]
 
 
 class MeshlocError(Exception):
-    """Base class for all package-specific failures."""
-
-
-class NotPositiveDefiniteError(MeshlocError):
-    """A covariance stayed non positive definite after jitter escalation."""
-
-
-class SingularInnovationError(MeshlocError):
-    """Innovation covariance could not be inverted, even after conditioning."""
+    """A failed run; the base class of the package's errors."""
 
 
 class InvalidConfigError(MeshlocError, ValueError):

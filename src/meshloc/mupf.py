@@ -285,7 +285,7 @@ def _normalize_log_weights(lw: np.ndarray):
     ``lw`` is, not ``log(0) = -inf``.
     """
     if np.isnan(lw).any():
-        raise FloatingPointError("non-finite log-weights in update")
+        raise MeshlocError("non-finite log-weights in update")
     top = lw.max()
     if not np.isfinite(top):
         n = len(lw)

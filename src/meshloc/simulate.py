@@ -35,6 +35,9 @@ __all__ = [
 
 MEASUREMENT_HEADER = ("x", "y", "z")
 GROUND_TRUTH_SCHEMA = "meshloc-ground-truth-1"
+# The most contacts whose (L, 3) float array numpy can address; a larger
+# count would fail inside numpy, without naming the field.
+_MAX_MEASUREMENTS = np.iinfo(np.intp).max // (3 * 8)
 
 
 def _is_finite_number(value) -> bool:
@@ -66,6 +69,8 @@ class ScenarioSpec:
             raise InvalidConfigError("mesh_path must be a string or null")
         if not (is_int(self.n_measurements) and self.n_measurements >= 1):
             raise InvalidConfigError("n_measurements must be a positive integer")
+        if self.n_measurements > _MAX_MEASUREMENTS:
+            raise InvalidConfigError(f"n_measurements must be at most {_MAX_MEASUREMENTS}")
         pose = self.true_pose
         if not (isinstance(pose, Pose)
                 and all(map(_is_finite_number, dataclasses.astuple(pose)))):
@@ -88,18 +93,19 @@ class ScenarioSpec:
 
     def resolved_subset(self, mesh: TriMesh) -> np.ndarray:
         """Validated face indices to sample from (all faces by default)."""
-        if self.face_subset is None:
+        subset = self.face_subset
+        if subset is None:
             return np.arange(mesh.n_faces)
-        subset = np.asarray(self.face_subset, dtype=int)
-        if subset.size == 0:
+        # Checked as Python ints: an index beyond int64 is out of range too.
+        if not subset:
             raise InvalidConfigError("face_subset must not be empty")
-        if len(np.unique(subset)) != subset.size:
+        if len(set(subset)) != len(subset):
             raise InvalidConfigError("face_subset contains duplicates")
-        if subset.min() < 0 or subset.max() >= mesh.n_faces:
+        if min(subset) < 0 or max(subset) >= mesh.n_faces:
             raise InvalidConfigError(
-                f"face indices must lie in [0, {mesh.n_faces}), "
-                f"got range [{subset.min()}, {subset.max()}]")
-        return subset
+                f"face_subset indices must lie in [0, {mesh.n_faces}), "
+                f"got range [{min(subset)}, {max(subset)}]")
+        return np.asarray(subset, dtype=int)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self) | {"true_pose": self.true_pose.to_array().tolist()}

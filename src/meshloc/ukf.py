@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularInnovationError, as_real, check_square
+from .errors import MeshlocError, as_real, check_square
 from .geometry import TriMesh, points_to_world_frame
 from . import unscented
 
@@ -70,36 +70,6 @@ def log_likelihood_batch(model: MeasurementModel, ys: np.ndarray,
     return -0.5 * (d / model.sigma_p) ** 2
 
 
-def _solve_gain(S: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """K = Gamma S^-1 for batched symmetric S, with one ridge retry."""
-    try:
-        Kt = np.linalg.solve(S, np.swapaxes(Gamma, -1, -2))
-        if np.isfinite(Kt).all():
-            return np.swapaxes(Kt, -1, -2)
-    except np.linalg.LinAlgError:
-        pass
-    # C-ordered like the batched solve's result: the einsums that read K
-    # round differently on other strides.
-    out = np.empty((len(S), Gamma.shape[2], Gamma.shape[1]))
-    for i in range(len(S)):
-        Si = S[i]
-        try:
-            out[i] = np.linalg.solve(Si, Gamma[i].T)
-            if not np.isfinite(out[i]).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            ridge = 1e-12 * max(float(np.trace(Si)) / Si.shape[0], 1e-30)
-            try:
-                out[i] = np.linalg.solve(Si + ridge * np.eye(Si.shape[0]), Gamma[i].T)
-            except np.linalg.LinAlgError as exc:
-                raise SingularInnovationError(
-                    "innovation covariance is singular after conditioning") from exc
-            if not np.isfinite(out[i]).all():
-                raise SingularInnovationError(
-                    "innovation covariance produced a non-finite gain")
-    return np.swapaxes(out, -1, -2)
-
-
 def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
                    model, Q: np.ndarray, *, R: np.ndarray):
     """One unscented Kalman cycle for a batch of particle Gaussians.
@@ -110,14 +80,16 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     y : (3,) current measurement.
     model : object with ``predict_batch(y, poses)``.
     Q : (6, 6) process noise added in the time update.
-    R : (3, 3) measurement noise.
+    R : (3, 3) measurement noise, positive definite.
 
     Returns
     -------
     (corrected_means (B, 6), corrected_covs (B, 6, 6))
 
-    Corrected covariances are symmetrized and, when an eigenvalue falls
-    below -1e-10, shifted back onto the PSD cone.
+    The gain is one batched solve of ``S K^T = Gamma^T``.  An innovation
+    covariance ``S`` it cannot invert, or a gain that is not finite, raises
+    `MeshlocError`.  Corrected covariances are symmetrized and, when an
+    eigenvalue falls below -1e-10, shifted back onto the PSD cone.
     """
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
@@ -130,7 +102,12 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     y_hat, S, Gamma = unscented.unscented_transform(
         means, P_pred, lambda X: model.predict_batch(y, X), noise=R)
 
-    K = _solve_gain(S, Gamma)                            # (B, n, p)
+    try:
+        K = np.swapaxes(np.linalg.solve(S, np.swapaxes(Gamma, -1, -2)), -1, -2)  # (B, n, p)
+    except np.linalg.LinAlgError as exc:
+        raise MeshlocError("innovation covariance is singular") from exc
+    if not np.isfinite(K).all():
+        raise MeshlocError("innovation covariance gives a non-finite gain")
     innov = y[None, :] - y_hat
     corrected = means + np.einsum("bij,bj->bi", K, innov)
     P_corr = P_pred - np.einsum("bij,bjk,blk->bil", K, S, K)

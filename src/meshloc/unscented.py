@@ -22,8 +22,8 @@ of van der Merwe et al. (2000) runs: for a 6-D pose, ``lam = 2`` and the
 The matrix square root is the lower Cholesky factor.  When a covariance is
 only positive semidefinite, a diagonal jitter of ``1e-12 * trace / n`` is
 added and escalated by factors of 10 up to ``1e-6 * trace / n`` before
-giving up (an exactly zero matrix falls back to an absolute ladder from
-1e-18 to 1e-12).
+giving up with `MeshlocError` (an exactly zero matrix falls back to an
+absolute ladder from 1e-18 to 1e-12).
 
 ``unscented_transform`` pushes the sigma points of a batch of Gaussians
 through a map ``g`` and returns the weighted output moments; it is the one
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
+from .errors import MeshlocError
 
 __all__ = ["sigma_points_batch", "unscented_transform"]
 
@@ -73,7 +73,7 @@ def _cholesky_jittered(mat: np.ndarray) -> np.ndarray:
             return np.linalg.cholesky(mat + jitter * eye)
         except np.linalg.LinAlgError:
             continue
-    raise NotPositiveDefiniteError(
+    raise MeshlocError(
         f"covariance not positive definite after jitter up to {scale * 1e-6:.3e}")
 
 

@@ -151,6 +151,13 @@ class TestParsers:
             ("5..1", "--sweep-m range '5..1' is empty"),
             ("0,3", "--sweep-m values must be positive integers, got '0,3'"),
             ("-1..2", "--sweep-m values must be positive integers, got '-1..2'"),
+            # Refused by its ends, before a list of 10**23 values is built.
+            ("1..100000000000000000000000",
+             "--sweep-m values must be at most 2**53 (9007199254740992), the most memory "
+             "accepts, got '1..100000000000000000000000'"),
+            ("1,9007199254740993",
+             "--sweep-m values must be at most 2**53 (9007199254740992), the most memory "
+             "accepts, got '1,9007199254740993'"),
         ]:
             with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
                 cli._parse_sweep(text)
@@ -175,20 +182,29 @@ class TestSimulate:
                 == (tmp_path / "b.truth.json").read_bytes())
 
     def test_zero_count_exits_2(self, tmp_path, box_obj, capsys):
-        rc = cli.main(["simulate", "--mesh", box_obj, "--count", "0",
-                       "--output", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        # A count beyond what an (L, 3) float array can address names the
+        # field instead of failing inside numpy.
+        for count, message in [
+                ("0", "n_measurements must be a positive integer"),
+                ("100000000000000000000000", "n_measurements must be at most ")]:
+            rc = cli.main(["simulate", "--mesh", box_obj, "--count", count,
+                           "--output", str(tmp_path / "x.csv")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_missing_mesh_exits_2(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--mesh", str(tmp_path / "no.obj"),
                        "--output", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_bad_subset_exits_2(self, tmp_path, box_obj):
-        rc = cli.main(["simulate", "--mesh", box_obj, "--face-subset", "0,99",
-                       "--output", str(tmp_path / "x.csv")])
-        assert rc == 2
+    def test_bad_subset_exits_2(self, tmp_path, box_obj, capsys):
+        # An index beyond int64 is out of range too, not a failure to convert.
+        for subset in ["0,99", "100000000000000000000000", "-100000000000000000000000,1"]:
+            rc = cli.main(["simulate", "--mesh", box_obj, f"--face-subset={subset}",
+                           "--output", str(tmp_path / "x.csv")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(
+                "error: face_subset indices must lie in [0, 12), got range ")
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--true-pose", "nan,0,0,0,0,0", "true_pose"),
@@ -464,6 +480,15 @@ class TestLocalize:
                        "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         assert rc == 2
         assert "malformed YAML" in capsys.readouterr().err
+
+    def test_yaml_list_profile_exits_2_naming_the_file(self, tmp_path, box_obj, capsys):
+        meas = _simulate(tmp_path, box_obj)
+        cfg = tmp_path / "list.yaml"
+        cfg.write_text("- particles: 10\n")
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", str(cfg), "--output", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg}: config must be a mapping\n"
 
     @pytest.mark.parametrize("flag, what", [
         ("--measurements", "measurement"), ("--mesh", "mesh"), ("--config", "config"),

@@ -226,6 +226,29 @@ def test_a_config_that_builds_can_run(particles, mapping, transition):
     assert np.isfinite(report.index_trace).all()
 
 
+def _runs_to_finite_estimates(profile):
+    cfg = FilterConfig.from_mapping(profile)
+    estimates, report = run(_CONTACTS, cfg.model_for(BOX), cfg)
+    assert len(estimates) == len(_CONTACTS)
+    assert all(np.isfinite(e.pose.to_array()).all() for e in estimates)
+    assert np.isfinite(report.index_trace).all()
+
+
+def test_psd_shift_rescues_a_far_prior():
+    # Poses near 2**53 correct to covariances whose rounding leaves a
+    # negative eigenvalue; without `ukf_step_batch`'s shift back onto the
+    # PSD cone, the next step's Cholesky jitter gives up.
+    _runs_to_finite_estimates({"particles": 8, "prior_mean": [2 ** 53] * 6})
+
+
+def test_cholesky_jitter_rescues_a_zero_prior():
+    # A zero prior and a zero process noise give a zero predicted
+    # covariance, which only the jittered Cholesky of `sigma_points_batch`
+    # factors.
+    _runs_to_finite_estimates({"particles": 1, "prior_cov_diag": [0] * 6,
+                               "process_noise_diag": [0] * 6})
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(particles=st.integers(1, 10 ** 6), mapping=_EXTREME_KEYS, transition=st.booleans())
 def test_to_dict_reads_back_as_the_same_config(particles, mapping, transition):

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,12 @@ class TestPoseMath:
         npt.assert_allclose(p.rotation(),
                             Pose(0.1, 0.2, 0.3, 4.0, 2.0, -9.0).rotation(),
                             atol=1e-9)
+
+    def test_minus_pi_roll_folds_onto_plus_pi(self):
+        # A half turn about x with R[2,1] = -0.0: atan2(-0.0, -1) is -pi,
+        # outside the (-pi, pi] range.
+        R = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, -0.0, -1.0]])
+        assert euler_from_matrix(R) == (np.pi, 0.0, 0.0)
 
     def test_gimbal_lock_round_trip(self):
         R = rotation_matrices(np.array([0, 0, 0, 0.3, np.pi / 2, -0.7]))
@@ -234,6 +241,10 @@ class TestClosestPoint:
     def test_empty_mesh_raises(self):
         with pytest.raises(InvalidConfigError):
             TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+
+    def test_query_array_of_wrong_shape_raises(self, box):
+        with pytest.raises(ValueError, match=r"^queries must have shape \(M, 3\)$"):
+            box.closest_points(np.zeros((4, 2)))
 
     def test_batch_query_projects_onto_face(self, unit_box):
         _, points, _ = unit_box.closest_points(np.array([[2.0, 0.0, 0.0]]))
@@ -439,6 +450,13 @@ class TestMeshIo:
         path = tmp_path / "short_v.obj"
         path.write_text("v 0 0 0\nv 1 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
         with pytest.raises(ValueError, match=r"short_v\.obj:2: 'v' record"):
+            load_obj(path)
+
+    def test_file_without_faces_raises(self, tmp_path):
+        path = tmp_path / "points.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+        message = f"^no faces found in {re.escape(str(path))}$"
+        with pytest.raises(InvalidConfigError, match=message):
             load_obj(path)
 
     def test_short_face_record_raises(self, tmp_path):

@@ -14,6 +14,7 @@ from meshloc import (
     FilterConfig,
     InvalidConfigError,
     MeasurementModel,
+    MeshlocError,
     Pose,
     ScenarioSpec,
     box_mesh,
@@ -335,7 +336,7 @@ class TestRngAndResampling:
         assert np.allclose(logw, -np.log(10))
 
     def test_normalize_rejects_nan(self):
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(MeshlocError, match="^non-finite log-weights in update$"):
             _normalize_log_weights(np.array([0.0, np.nan]))
 
     def test_multinomial_counts_match_weights(self):

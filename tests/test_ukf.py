@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from meshloc.errors import SingularInnovationError
+from meshloc.errors import MeshlocError
 from meshloc.geometry import Pose, box_mesh
 from meshloc import unscented
 from meshloc.ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
@@ -193,7 +193,7 @@ class TestUkfStep:
             npt.assert_array_equal(bP[i], sP[0])
 
     def test_non_finite_innovation_raises(self):
-        with pytest.raises(SingularInnovationError):
+        with pytest.raises(MeshlocError, match="^innovation covariance "):
             ukf_step_batch(np.zeros((1, 6)), np.eye(6)[None], np.zeros(3), NanStub(),
                            Q=np.zeros((6, 6)), R=np.eye(3))
 
@@ -249,28 +249,14 @@ class TestRowIndependence:
         self._assert_rows_independent(means, covs, mesh_model, self.Q,
                                       noise(mesh_model))
 
-    def test_per_row_gain_fallback_keeps_the_other_rows(self, box, monkeypatch):
-        # Row 2's innovation covariance is exactly zero, so the batched
-        # solve fails and `_solve_gain` solves row by row.
+    def test_singular_innovation_row_raises(self, box):
+        # Row 2's innovation covariance is exactly zero, since R is zero:
+        # the gain's one batched solve refuses the whole batch.
         model = FlatBeyond(MeasurementModel(mesh=box, sigma_p=0.01))
         means, covs = self._particles(12, seed=67)
         means[2, 0] = 100.0
-        solves = []
-        solve = np.linalg.solve
-
-        def counted(*args):
-            solves.append(1)
-            return solve(*args)
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        R = np.zeros((3, 3))
-        full = self._assert_rows_independent(means, covs, model, self.Q, R)
-        solves.clear()
-        ukf_step_batch(means, covs, self.Y, model, self.Q, R=R)
-        assert len(solves) > 1
-        keep = np.arange(12) != 2
-        batched = ukf_step_batch(means[keep], covs[keep], self.Y, model, self.Q, R=R)
-        for got, want in zip(batched, full):
-            npt.assert_array_equal(got, want[keep])
+        with pytest.raises(MeshlocError, match="^innovation covariance is singular$"):
+            ukf_step_batch(means, covs, self.Y, model, self.Q, R=np.zeros((3, 3)))
 
     def test_jittered_cholesky_fallback_keeps_the_other_rows(self, box, monkeypatch):
         # Row 4's predicted covariance is zero, so the batched Cholesky

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshloc.errors import NotPositiveDefiniteError
+from meshloc.errors import MeshlocError
 from meshloc.unscented import _lam, _weights, sigma_points_batch, unscented_transform
 
 from oracles import affine_transform_moments
@@ -125,7 +125,8 @@ class TestSigmaPoints:
         npt.assert_allclose(points, np.tile(mean, (7, 1)), atol=1e-7)
 
     def test_negative_definite_raises(self):
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(MeshlocError,
+                           match="^covariance not positive definite after jitter "):
             sigma_points(np.zeros(3), -np.eye(3))
 
 
