@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 refused input (bad flags, bad config, missing
 files: `InvalidConfigError`) or a file the OS refuses to read or write
 (`OSError`), 3 runtime or numerical failure (`MeshlocError`), any other
-`ValueError` included.  Every report embeds the fully resolved
-configuration as a profile that ``--config`` reads back, so a report plus
-the mesh is enough to rerun the exact experiment.  Timing fields are
+`ValueError` and a `MemoryError` included.  Every report embeds the fully
+resolved configuration as a profile that ``--config`` reads back, so a
+report plus the mesh is enough to rerun the exact experiment.  Timing fields are
 wall-clock and therefore not a function of the seed; ``--omit-timing``
 strips them so reports from repeated runs can be compared byte for byte.
 """
@@ -238,8 +238,9 @@ def _run_batch(trials: list[tuple], trial_workers: int) -> list[TrialReport]:
 
 def cmd_batch(args) -> int:
     _require_output(args.output, "--output")
+    sweep = _parse_sweep(args.sweep_m) if args.sweep_m else None
     sweep_csv = Path(args.output).with_suffix(".sweep.csv")
-    if args.sweep_m:
+    if sweep is not None:
         _require_output(sweep_csv, "--sweep-m")
     config = _load_config(args.config, {"seed": args.seed})
     given = [f"--{dest.replace('_', '-')}" for dest in _SCENARIO_DESTS
@@ -249,7 +250,9 @@ def cmd_batch(args) -> int:
                                  "to --measurements")
     scenario = _scenario(args, args.scenario_seed) if args.measurements is None else None
     if args.trials < 1:
-        raise InvalidConfigError("trials must be at least 1")
+        raise InvalidConfigError("--trials must be at least 1")
+    if args.trials > sys.maxsize:   # the most trials a list can hold
+        raise InvalidConfigError(f"--trials must be at most {sys.maxsize}")
     if args.trial_workers < 1:
         raise InvalidConfigError("--trial-workers must be at least 1")
     if args.ground_truth and args.measurements is None:
@@ -270,7 +273,6 @@ def cmd_batch(args) -> int:
     elif args.use_truth:
         truth = scenario.true_pose
 
-    sweep = _parse_sweep(args.sweep_m) if args.sweep_m else None
     memories = sweep if sweep is not None else [config.memory]
 
     per_m = []
@@ -386,6 +388,9 @@ def main(argv=None) -> int:
         return 2
     except (MeshlocError, ArithmeticError, ValueError) as exc:   # LinAlgError among them
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("runtime failure: out of memory", file=sys.stderr)
         return 3
 
 

@@ -224,39 +224,17 @@ def closest_point_on_triangles(q, a, b, c):
     return p, d2_out
 
 
-@dataclass(frozen=True, eq=False)
-class Bvh:
-    """Complete axis-aligned bounding-box tree over mesh faces, stored level
-    by level (Ericson 2004, 6.6.1).
+def _build_tree(vertices: np.ndarray, faces: np.ndarray):
+    """Complete axis-aligned bounding-box tree over ``faces``, stored level
+    by level (Ericson 2004, 6.6.1), as ``(bbox_min, bbox_max, leaves)``.
 
     Node 0 is the root and node ``i`` has children ``2i + 1`` and ``2i + 2``.
-    All leaves sit at depth ``depth``, the smallest at which median halving
-    leaves at most ``LEAF_SIZE`` faces per leaf; they are the last
-    ``2**depth`` nodes, and row ``j`` of ``leaves`` holds leaf ``j``'s faces
-    in ascending index, padded to the widest leaf by repeating its last
-    face.  Leaf sizes differ by at most one.
-    """
-
-    bbox_min: np.ndarray
-    bbox_max: np.ndarray
-    leaves: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return (len(self.leaves) - 1).bit_length()
-
-
-def build_bvh(vertices: np.ndarray, faces: np.ndarray) -> Bvh:
-    """Build a bounding-box tree over ``faces`` (at least one required).
-
+    All leaves sit at the least depth at which median halving leaves at most
+    ``LEAF_SIZE`` faces per leaf; they are the last ``len(leaves)`` nodes.
     Each level splits every segment of ``order`` by a stable sort of face
     centroids along the longest axis of the segment's box, the first half
-    (rounded down) going left.
+    (rounded down) going left.  Leaf sizes differ by at most one.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    faces = np.asarray(faces, dtype=np.int64)
-    if len(faces) == 0:
-        raise InvalidConfigError("cannot build a BVH over zero faces")
     tri = vertices[faces]
     face_min = tri.min(axis=1)
     face_max = tri.max(axis=1)
@@ -287,23 +265,27 @@ def build_bvh(vertices: np.ndarray, faces: np.ndarray) -> Bvh:
     count = np.diff(bounds)
     slot = np.minimum(np.arange(count.max()), count[:, None] - 1)
     leaves = order[bounds[:-1, None] + slot]
-    return Bvh(np.concatenate(bbox_min), np.concatenate(bbox_max), leaves)
+    return np.concatenate(bbox_min), np.concatenate(bbox_max), leaves
 
 
 class TriMesh:
-    """Indexed triangle mesh with a BVH for closest-point queries.
+    """Indexed triangle mesh with a bounding-box tree for closest-point
+    queries.
 
     Arrays of the wrong shape, non-finite vertex coordinates, face indices
     that are not integers and face indices out of range raise
     ``InvalidConfigError``.  Zero-area faces (repeated vertex indices or
     collinear corners) are dropped at construction with a warning; at least
     one usable face must remain, or ``InvalidConfigError`` is raised.
+    The tree is ``bbox_min`` and ``bbox_max`` per node and ``leaves``, row
+    ``j`` holding leaf ``j``'s faces in ascending index, padded to the
+    widest leaf by repeating its last face (see `_build_tree`).
     All arrays are read-only after construction.  `closest_points_posed`
     is the one query from world contacts to the posed surface: the
     likelihood, the UKF prediction and the performance index all use it.
     """
 
-    __slots__ = ("vertices", "faces", "bvh", "_corners")
+    __slots__ = ("vertices", "faces", "bbox_min", "bbox_max", "leaves", "_corners")
 
     def __init__(self, vertices, faces):
         vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
@@ -330,16 +312,15 @@ class TriMesh:
 
         self.vertices = vertices
         self.faces = faces
-        self.vertices.setflags(write=False)
-        self.faces.setflags(write=False)
-        self.bvh = build_bvh(vertices, faces)
+        self.bbox_min, self.bbox_max, self.leaves = _build_tree(vertices, faces)
         # Corners a, b and c of every leaf row, shape (leaves, width, 3).
-        self._corners = tuple(vertices[faces[self.bvh.leaves, k]] for k in range(3))
+        self._corners = tuple(vertices[faces[self.leaves, k]] for k in range(3))
+        for array in (vertices, faces, self.bbox_min, self.bbox_max, self.leaves,
+                      *self._corners):
+            array.setflags(write=False)
 
     @staticmethod
     def _usable(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-        if len(faces) == 0:
-            return np.zeros(0, dtype=bool)
         distinct = (
             (faces[:, 0] != faces[:, 1])
             & (faces[:, 1] != faces[:, 2])
@@ -358,7 +339,7 @@ class TriMesh:
         return len(self.faces)
 
     def closest_points(self, Q: np.ndarray):
-        """Batched nearest-point query by one traversal of the BVH.
+        """Batched nearest-point query by one traversal of the tree.
 
         The result equals an argmin over all faces of the squared distances
         from :func:`closest_point_on_triangles`, ties going to the lowest
@@ -379,7 +360,7 @@ class TriMesh:
         d2 = np.empty(M)
         points = np.empty((M, 3))
         faces = np.empty(M, dtype=np.int64)
-        chunk = max(1, min(_KERNEL_BLOCK // self.bvh.leaves.shape[1],
+        chunk = max(1, min(_KERNEL_BLOCK // self.leaves.shape[1],
                            _PAIR_BUDGET // self.n_faces))
         for s in range(0, M, chunk):
             e = min(M, s + chunk)
@@ -396,17 +377,17 @@ class TriMesh:
 
     def _traverse(self, Q: np.ndarray):
         """All queries descend the tree together (Ericson 2004, ch. 6)."""
-        bvh = self.bvh
         m = len(Q)
+        depth = (len(self.leaves) - 1).bit_length()
 
         def box_dist2(nodes, q):
-            diff = q - np.minimum(np.maximum(q, bvh.bbox_min[nodes]), bvh.bbox_max[nodes])
+            diff = q - np.minimum(np.maximum(q, self.bbox_min[nodes]), self.bbox_max[nodes])
             return np.einsum("ij,ij->i", diff, diff)
 
         # Each query follows the nearer child box down to one leaf, whose
         # faces give it an upper bound on its distance.
         first = np.zeros(m, dtype=np.int64)
-        for _ in range(bvh.depth):
+        for _ in range(depth):
             lo = 2 * first + 1
             first = np.where(box_dist2(lo + 1, Q) < box_dist2(lo, Q), lo + 1, lo)
         best_d2, best_face, best_pt = self._leaf_minima(Q, np.arange(m), first)
@@ -417,10 +398,10 @@ class TriMesh:
         # differently.  A NaN distance prunes nothing.
         fq = np.arange(m)
         fn = np.zeros(m, dtype=np.int64)
-        for level in range(bvh.depth + 1):
+        for level in range(depth + 1):
             keep = ~(box_dist2(fn, Q[fq]) > best_d2[fq] * (1.0 + 1e-12))
             fq, fn = fq[keep], fn[keep]
-            if level < bvh.depth:
+            if level < depth:
                 fq = np.repeat(fq, 2)
                 fn = (2 * fn[:, None] + [1, 2]).ravel()
         new = fn != first[fq]
@@ -444,12 +425,12 @@ class TriMesh:
     def _leaf_minima(self, Q, qi, nodes):
         """Nearest face of leaf ``nodes[i]`` to query ``Q[qi[i]]``, as
         ``(d2, face, point)``; ties go to the lowest face index."""
-        leaf = nodes - (len(self.bvh.leaves) - 1)
+        leaf = nodes - (len(self.leaves) - 1)
         pts, d2 = closest_point_on_triangles(
             Q[qi, None, :], *(np.take(block, leaf, axis=0) for block in self._corners))
         j = np.argmin(d2, axis=1)
         rows = np.arange(len(qi))
-        return d2[rows, j], self.bvh.leaves[leaf, j], pts[rows, j]
+        return d2[rows, j], self.leaves[leaf, j], pts[rows, j]
 
 
 def load_obj(path) -> TriMesh:

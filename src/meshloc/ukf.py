@@ -87,9 +87,10 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     (corrected_means (B, 6), corrected_covs (B, 6, 6))
 
     The gain is one batched solve of ``S K^T = Gamma^T``.  An innovation
-    covariance ``S`` it cannot invert, or a gain that is not finite, raises
-    `MeshlocError`.  Corrected covariances are symmetrized and, when an
-    eigenvalue falls below -1e-10, shifted back onto the PSD cone.
+    covariance ``S`` that is not finite or that it cannot invert, or a gain
+    that is not finite, raises `MeshlocError`.  Corrected covariances are
+    symmetrized and, when an eigenvalue falls below -1e-10, shifted back
+    onto the PSD cone.
     """
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
@@ -102,6 +103,8 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     y_hat, S, Gamma = unscented.unscented_transform(
         means, P_pred, lambda X: model.predict_batch(y, X), noise=R)
 
+    if not np.isfinite(S).all():
+        raise MeshlocError("innovation covariance is not finite")
     try:
         K = np.swapaxes(np.linalg.solve(S, np.swapaxes(Gamma, -1, -2)), -1, -2)  # (B, n, p)
     except np.linalg.LinAlgError as exc:

@@ -79,7 +79,7 @@ def pinned_batches():
     return batches
 
 
-def test_criterion_1_unscented_affine_exactness():
+def check_unscented_affine_exactness() -> tuple[bool, str]:
     rng = np.random.default_rng(10)
     started = time.perf_counter()
     worst = 0.0
@@ -97,11 +97,14 @@ def test_criterion_1_unscented_affine_exactness():
                     _rel_err(p_xy[0], cov @ a.T))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 5.0
-    _gate(1, "unscented affine exactness",
-          ok, f"worst rel err {worst:.3g} (<=1e-8), {elapsed:.2f}s (<5s)")
+    return ok, f"worst rel err {worst:.3g} (<=1e-8), {elapsed:.2f}s (<5s)"
 
 
-def test_criterion_2_bvh_matches_brute_force():
+def test_criterion_1_unscented_affine_exactness():
+    _gate(1, "unscented affine exactness", *check_unscented_affine_exactness())
+
+
+def check_distance_queries_match_brute_force() -> tuple[bool, str]:
     mesh = random_soup(750, seed=2026, scale=0.5)
     rng = np.random.default_rng(11)
     queries = rng.uniform(-0.8, 0.8, size=(10_000, 3))
@@ -111,11 +114,15 @@ def test_criterion_2_bvh_matches_brute_force():
     d_ref, _, _ = closest_point_brute(queries, mesh.vertices, mesh.faces)
     gap = float(np.abs(d_bvh - d_ref).max())
     ok = gap <= 1e-12 and elapsed < 10.0
+    return ok, f"max |d - d_ref| {gap:.3g} (<=1e-12), {elapsed:.2f}s (<10s)"
+
+
+def test_criterion_2_bvh_matches_brute_force():
     _gate(2, "accelerated distance queries match brute force",
-          ok, f"max |d - d_ref| {gap:.3g} (<=1e-12), {elapsed:.2f}s (<10s)")
+          *check_distance_queries_match_brute_force())
 
 
-def test_criterion_3_ukf_matches_linear_kalman():
+def check_ukf_matches_linear_kalman() -> tuple[bool, str]:
     rng = np.random.default_rng(12)
 
     class _AffineModel:
@@ -143,8 +150,12 @@ def test_criterion_3_ukf_matches_linear_kalman():
         worst = max(worst, _rel_err(got_x[0], want_x), _rel_err(got_p[0], want_p))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8
+    return ok, f"worst rel err {worst:.3g} (<=1e-8), {elapsed:.2f}s"
+
+
+def test_criterion_3_ukf_matches_linear_kalman():
     _gate(3, "unscented update equals closed-form Kalman on affine models",
-          ok, f"worst rel err {worst:.3g} (<=1e-8), {elapsed:.2f}s")
+          *check_ukf_matches_linear_kalman())
 
 
 def test_criterion_4_memoryless_filter_reduces_to_upf():

@@ -588,6 +588,19 @@ class TestLocalize:
         assert rc == 3
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_3(self, tmp_path, box_obj, tiny_config,
+                                   monkeypatch, capsys):
+        meas = _simulate(tmp_path, box_obj)
+
+        def explode(*a, **k):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run", explode)
+        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                       "--config", tiny_config, "--output", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == "runtime failure: out of memory\n"
+
     def test_non_finite_result_exits_3_naming_the_step(self, tmp_path, box_obj, capsys):
         # Squared distances from a pose near 1e154 overflow, so the index is
         # inf, which no JSON report can hold.
@@ -756,6 +769,14 @@ class TestBatch:
         assert serial_pool == [2]
         assert blobs[0] == blobs[1]
 
+    def test_bad_sweep_is_named_before_the_mesh_is_read(self, tmp_path, tiny_config,
+                                                         capsys):
+        missing = tmp_path / "nosuch.obj"
+        rc = cli.main(["batch", "--mesh", str(missing), "--config", tiny_config,
+                       "--sweep-m", "abc", "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --sweep-m must be ")
+
     def test_sweep_loads_mesh_once(self, tmp_path, box_obj, tiny_config, monkeypatch):
         calls = []
         real = cli.load_obj
@@ -801,10 +822,13 @@ class TestBatch:
         assert rep["reports"][0]["estimate"] != rep["reports"][1]["estimate"]
         assert rep["reports"][0]["position_error"] is not None
 
-    def test_zero_trials_exits_2(self, tmp_path, box_obj, tiny_config):
-        rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
-                       "--trials", "0", "--output", str(tmp_path / "x.json")])
-        assert rc == 2
+    def test_zero_trials_exits_2(self, tmp_path, box_obj, tiny_config, capsys):
+        # So does a count beyond what a list can hold, named by flag.
+        for trials in ("0", str(10 ** 20)):
+            rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                           "--trials", trials, "--output", str(tmp_path / "x.json")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: --trials must be at ")
 
     def test_negative_trial_workers_exits_2(self, tmp_path, box_obj, tiny_config,
                                             capsys):

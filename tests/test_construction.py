@@ -207,8 +207,8 @@ def _profile(particles, mapping, transition):
 @given(particles=st.integers(1, 8), mapping=_EXTREME_KEYS, transition=st.booleans())
 def test_a_config_that_builds_can_run(particles, mapping, transition):
     # Either the config is refused naming a key it was given, or the filter
-    # runs to finite estimates and indices, or it fails as a MeshlocError or
-    # LinAlgError: no bare OverflowError or ZeroDivisionError from a value it
+    # runs to finite estimates and indices, or it fails as a MeshlocError: no
+    # bare LinAlgError, OverflowError or ZeroDivisionError from a value it
     # accepted.  numpy's overflow warnings are messages, not outcomes, so
     # they are let pass; where a distance's square overflows, `run` raises.
     try:
@@ -220,7 +220,7 @@ def test_a_config_that_builds_can_run(particles, mapping, transition):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             estimates, report = run(_CONTACTS, cfg.model_for(BOX), cfg)
-    except (MeshlocError, np.linalg.LinAlgError):
+    except MeshlocError:
         return
     assert all(np.isfinite(e.pose.to_array()).all() for e in estimates)
     assert np.isfinite(report.index_trace).all()
@@ -247,6 +247,17 @@ def test_cholesky_jitter_rescues_a_zero_prior():
     # factors.
     _runs_to_finite_estimates({"particles": 1, "prior_cov_diag": [0] * 6,
                                "process_noise_diag": [0] * 6})
+
+
+def test_overflowing_innovation_covariance_raises():
+    # sigma_p^2 = 1e308 is finite, but it doubles to inf on the diagonal of
+    # the innovation covariance when the transform symmetrizes it.
+    cfg = FilterConfig.from_mapping({"particles": 8, "sigma_p": 1e154,
+                                     "transition_density_in_weights": True})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(MeshlocError, match="^innovation covariance is not finite$"):
+            run(_CONTACTS, cfg.model_for(BOX), cfg)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

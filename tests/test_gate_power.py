@@ -1,0 +1,55 @@
+"""Each fast acceptance check reports not ok under one plausible defect.
+
+A gate that passes on broken code shows nothing, so every check of
+criteria 1 to 3 is run here with a defect monkeypatched into the code it
+guards, and must fail.
+"""
+
+import numpy as np
+
+from test_acceptance import (
+    check_distance_queries_match_brute_force,
+    check_ukf_matches_linear_kalman,
+    check_unscented_affine_exactness,
+)
+
+from meshloc import unscented
+from meshloc.geometry import TriMesh
+
+
+def test_criterion_1_fails_on_a_wrong_centre_weight(monkeypatch):
+    weights = unscented._weights
+
+    def wrong_centre(n):
+        w_mean, w_cov = weights(n)
+        w_mean[0] += 0.05
+        return w_mean, w_cov
+
+    monkeypatch.setattr(unscented, "_weights", wrong_centre)
+    ok, detail = check_unscented_affine_exactness()
+    assert not ok, detail
+
+
+def test_criterion_2_fails_on_a_traversal_that_stops_at_the_first_leaf(monkeypatch):
+    def first_leaf_only(self, Q):
+        # The greedy descent of `_traverse` without its frontier phase.
+        nearest = np.zeros(len(Q), dtype=np.int64)
+        for _ in range((len(self.leaves) - 1).bit_length()):
+            lo = 2 * nearest + 1
+            dist = [np.einsum("ij,ij->i", d, d) for d in (
+                Q - np.clip(Q, self.bbox_min[node], self.bbox_max[node])
+                for node in (lo, lo + 1))]
+            nearest = np.where(dist[1] < dist[0], lo + 1, lo)
+        return self._leaf_minima(Q, np.arange(len(Q)), nearest)
+
+    monkeypatch.setattr(TriMesh, "_traverse", first_leaf_only)
+    ok, detail = check_distance_queries_match_brute_force()
+    assert not ok, detail
+
+
+def test_criterion_3_fails_with_R_left_out_of_S(monkeypatch):
+    transform = unscented.unscented_transform
+    monkeypatch.setattr(unscented, "unscented_transform",
+                        lambda means, covs, g, noise=0.0: transform(means, covs, g))
+    ok, detail = check_ukf_matches_linear_kalman()
+    assert not ok, detail

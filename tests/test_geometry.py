@@ -13,7 +13,6 @@ from meshloc.geometry import (
     Pose,
     TriMesh,
     box_mesh,
-    build_bvh,
     euler_from_matrix,
     load_obj,
     points_into_object_frame,
@@ -242,6 +241,16 @@ class TestClosestPoint:
         with pytest.raises(InvalidConfigError):
             TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
 
+    def test_every_array_is_read_only(self):
+        mesh = random_soup(300, seed=1)
+        arrays = []
+        for name in TriMesh.__slots__:
+            value = getattr(mesh, name)
+            arrays.extend(value if isinstance(value, tuple) else [value])
+        assert len(arrays) == 8
+        for array in arrays:
+            assert isinstance(array, np.ndarray) and not array.flags.writeable
+
     def test_query_array_of_wrong_shape_raises(self, box):
         with pytest.raises(ValueError, match=r"^queries must have shape \(M, 3\)$"):
             box.closest_points(np.zeros((4, 2)))
@@ -251,28 +260,24 @@ class TestClosestPoint:
         npt.assert_allclose(points[0], [0.5, 0.0, 0.0], atol=1e-12)
 
 
-def _leaf_rows(bvh):
+def _leaf_rows(mesh):
     """Each leaf's faces: its row of the table without the padding."""
-    return [np.unique(row) for row in bvh.leaves]
+    return [np.unique(row) for row in mesh.leaves]
 
 
 class TestBvh:
     def test_single_face_is_single_leaf(self):
-        bvh = build_bvh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]),
-                        np.array([[0, 1, 2]]))
-        assert len(bvh.bbox_min) == 1
-        assert bvh.leaves.tolist() == [[0]]
+        mesh = TriMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]),
+                       np.array([[0, 1, 2]]))
+        assert len(mesh.bbox_min) == 1
+        assert mesh.leaves.tolist() == [[0]]
 
     def test_leaf_size_bound(self, box):
         mesh = random_soup(300, seed=2)
-        assert mesh.bvh.leaves.shape[1] <= LEAF_SIZE == 16
-        assert np.sort(np.concatenate(_leaf_rows(mesh.bvh))).tolist() == list(range(300))
+        assert mesh.leaves.shape[1] <= LEAF_SIZE == 16
+        assert np.sort(np.concatenate(_leaf_rows(mesh))).tolist() == list(range(300))
         # The 12-face box is one leaf: one triangle-kernel call per batch.
-        assert len(box.bvh.bbox_min) == 1
-
-    def test_empty_raises(self):
-        with pytest.raises(InvalidConfigError):
-            build_bvh(np.zeros((1, 3)), np.zeros((0, 3), dtype=int))
+        assert len(box.bbox_min) == 1
 
     def test_bvh_equals_brute_force_large_soup(self):
         mesh = random_soup(10_000, seed=3)
@@ -351,7 +356,7 @@ class TestExhaustiveParity:
         # Some tied faces sit in different leaves, so the lowest index wins
         # across leaves, not only inside one.
         leaf_of = np.empty(mesh.n_faces, dtype=np.int64)
-        leaves = mesh.bvh.leaves
+        leaves = mesh.leaves
         leaf_of[leaves] = np.arange(len(leaves))[:, None]
         assert any(len(set(leaf_of[ids])) > 1 for ids in incident)
 
@@ -370,8 +375,8 @@ class TestBvhInvariants:
         }[request.param]()
 
     def test_leaves_partition_faces_in_ascending_runs(self, mesh):
-        leaves = mesh.bvh.leaves
-        rows = _leaf_rows(mesh.bvh)
+        leaves = mesh.leaves
+        rows = _leaf_rows(mesh)
         assert np.sort(np.concatenate(rows)).tolist() == list(range(mesh.n_faces))
         for full, row in zip(leaves, rows):
             # Strictly ascending (its distinct faces in order), then the
@@ -380,28 +385,27 @@ class TestBvhInvariants:
             assert np.all(full[len(row):] == row[-1])
 
     def test_depth_is_the_least_that_bounds_leaf_size(self, mesh):
-        bvh = mesh.bvh
-        sizes = np.array([len(row) for row in _leaf_rows(bvh)])
-        assert len(sizes) == 2 ** bvh.depth
-        assert len(bvh.bbox_min) == len(bvh.bbox_max) == 2 * len(sizes) - 1
-        assert sizes.max() == bvh.leaves.shape[1] <= LEAF_SIZE
+        sizes = np.array([len(row) for row in _leaf_rows(mesh)])
+        depth = (len(sizes) - 1).bit_length()
+        assert len(sizes) == 2 ** depth
+        assert len(mesh.bbox_min) == len(mesh.bbox_max) == 2 * len(sizes) - 1
+        assert sizes.max() == mesh.leaves.shape[1] <= LEAF_SIZE
         assert sizes.max() - sizes.min() <= 1
-        if bvh.depth:
+        if depth:
             # Merging sibling leaves, i.e. one level less, overfills one.
             assert (sizes[0::2] + sizes[1::2]).max() > LEAF_SIZE
 
     def test_boxes_enclose_faces_tightly(self, mesh):
-        bvh = mesh.bvh
         tri = mesh.vertices[mesh.faces]
-        n_inner = len(bvh.leaves) - 1
-        for j, ids in enumerate(_leaf_rows(bvh)):
-            npt.assert_array_equal(bvh.bbox_min[n_inner + j], tri[ids].min(axis=(0, 1)))
-            npt.assert_array_equal(bvh.bbox_max[n_inner + j], tri[ids].max(axis=(0, 1)))
+        n_inner = len(mesh.leaves) - 1
+        for j, ids in enumerate(_leaf_rows(mesh)):
+            npt.assert_array_equal(mesh.bbox_min[n_inner + j], tri[ids].min(axis=(0, 1)))
+            npt.assert_array_equal(mesh.bbox_max[n_inner + j], tri[ids].max(axis=(0, 1)))
         inner = np.arange(n_inner)
-        npt.assert_array_equal(bvh.bbox_min[inner], np.minimum(
-            bvh.bbox_min[2 * inner + 1], bvh.bbox_min[2 * inner + 2]))
-        npt.assert_array_equal(bvh.bbox_max[inner], np.maximum(
-            bvh.bbox_max[2 * inner + 1], bvh.bbox_max[2 * inner + 2]))
+        npt.assert_array_equal(mesh.bbox_min[inner], np.minimum(
+            mesh.bbox_min[2 * inner + 1], mesh.bbox_min[2 * inner + 2]))
+        npt.assert_array_equal(mesh.bbox_max[inner], np.maximum(
+            mesh.bbox_max[2 * inner + 1], mesh.bbox_max[2 * inner + 2]))
 
 
 class TestMeshIo:
