@@ -355,7 +355,7 @@ class TriMesh:
         """
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[1] != 3:
-            raise ValueError("queries must have shape (M, 3)")
+            raise InvalidConfigError("queries must have shape (M, 3)")
         M = len(Q)
         d2 = np.empty(M)
         points = np.empty((M, 3))

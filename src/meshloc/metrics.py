@@ -81,7 +81,7 @@ def success_test(report: TrialReport, truth: Pose | None = None) -> bool:
 def aggregate_reports(reports: list[TrialReport]) -> dict:
     """Summary statistics over a batch of trials."""
     if not reports:
-        raise ValueError("no reports to aggregate")
+        raise InvalidConfigError("no reports to aggregate")
     final = np.array([r.final_index for r in reports])
     elapsed = np.array([r.elapsed for r in reports])
     pos = [r.position_error for r in reports if r.position_error is not None]

@@ -423,7 +423,7 @@ def extract_pose(state: FilterState, model, config: FilterConfig) -> PoseEstimat
     keeps every component, the chunk is the dense chunk.
     """
     if state.t == 0:
-        raise ValueError("extract_pose needs at least one processed measurement")
+        raise InvalidConfigError("extract_pose needs at least one processed measurement")
 
     # Measurement k = t-w+1..t gets exponent m - t + k - 1: with the
     # min(t - k + 1, m) powers the propagated weights hold, a total of m.

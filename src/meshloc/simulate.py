@@ -21,7 +21,7 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidConfigError, is_int, read_lines
+from .errors import InvalidConfigError, as_real, is_int, read_lines
 from .geometry import Pose, TriMesh
 
 __all__ = [
@@ -224,7 +224,12 @@ def read_ground_truth_json(path) -> tuple[ScenarioSpec, np.ndarray]:
         if not (isinstance(pose, list) and len(pose) == 6):
             raise InvalidConfigError(f"true_pose must be a list of 6 numbers, got {pose!r}")
         kwargs["true_pose"] = Pose(*pose)   # ScenarioSpec checks each number
-        return ScenarioSpec(**kwargs), np.asarray(payload["contacts"], dtype=float)
+        spec = ScenarioSpec(**kwargs)
+        n = spec.n_measurements
+        contacts = as_real(payload["contacts"], "contacts", f"a list of {n} points", (n, 3))
+        if not np.isfinite(contacts).all():
+            raise InvalidConfigError("contacts must be finite")
+        return spec, contacts
     except KeyError as exc:
         raise InvalidConfigError(f"{path}: ground truth lacks key {exc}") from None
     except (TypeError, ValueError) as exc:   # InvalidConfigError among them

@@ -86,16 +86,18 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     -------
     (corrected_means (B, 6), corrected_covs (B, 6, 6))
 
-    The gain is one batched solve of ``S K^T = Gamma^T``.  An innovation
+    The sigma points of a predicted covariance ``covs + Q`` that is
+    indefinite are those of its PSD projection (see
+    `unscented.sigma_points_batch`).  The gain is one batched solve of
+    ``S K^T = Gamma^T``.  An innovation
     covariance ``S`` that is not finite or that it cannot invert, or a gain
     that is not finite, raises `MeshlocError`.  Corrected covariances are
-    symmetrized and, when an eigenvalue falls below -1e-10, shifted back
-    onto the PSD cone.
+    symmetrized and returned as computed: roundoff may leave one slightly
+    indefinite, and the next step's sigma points factor its PSD projection.
     """
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = means.shape[1]
 
     # Time update: identity dynamics, additive process noise.
     P_pred = covs + Q
@@ -114,10 +116,4 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     innov = y[None, :] - y_hat
     corrected = means + np.einsum("bij,bj->bi", K, innov)
     P_corr = P_pred - np.einsum("bij,bjk,blk->bil", K, S, K)
-    P_corr = 0.5 * (P_corr + np.swapaxes(P_corr, -1, -2))
-
-    # PSD repair: shift only when an eigenvalue dips beyond tolerance.
-    min_eig = np.linalg.eigvalsh(P_corr)[:, 0]
-    shift = np.where(min_eig < -1e-10, -min_eig, 0.0)
-    P_corr = P_corr + shift[:, None, None] * np.eye(n)
-    return corrected, P_corr
+    return corrected, 0.5 * (P_corr + np.swapaxes(P_corr, -1, -2))

@@ -19,11 +19,13 @@ of van der Merwe et al. (2000) runs: for a 6-D pose, ``lam = 2`` and the
 ``W_i = 1/16``.  ``alpha = 1`` keeps the spread at ``sqrt(n + k)``;
 ``beta = 30`` overweights the central covariance residual.
 
-The matrix square root is the lower Cholesky factor.  When a covariance is
-only positive semidefinite, a diagonal jitter of ``1e-12 * trace / n`` is
-added and escalated by factors of 10 up to ``1e-6 * trace / n`` before
-giving up with `MeshlocError` (an exactly zero matrix falls back to an
-absolute ladder from 1e-18 to 1e-12).
+The matrix square root is the lower Cholesky factor.  A covariance that
+Cholesky cannot factor, being semidefinite or, from roundoff, slightly
+indefinite, is factored as ``V sqrt(max(lambda, 0))`` from its
+eigendecomposition: a square root of its projection onto the PSD cone, the
+clip the filter also applies to its sampling scale.  So an indefinite
+covariance gets the sigma points of its projection (``-I`` collapses to
+the mean), and none is refused.
 
 ``unscented_transform`` pushes the sigma points of a batch of Gaussians
 through a map ``g`` and returns the weighted output moments; it is the one
@@ -34,11 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MeshlocError
-
 __all__ = ["sigma_points_batch", "unscented_transform"]
 
-_JITTER_STEPS = 7  # 1e-12 .. 1e-6 relative, factor 10 per step
 _ALPHA, _K, _BETA = 1.0, 2.0, 30.0   # the transform's parameters
 
 
@@ -57,31 +56,23 @@ def _weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w_mean, w_cov
 
 
-def _cholesky_jittered(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with escalating diagonal jitter."""
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor, or ``V sqrt(max(lambda, 0))`` where it fails."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        pass
-    n = mat.shape[-1]
-    trace = float(np.trace(mat))
-    scale = trace / n if trace > 0.0 else 1e-6
-    eye = np.eye(n)
-    for step in range(_JITTER_STEPS):
-        jitter = scale * 1e-12 * 10.0 ** step
-        try:
-            return np.linalg.cholesky(mat + jitter * eye)
-        except np.linalg.LinAlgError:
-            continue
-    raise MeshlocError(
-        f"covariance not positive definite after jitter up to {scale * 1e-6:.3e}")
+        evals, vecs = np.linalg.eigh(mat)
+        return vecs * np.sqrt(np.clip(evals, 0.0, None))
 
 
 def sigma_points_batch(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Sigma points for a batch of Gaussians.
 
     ``means`` has shape (B, n), ``covs`` shape (B, n, n); the result is
-    (B, 2n+1, n).  Covariances are symmetrized before factoring.
+    (B, 2n+1, n).  Covariances are symmetrized before factoring.  When the
+    batched Cholesky fails, each row is factored alone: rows Cholesky can
+    factor keep their bits, and the others get the square root of their
+    PSD projection.
     """
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
@@ -90,7 +81,7 @@ def sigma_points_batch(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     try:
         L = np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
-        L = np.stack([_cholesky_jittered(m) for m in scaled])
+        L = np.stack([_psd_sqrt(m) for m in scaled])
     points = np.empty((B, 2 * n + 1, n))
     points[:, 0, :] = means
     cols = np.swapaxes(L, -1, -2)  # row i is column i of L
@@ -105,7 +96,9 @@ def unscented_transform(means: np.ndarray, covs: np.ndarray, g, noise=0.0):
     ``means`` is (B, n) and ``covs`` (B, n, n); ``g`` maps an (M, n) stack
     of inputs to (M, p) outputs.  Returns ``(y_mean, P_y, P_xy)`` of shapes
     (B, p), (B, p, p) and (B, n, p).  ``noise`` is added to ``P_y``, which
-    is symmetrized afterwards; ``P_xy`` is taken about ``means``.
+    is symmetrized afterwards; ``P_xy`` is taken about ``means``.  An
+    indefinite covariance is taken as its PSD projection, as in
+    `sigma_points_batch`.
     """
     means = np.asarray(means, dtype=float)
     X = sigma_points_batch(means, covs)          # (B, S, n)

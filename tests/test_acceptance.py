@@ -19,6 +19,7 @@ from conftest import random_soup, save_obj
 from oracles import closest_point_brute, kalman_update, upf_step
 
 import meshloc.cli as cli
+import meshloc.mupf as mupf
 from meshloc import (
     FilterConfig,
     FilterState,
@@ -28,7 +29,6 @@ from meshloc import (
     init,
     run,
     sample_contacts,
-    step,
     ukf_step_batch,
     unscented_transform,
 )
@@ -158,7 +158,7 @@ def test_criterion_3_ukf_matches_linear_kalman():
           *check_ukf_matches_linear_kalman())
 
 
-def test_criterion_4_memoryless_filter_reduces_to_upf():
+def check_memoryless_filter_reduces_to_upf() -> tuple[bool, str]:
     mesh = box_mesh(0.1, 0.3, 0.2)
     config = FilterConfig(n_particles=64, memory=1, resampling_delay=0,
                           transition_density_in_weights=True, seed=17,
@@ -172,15 +172,19 @@ def test_criterion_4_memoryless_filter_reduces_to_upf():
     sa, sb = init(config), init(config)
     exact = True
     for y in measurements:
-        sa, _ = step(sa, y, model, config)
+        sa, _ = mupf.step(sa, y, model, config)
         sb, _ = upf_step(sb, y, model, config)
         exact = exact and all(np.array_equal(getattr(sa, f.name), getattr(sb, f.name))
                               for f in fields(FilterState))
+    return exact, f"10 steps bitwise {'identical' if exact else 'DIVERGED'}"
+
+
+def test_criterion_4_memoryless_filter_reduces_to_upf():
     _gate(4, "memory 1 with immediate resampling reduces to the plain UPF",
-          exact, f"10 steps bitwise {'identical' if exact else 'DIVERGED'}")
+          *check_memoryless_filter_reduces_to_upf())
 
 
-def test_criterion_5_each_measurement_rated_in_m_updates():
+def check_each_measurement_rated_in_m_updates() -> tuple[bool, str]:
     mesh = box_mesh(0.1, 0.3, 0.2)
     config = FilterConfig(n_particles=32, memory=5, seed=3,
                           prior_mean=PINNED_POSE,
@@ -210,16 +214,20 @@ def test_criterion_5_each_measurement_rated_in_m_updates():
     measurements, _ = sample_contacts(spec, mesh)
     state = init(config)
     for y in measurements:
-        state, _ = step(state, y, spy, config)
+        state, _ = mupf.step(state, y, spy, config)
 
     t_total, m = 20, 5
     expected = {k: min(m, t_total - k + 1) for k in range(1, t_total + 1)}
     got = {k: spy.counts.get(measurements[k - 1].tobytes(), 0)
            for k in range(1, t_total + 1)}
     ok = got == expected and all(got[k] == 5 for k in range(1, 17))
+    return ok, (f"m={m}, T={t_total}, counts for k<=16 all 5: "
+                f"{all(got[k] == 5 for k in range(1, 17))}")
+
+
+def test_criterion_5_each_measurement_rated_in_m_updates():
     _gate(5, "every measurement enters exactly min(m, T-k+1) weight updates",
-          ok, f"m={m}, T={t_total}, counts for k<=16 all 5: "
-              f"{all(got[k] == 5 for k in range(1, 17))}")
+          *check_each_measurement_rated_in_m_updates())
 
 
 @pytest.mark.slow

@@ -8,11 +8,16 @@ benchmark run does.  ``bench/run.py`` drives the streaming API and reads
 the step diagnostics and the estimate fields; a short drive catches a
 change to either.  Each workload's set-up, as the benchmark runs it, builds
 its profile and trials and takes one contact, so a profile key or a config
-field the library stops accepting fails here first.
+field the library stops accepting fails here first.  A slow test pins the
+filter's output: the benchmark's reference-trial digests under one
+OpenBLAS kernel.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -93,3 +98,55 @@ def test_set_up_builds_each_workload(monkeypatch, name):
     _, workload, setup, mupf_module, _ = run.set_up(name, 0)
     assert workload.name == name and mupf_module is mupf
     assert setup.trials
+
+
+# The reference trials' digests as `bench/run.py` computes them, with numpy
+# 2.4.6 on OpenBLAS's Haswell kernel: the bits of LAPACK's small batched
+# solvers depend on the kernel, so the pin holds for this one only.
+_HASWELL_DIGESTS = {
+    "box-desk": "953a62ccdb54a17125b9e5b6a4f6f5237f083c1f6856ead0eab0bf820a04146d",
+    "box-robot": "c68c5535e1b08ccc34562ac8d47667be74456dc0320fd8362bfdf5f8f49ac538",
+    "scan-refine": "b586c8547184a183c6dbbba44131c313c88a54b8eabcc837f7d59af0a0b7a63e",
+}
+
+# Reads the kernel OpenBLAS runs through numpy's bundled library, and runs
+# the reference trials of the workloads named on its command line only when
+# that kernel and numpy's version are the pin's.
+_PIN_SCRIPT = """
+import ctypes, glob, json, os, sys
+sys.path.insert(0, sys.argv[1])
+import numpy
+import run
+
+kernel = "unknown"
+for lib in glob.glob(os.path.join(os.path.dirname(numpy.__path__[0]), "numpy.libs",
+                                  "libscipy_openblas64_*.so")):
+    corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+        kernel = corename().decode()
+out = {"kernel": kernel, "numpy": numpy.__version__, "digests": {}}
+if (kernel, numpy.__version__) == ("Haswell", "2.4.6"):
+    for name in sys.argv[2:]:
+        _, workload, setup, mupf, _ = run.set_up(name, 0)
+        reference = setup.trials[:workload.reference_trials]
+        loop = run.drive(reference, setup.model, mupf, lambda loop: True)
+        out["digests"][name] = run.digest(loop, reference)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.slow
+def test_reference_digests_under_the_haswell_kernel():
+    env = os.environ | {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
+                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _PIN_SCRIPT, str(BENCH), *_HASWELL_DIGESTS],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    if got["kernel"] != "Haswell":
+        pytest.skip(f"OpenBLAS ran its {got['kernel']} kernel, not Haswell, "
+                    f"which needs an x86-64 CPU with AVX2 and FMA")
+    if got["numpy"] != "2.4.6":
+        pytest.skip(f"numpy {got['numpy']}, not the pin's 2.4.6")
+    assert got["digests"] == _HASWELL_DIGESTS

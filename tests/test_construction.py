@@ -234,19 +234,24 @@ def _runs_to_finite_estimates(profile):
     assert np.isfinite(report.index_trace).all()
 
 
+# Profiles that only the clipped-eigenvalue factor of `sigma_points_batch`
+# lets run; tests/test_gate_power.py checks that each fails without it.
+FAR_PRIOR = {"particles": 8, "prior_mean": [2 ** 53] * 6}
+ZERO_PRIOR = {"particles": 1, "prior_cov_diag": [0] * 6, "process_noise_diag": [0] * 6}
+
+
 def test_psd_shift_rescues_a_far_prior():
     # Poses near 2**53 correct to covariances whose rounding leaves a
-    # negative eigenvalue; without `ukf_step_batch`'s shift back onto the
-    # PSD cone, the next step's Cholesky jitter gives up.
-    _runs_to_finite_estimates({"particles": 8, "prior_mean": [2 ** 53] * 6})
+    # negative eigenvalue, which Cholesky cannot factor; the next step's
+    # sigma points factor their PSD projection, clipping it to 0.
+    _runs_to_finite_estimates(FAR_PRIOR)
 
 
 def test_cholesky_jitter_rescues_a_zero_prior():
     # A zero prior and a zero process noise give a zero predicted
-    # covariance, which only the jittered Cholesky of `sigma_points_batch`
-    # factors.
-    _runs_to_finite_estimates({"particles": 1, "prior_cov_diag": [0] * 6,
-                               "process_noise_diag": [0] * 6})
+    # covariance, which Cholesky cannot factor; its clipped eigenvalues,
+    # all 0, give sigma points at the mean.
+    _runs_to_finite_estimates(ZERO_PRIOR)
 
 
 def test_overflowing_innovation_covariance_raises():

@@ -1,19 +1,26 @@
 """Each fast acceptance check reports not ok under one plausible defect.
 
 A gate that passes on broken code shows nothing, so every check of
-criteria 1 to 3 is run here with a defect monkeypatched into the code it
-guards, and must fail.
+criteria 1 to 5 is run here with a defect monkeypatched into the code it
+guards, and must fail.  So must the rescue tests of `sigma_points_batch`'s
+clipped-eigenvalue factor, run without it.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from test_acceptance import (
     check_distance_queries_match_brute_force,
+    check_each_measurement_rated_in_m_updates,
+    check_memoryless_filter_reduces_to_upf,
     check_ukf_matches_linear_kalman,
     check_unscented_affine_exactness,
 )
+from test_construction import FAR_PRIOR, ZERO_PRIOR, _runs_to_finite_estimates
 
-from meshloc import unscented
+from meshloc import mupf, unscented
 from meshloc.geometry import TriMesh
 
 
@@ -53,3 +60,34 @@ def test_criterion_3_fails_with_R_left_out_of_S(monkeypatch):
                         lambda means, covs, g, noise=0.0: transform(means, covs, g))
     ok, detail = check_ukf_matches_linear_kalman()
     assert not ok, detail
+
+
+def test_criterion_4_fails_without_the_transition_density(monkeypatch):
+    real_step = mupf.step
+
+    def step_without_density(state, y, model, config):
+        return real_step(state, y, model, dataclasses.replace(
+            config, transition_density_in_weights=False))
+
+    monkeypatch.setattr(mupf, "step", step_without_density)
+    ok, detail = check_memoryless_filter_reduces_to_upf()
+    assert not ok, detail
+
+
+def test_criterion_5_fails_on_a_window_one_contact_longer(monkeypatch):
+    real_step = mupf.step
+
+    def step_with_longer_window(state, y, model, config):
+        return real_step(state, y, model, dataclasses.replace(
+            config, memory=config.memory + 1))
+
+    monkeypatch.setattr(mupf, "step", step_with_longer_window)
+    ok, detail = check_each_measurement_rated_in_m_updates()
+    assert not ok, detail
+
+
+@pytest.mark.parametrize("profile", [FAR_PRIOR, ZERO_PRIOR], ids=["far", "zero"])
+def test_rescue_profiles_fail_under_plain_cholesky(profile, monkeypatch):
+    monkeypatch.setattr(unscented, "_psd_sqrt", np.linalg.cholesky)
+    with pytest.raises(np.linalg.LinAlgError):
+        _runs_to_finite_estimates(profile)

@@ -252,7 +252,7 @@ class TestClosestPoint:
             assert isinstance(array, np.ndarray) and not array.flags.writeable
 
     def test_query_array_of_wrong_shape_raises(self, box):
-        with pytest.raises(ValueError, match=r"^queries must have shape \(M, 3\)$"):
+        with pytest.raises(InvalidConfigError, match=r"^queries must have shape \(M, 3\)$"):
             box.closest_points(np.zeros((4, 2)))
 
     def test_batch_query_projects_onto_face(self, unit_box):

@@ -176,5 +176,5 @@ class TestAggregateReports:
         assert summary["max_final_index"] == pytest.approx(0.03)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError, match="^no reports to aggregate$"):
             aggregate_reports([])

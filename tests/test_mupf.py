@@ -621,7 +621,8 @@ def _spread_weights(rng, n, spread=2000.0):
 class TestExtraction:
     def test_requires_a_processed_measurement(self, box):
         cfg = _small_config()
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError,
+                           match="^extract_pose needs at least one processed measurement$"):
             extract_pose(init(cfg), cfg.model_for(box), cfg)
 
     def test_majority_cluster_wins(self):

@@ -177,6 +177,20 @@ class TestMeasurementFiles:
                            match=f"^{re.escape(str(truth_file))}: .*{field} "):
             read_ground_truth_json(truth_file)
 
+    @pytest.mark.parametrize("contacts", [
+        [[True, 0, 0]] + [[0.0, 0.0, 0.0]] * 3,     # a boolean, not the number 1
+        [[0.0, 0.0]] * 4,                           # (L, 2)
+        [[float("nan"), 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 3,
+        [[0.0, 0.0, 0.0]] * 3,                      # fewer rows than n_measurements
+    ], ids=["bool", "two-columns", "nan", "short"])
+    def test_ground_truth_refuses_bad_contacts(self, truth_file, contacts):
+        payload = json.loads(truth_file.read_text())
+        payload["contacts"] = contacts
+        truth_file.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfigError,
+                           match=f"^{re.escape(str(truth_file))}: .*contacts "):
+            read_ground_truth_json(truth_file)
+
     def test_ground_truth_defaults_do_not_fill_missing_key(self, truth_file):
         payload = json.loads(truth_file.read_text())
         del payload["scenario"]["seed"]

@@ -260,22 +260,23 @@ class TestRowIndependence:
 
     def test_jittered_cholesky_fallback_keeps_the_other_rows(self, box, monkeypatch):
         # Row 4's predicted covariance is zero, so the batched Cholesky
-        # fails and `sigma_points_batch` factors row by row with jitter.
+        # fails and `sigma_points_batch` factors row by row, row 4 through
+        # its clipped eigenvalues.
         model = MeasurementModel(mesh=box, sigma_p=0.01)
         means, covs = self._particles(12, seed=71)
         covs[4] = 0.0
-        jittered = []
-        factor = unscented._cholesky_jittered
+        factored = []
+        factor = unscented._psd_sqrt
 
         def counted(mat):
-            jittered.append(1)
+            factored.append(1)
             return factor(mat)
-        monkeypatch.setattr(unscented, "_cholesky_jittered", counted)
+        monkeypatch.setattr(unscented, "_psd_sqrt", counted)
         Q = np.zeros((6, 6))
         full = self._assert_rows_independent(means, covs, model, Q, noise(model))
-        jittered.clear()
+        factored.clear()
         ukf_step_batch(means, covs, self.Y, model, Q, R=noise(model))
-        assert len(jittered) == 12
+        assert len(factored) == 12
         keep = np.arange(12) != 4
         batched = ukf_step_batch(means[keep], covs[keep], self.Y, model, Q,
                                  R=noise(model))

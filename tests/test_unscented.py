@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshloc.errors import MeshlocError
 from meshloc.unscented import _lam, _weights, sigma_points_batch, unscented_transform
 
 from oracles import affine_transform_moments
@@ -101,7 +100,7 @@ class TestSigmaPoints:
 
     def test_jittered_row_keeps_the_other_rows(self):
         # One semidefinite row sends the whole batch through the per-row
-        # jittered Cholesky; every row still equals its batch without it.
+        # factorization; every row still equals its batch without it.
         rng = np.random.default_rng(6)
         means = rng.normal(size=(7, 6))
         covs = np.stack([random_spd(rng, 6) for _ in range(7)])
@@ -114,7 +113,7 @@ class TestSigmaPoints:
         for i in range(7):
             npt.assert_array_equal(batch[i], sigma_points_batch(means[i:i + 1], covs[i:i + 1])[0])
 
-    def test_psd_singular_gets_jitter(self):
+    def test_psd_singular_gets_clipped_eigenvalues(self):
         cov = np.diag([1.0, 1.0, 0.0])  # semidefinite
         points = sigma_points(np.zeros(3), cov)
         assert np.isfinite(points).all()
@@ -122,12 +121,18 @@ class TestSigmaPoints:
     def test_zero_covariance_collapses_to_mean(self):
         mean = np.array([0.5, -1.0, 2.0])
         points = sigma_points(mean, np.zeros((3, 3)))
-        npt.assert_allclose(points, np.tile(mean, (7, 1)), atol=1e-7)
+        npt.assert_array_equal(points, np.tile(mean, (7, 1)))
 
-    def test_negative_definite_raises(self):
-        with pytest.raises(MeshlocError,
-                           match="^covariance not positive definite after jitter "):
-            sigma_points(np.zeros(3), -np.eye(3))
+    def test_indefinite_covariance_gets_its_psd_projection(self):
+        # The negative eigenvalue is clipped to 0: the identity map returns
+        # the covariance of the projection, and nothing is raised.
+        mean = np.array([0.5, -1.0, 2.0])
+        y, Py, Pxy = transform_one(mean, np.diag([1.0, 4.0, -1.0]), lambda X: X)
+        npt.assert_allclose(y, mean, rtol=0, atol=1e-15)
+        npt.assert_allclose(Py, np.diag([1.0, 4.0, 0.0]), rtol=0, atol=1e-14)
+        npt.assert_allclose(Pxy, np.diag([1.0, 4.0, 0.0]), rtol=0, atol=1e-14)
+        # A negative definite covariance projects to 0.
+        npt.assert_array_equal(sigma_points(mean, -np.eye(3)), np.tile(mean, (7, 1)))
 
 
 class TestUnscentedTransform:
