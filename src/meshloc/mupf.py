@@ -254,24 +254,21 @@ def _rng_for_step(seed: int, t: int) -> np.random.Generator:
                                                         spawn_key=(int(t),)))
 
 
-def _symmetrize(mats: np.ndarray) -> np.ndarray:
-    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
-
-
 def _factor_covariances(covs: np.ndarray):
-    """Eigendecompositions with sampling (>=0) and density (floored) spectra."""
-    evals, vecs = np.linalg.eigh(_symmetrize(covs))
-    evals_sample = np.clip(evals, 0.0, None)
-    evals_density = np.clip(evals, _DENSITY_EIG_FLOOR, None)
-    return vecs, evals_sample, evals_density
+    """``(scale, vecs, evals)`` of one covariance or a stack: the sampling
+    scale ``V sqrt(max(lambda, 0))``, and the density factors with the
+    eigenvalues floored at ``_DENSITY_EIG_FLOOR``."""
+    evals, vecs = np.linalg.eigh(0.5 * (covs + np.swapaxes(covs, -1, -2)))
+    scale = vecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    return scale, vecs, np.clip(evals, _DENSITY_EIG_FLOOR, None)
 
 
 def _log_gauss_factored(diff: np.ndarray, vecs: np.ndarray,
                         evals: np.ndarray) -> np.ndarray:
-    """log N(diff; 0, V diag(evals) V^T) for per-row factors."""
+    """log N(diff; 0, V diag(evals) V^T), the factors broadcast over ``diff``."""
     dim = diff.shape[-1]
-    u = np.einsum("baj,ba->bj", vecs, diff)
-    maha = np.einsum("bj,bj->b", u * u, 1.0 / evals)
+    u = np.einsum("...aj,...a->...j", vecs, diff)
+    maha = np.einsum("...j,...j->...", u * u, 1.0 / evals)
     logdet = np.log(evals).sum(axis=-1)
     return -0.5 * (dim * _LN_2PI + logdet + maha)
 
@@ -311,8 +308,7 @@ def init(config: FilterConfig) -> FilterState:
     at ``prior_cov`` itself, and each draw is its own parent.
     """
     n = config.n_particles
-    vecs, evals_sample, _ = _factor_covariances((config.prior_cov / config.memory)[None])
-    scale = vecs[0] * np.sqrt(evals_sample[0])[None, :]
+    scale, _, _ = _factor_covariances(config.prior_cov / config.memory)
     rng = _rng_for_step(config.seed, 0)
     z = rng.standard_normal((n, 6))
     draws = config.prior_mean + z @ scale.T
@@ -338,10 +334,9 @@ def _propose(state: FilterState, window: np.ndarray, model,
     R = model.sigma_p ** 2 * np.eye(3)
     means, covs = ukf_step_batch(state.sampled[rows], state.covs[rows], window[-1],
                                  model, config.process_noise, R=R)
-    vecs, evals_sample, evals_density = _factor_covariances(covs)
-    scale = vecs * np.sqrt(evals_sample)[:, None, :]
-    means, covs, vecs, evals_density, scale = (
-        a[owner] for a in (means, covs, vecs, evals_density, scale))
+    scale, vecs, evals_density = _factor_covariances(covs)
+    means, covs, scale, vecs, evals_density = (
+        a[owner] for a in (means, covs, scale, vecs, evals_density))
     sampled = means + np.einsum("bij,bj->bi", scale, z)
     log_q = _log_gauss_factored(sampled - means, vecs, evals_density)
     ll = log_likelihood_batch(model, window, sampled)
@@ -373,10 +368,9 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     # the weight recursion with a uniform weight vector.
     lw = np.log(1.0 / n) + ll_sum - log_q
     if config.transition_density_in_weights:
-        q_vecs, _, q_evals = _factor_covariances(config.process_noise[None])
+        _, q_vecs, q_evals = _factor_covariances(config.process_noise)
         lw = lw + _log_gauss_factored(sampled - state.sampled[state.parents],
-                                      np.broadcast_to(q_vecs, (n, 6, 6)),
-                                      np.broadcast_to(q_evals, (n, 6)))
+                                      q_vecs, q_evals)
     weights_t, log_weights_t, degenerate = _normalize_log_weights(lw)
     if degenerate:
         logger.warning("step %d: all importance weights underflowed; "
@@ -435,18 +429,16 @@ def extract_pose(state: FilterState, model, config: FilterConfig) -> PoseEstimat
         logger.warning("extraction weights underflowed at step %d; "
                        "falling back to uniform", state.t)
 
-    logdet = np.log(state.cov_evals).sum(axis=1)      # (N,) per component
-    inv_evals = 1.0 / state.cov_evals
-    bound = log_wbar + -0.5 * (6.0 * _LN_2PI + logdet)
+    # Each component's term at its own mean, where the Mahalanobis term is 0.
+    bound = log_wbar + _log_gauss_factored(np.zeros((n, 6)), state.cov_vecs,
+                                           state.cov_evals)
     support = np.flatnonzero(wbar > 0.0)
 
     def mix_at(comps, lo, hi):
         """Log terms (len(comps), hi - lo) of components at candidates."""
         diff = state.sampled[None, lo:hi, :] - state.sampled[comps, None, :]
-        u = np.einsum("iab,ija->ijb", state.cov_vecs[comps], diff)
-        maha = np.einsum("ijb,ib->ij", u * u, inv_evals[comps])
-        logcomp = -0.5 * (6.0 * _LN_2PI + logdet[comps, None] + maha)
-        return log_wbar[comps, None] + logcomp
+        return log_wbar[comps, None] + _log_gauss_factored(
+            diff, state.cov_vecs[comps, None], state.cov_evals[comps, None])
 
     log_density = np.empty(n)
     for lo in range(0, n, _EXTRACT_CHUNK):

@@ -8,8 +8,11 @@ output against these.
 
 There are three exceptions, all compared bitwise.  :func:`upf_step` is the
 plain unscented particle filter that the memory filter must reduce to.  It
-reuses the filter's numerical building blocks and spells out the memoryless
-recursion on its own instead of calling ``mupf.step``.
+runs its own proposal pass, one ``ukf_step_batch`` row for every particle
+where ``mupf.step`` corrects each distinct parent once, and its own draw;
+it rates with the filter's factorization, Gaussian log-density, likelihood,
+normalization and resampling, and spells out the memoryless recursion on
+its own instead of calling ``mupf.step``.
 :func:`closest_points_exhaustive` runs the library's triangle kernel over
 every face, with no tree, so that ``TriMesh.closest_points`` can be held to
 the same argmin bit for bit.  :func:`map_readout` is the dense O(N^2)
@@ -24,7 +27,7 @@ import numpy as np
 
 from meshloc import mupf
 from meshloc.geometry import closest_point_on_triangles
-from meshloc.ukf import log_likelihood_batch
+from meshloc.ukf import log_likelihood_batch, ukf_step_batch
 
 # Pairwise point-triangle evaluations per chunk; bounds peak memory.
 _PAIR_BUDGET = 4_000_000
@@ -196,10 +199,12 @@ def upf_step(state, y, model, config):
     """One step of the plain unscented particle filter (van der Merwe et
     al. 2000, "The unscented particle filter").
 
-    Rates only the newest measurement, includes the random-walk transition
-    density in the weight, and resamples on every step.  With ``memory=1``,
-    ``resampling_delay=0`` and ``transition_density_in_weights`` enabled,
-    ``mupf.step`` must reproduce this recursion bit for bit.
+    Corrects every particle with its own UKF row (contact noise
+    ``sigma_p^2 I``), rates only the newest measurement, includes the
+    random-walk transition density in the weight, and resamples on every
+    step.  With ``memory=1``, ``resampling_delay=0`` and
+    ``transition_density_in_weights`` enabled, ``mupf.step`` must
+    reproduce this recursion bit for bit.
     """
     y = np.asarray(y, dtype=float).reshape(3)
     n = state.n_particles
@@ -207,14 +212,21 @@ def upf_step(state, y, model, config):
     rng = mupf._rng_for_step(config.seed, t)
     window = y[None]
 
+    # The proposal of van der Merwe et al.: one UKF correction per
+    # particle, with no distinct-parent dedupe, then a draw from each
+    # corrected Gaussian.
     z = rng.standard_normal((n, 6))
-    ukf_covs, vecs, evals_density, sampled, log_q, ll = \
-        mupf._propose(state, window, model, config, z)
+    prev = state.sampled[state.parents]
+    means, ukf_covs = ukf_step_batch(prev, state.covs[state.parents], y, model,
+                                     config.process_noise,
+                                     R=model.sigma_p ** 2 * np.eye(3))
+    scale, vecs, evals_density = mupf._factor_covariances(ukf_covs)
+    sampled = means + np.einsum("bij,bj->bi", scale, z)
+    log_q = mupf._log_gauss_factored(sampled - means, vecs, evals_density)
+    ll = log_likelihood_batch(model, window, sampled)
     lw = np.log(1.0 / n) + ll.sum(axis=1) - log_q
-    q_vecs, _, q_evals = mupf._factor_covariances(config.process_noise[None])
-    lw = lw + mupf._log_gauss_factored(sampled - state.sampled[state.parents],
-                                       np.broadcast_to(q_vecs, (n, 6, 6)),
-                                       np.broadcast_to(q_evals, (n, 6)))
+    _, q_vecs, q_evals = mupf._factor_covariances(config.process_noise)
+    lw = lw + mupf._log_gauss_factored(sampled - prev, q_vecs, q_evals)
     weights_t, log_weights_t, degenerate = mupf._normalize_log_weights(lw)
 
     idx = mupf._resample_indices(rng, weights_t)

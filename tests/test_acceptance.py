@@ -270,7 +270,7 @@ def test_criterion_8_index_trace_converges(pinned_batches):
               f"({frac:.0%} >= 90%)")
 
 
-def test_criterion_9_reports_identical_across_scheduling(tmp_path, monkeypatch):
+def check_reports_identical_across_scheduling(tmp_path, monkeypatch) -> tuple[bool, str]:
     mesh_path = str(tmp_path / "box.obj")
     save_obj(box_mesh(0.1, 0.3, 0.2), mesh_path)
     cfg_path = tmp_path / "small.yaml"
@@ -317,6 +317,10 @@ def test_criterion_9_reports_identical_across_scheduling(tmp_path, monkeypatch):
     report = json.loads(Path(loc_path).read_text())
     echo_ok = "workers" not in report["config"] and "elapsed" not in report["report"]
     ok = bat_ok and pool_ok and echo_ok
+    return ok, (f"batch identical: {bat_ok}, 2-process pool entered: {pool_ok}, "
+                f"no scheduling keys in echo: {echo_ok}")
+
+
+def test_criterion_9_reports_identical_across_scheduling(tmp_path, monkeypatch):
     _gate(9, "reports are byte-identical across trial-worker counts",
-          ok, f"batch identical: {bat_ok}, 2-process pool entered: {pool_ok}, "
-              f"no scheduling keys in echo: {echo_ok}")
+          *check_reports_identical_across_scheduling(tmp_path, monkeypatch))

@@ -1,9 +1,13 @@
 """End-to-end tests of the command line interface."""
 
 import dataclasses
+import importlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1009,6 +1013,38 @@ class TestReadme:
         assert [argv[0] for argv in commands] == ["simulate", "localize", "batch"]
         for argv in commands:
             cli.build_parser().parse_args(argv)
+
+
+class TestProcess:
+    # the command line as a shell meets it: a fresh interpreter whose exit
+    # status is the process's
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def _meshloc(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "meshloc.cli", *argv], cwd=self.ROOT,
+            env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
+            text=True, timeout=120)
+
+    def test_exit_codes_of_the_process(self, tmp_path):
+        contacts = tmp_path / "contacts.csv"
+        done = self._meshloc("simulate", "--mesh", "assets/box_0.1x0.3x0.2.obj",
+                             "--count", "4", "--seed", "1", "--output", str(contacts))
+        assert done.returncode == 0, done.stderr
+        assert len(contacts.read_text().splitlines()) == 5   # header and 4 rows
+        missing = tmp_path / "missing.obj"
+        done = self._meshloc("localize", "--mesh", str(missing), "--measurements",
+                             str(contacts), "--output", str(tmp_path / "report.json"))
+        assert done.returncode == 2
+        assert str(missing) in done.stderr
+
+    def test_installed_script_is_cli_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(self.ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["meshloc"]
+        assert target == "meshloc.cli:main"
+        module, name = target.split(":")
+        assert getattr(importlib.import_module(module), name) is cli.main
 
 
 class TestManifest:

@@ -1,12 +1,13 @@
 """Each fast acceptance check reports not ok under one plausible defect.
 
 A gate that passes on broken code shows nothing, so every check of
-criteria 1 to 5 is run here with a defect monkeypatched into the code it
+criteria 1 to 5 and 9 is run here with a defect monkeypatched into the code it
 guards, and must fail.  So must the rescue tests of `sigma_points_batch`'s
 clipped-eigenvalue factor, run without it.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -15,13 +16,29 @@ from test_acceptance import (
     check_distance_queries_match_brute_force,
     check_each_measurement_rated_in_m_updates,
     check_memoryless_filter_reduces_to_upf,
+    check_reports_identical_across_scheduling,
     check_ukf_matches_linear_kalman,
     check_unscented_affine_exactness,
 )
 from test_construction import FAR_PRIOR, ZERO_PRIOR, _runs_to_finite_estimates
 
+import meshloc.cli as cli
 from meshloc import mupf, unscented
 from meshloc.geometry import TriMesh
+
+_PYTEST_PID = os.getpid()
+_batch_trial = cli._batch_trial
+
+
+def _trial_that_knows_its_process(trial):
+    """A batch trial whose seed moves in any process but the test's.
+
+    Module-level, so the pool pickles it by reference; the pool forks after
+    the test patches it in.
+    """
+    report = _batch_trial(trial)
+    report.seed += os.getpid() != _PYTEST_PID
+    return report
 
 
 def test_criterion_1_fails_on_a_wrong_centre_weight(monkeypatch):
@@ -74,6 +91,18 @@ def test_criterion_4_fails_without_the_transition_density(monkeypatch):
     assert not ok, detail
 
 
+def test_criterion_4_fails_when_step_gathers_by_the_wrong_index(monkeypatch):
+    correct = mupf.ukf_step_batch
+
+    def rolled(*args, **kwargs):
+        means, covs = correct(*args, **kwargs)
+        return np.roll(means, 1, axis=0), np.roll(covs, 1, axis=0)
+
+    monkeypatch.setattr(mupf, "ukf_step_batch", rolled)
+    ok, detail = check_memoryless_filter_reduces_to_upf()
+    assert not ok, detail
+
+
 def test_criterion_5_fails_on_a_window_one_contact_longer(monkeypatch):
     real_step = mupf.step
 
@@ -83,6 +112,12 @@ def test_criterion_5_fails_on_a_window_one_contact_longer(monkeypatch):
 
     monkeypatch.setattr(mupf, "step", step_with_longer_window)
     ok, detail = check_each_measurement_rated_in_m_updates()
+    assert not ok, detail
+
+
+def test_criterion_9_fails_on_a_trial_that_depends_on_its_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_batch_trial", _trial_that_knows_its_process)
+    ok, detail = check_reports_identical_across_scheduling(tmp_path, monkeypatch)
     assert not ok, detail
 
 
