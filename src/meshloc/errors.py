@@ -59,6 +59,29 @@ def as_real(value, name: str, what: str, shape=()):
     raise InvalidConfigError(f"{name} must be {what}, got {value!r}")
 
 
+def as_contacts(value, name: str, one: bool = False) -> np.ndarray:
+    """``value`` as a new read-only (L, 3) float array of finite contact
+    points with L >= 1; one point of shape (3,) reads as L = 1, and ``one``
+    asks for exactly one point.
+
+    Anything else raises `InvalidConfigError` naming ``name``: "<name> must
+    have shape ..." for numbers of another shape, "<name> must be finite"
+    for a NaN or infinite coordinate, and `as_real`'s message for what is
+    not an array of numbers (a string, a bool, a ragged nesting).
+    """
+    shape = "(3,) or (1, 3)" if one else "(L, 3) with L >= 1"
+    try:
+        dims = np.shape(value)
+    except ValueError:              # a ragged nesting has no shape
+        dims = None
+    points = np.atleast_2d(as_real(value, name, f"an array of numbers of shape {shape}", dims))
+    if points.ndim != 2 or len(points) < 1 or points.shape[1] != 3 or (one and len(points) != 1):
+        raise InvalidConfigError(f"{name} must have shape {shape}")
+    if not np.isfinite(points).all():
+        raise InvalidConfigError(f"{name} must be finite")
+    return points
+
+
 # The least and the greatest positive float whose square is a normal float.
 _SQUARE_RANGE = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max))
 

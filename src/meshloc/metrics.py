@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, as_contacts
 from .geometry import Pose, TriMesh, rotation_matrices
 
 __all__ = [
@@ -48,9 +48,12 @@ class TrialReport:
 
 
 def performance_index(measurements: np.ndarray, estimate: Pose, mesh: TriMesh) -> float:
-    """Mean of the contact-to-surface distances the likelihood rates, at ``estimate``."""
-    if len(np.atleast_2d(measurements)) == 0:
-        raise InvalidConfigError("performance index needs at least one measurement")
+    """Mean of the contact-to-surface distances the likelihood rates, at ``estimate``.
+
+    ``measurements`` that are not an (L, 3) array of finite numbers with
+    L >= 1 raise `InvalidConfigError` naming them.
+    """
+    measurements = as_contacts(measurements, "measurements")
     d, _ = mesh.closest_points_posed(measurements, estimate.to_array())
     return float(d.mean())
 

@@ -41,7 +41,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, MeshlocError, as_real, check_square, is_int
+from .errors import (InvalidConfigError, MeshlocError, as_contacts, as_real, check_square,
+                     is_int)
 from .geometry import Pose
 from .metrics import TrialReport, performance_index, pose_error, success_test
 from .ukf import MeasurementModel, log_likelihood_batch, ukf_step_batch
@@ -353,9 +354,10 @@ def step(state: FilterState, y: np.ndarray, model, config: FilterConfig):
     the step's candidates and its resampling indices, ``arange(N)`` when it
     did not resample.  ``unique_parents`` counts the distinct indices,
     which is also the number of rows the next step's UKF correction runs
-    on.
+    on.  A ``y`` that is not one finite contact, of shape (3,) or (1, 3),
+    raises `InvalidConfigError` naming ``y``.
     """
-    y = np.asarray(y, dtype=float).reshape(3)
+    y = as_contacts(y, "y", one=True)
     n = state.n_particles
     t = state.t + 1
     rng = _rng_for_step(config.seed, t)
@@ -462,14 +464,11 @@ def run(measurements: np.ndarray, model, config: FilterConfig,
     Returns ``(estimates, report)``: the per-step MAP estimates and a
     :class:`TrialReport` with the performance-index trace.  ``truth``
     switches the success criterion from index-based to pose-error-based.
-    An estimate or index that is not finite raises `MeshlocError` naming
-    the step.
+    Measurements that are not an (L, 3) array of finite numbers with
+    L >= 1 raise `InvalidConfigError`; an estimate or index that is not
+    finite raises `MeshlocError` naming the step.
     """
-    measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-    if measurements.ndim != 2 or measurements.shape[0] < 1 or measurements.shape[1] != 3:
-        raise InvalidConfigError("measurements must have shape (L, 3) with L >= 1")
-    if not np.isfinite(measurements).all():
-        raise InvalidConfigError("measurements must be finite")
+    measurements = as_contacts(measurements, "measurements")
 
     started = time.perf_counter()
     state = init(config)

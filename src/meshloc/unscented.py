@@ -3,20 +3,21 @@
 For an n-dimensional Gaussian (mean, cov) the 2n+1 sigma points are::
 
     X_0 = mean
-    X_i = mean + col_i(sqrt((n + lam) cov))      i = 1..n
-    X_i = mean - col_(i-n)(sqrt((n + lam) cov))  i = n+1..2n
+    X_i = mean + col_i(sqrt((n + k) cov))      i = 1..n
+    X_i = mean - col_(i-n)(sqrt((n + k) cov))  i = n+1..2n
 
-with ``lam = alpha^2 (n + k) - n`` and weights::
+with weights::
 
-    W_0^mean = lam / (n + lam)
-    W_0^cov  = lam / (n + lam) + (1 - alpha^2 + beta)
-    W_i^mean = W_i^cov = 1 / (2 (n + lam))       i >= 1
+    W_0^mean = k / (n + k)
+    W_0^cov  = k / (n + k) + beta
+    W_i^mean = W_i^cov = 1 / (2 (n + k))       i >= 1
 
-The parameters are fixed at ``alpha = 1``, ``k = 2`` and ``beta = 30``,
-the scaled transform of Julier (2002) that the unscented particle filter
-of van der Merwe et al. (2000) runs: for a 6-D pose, ``lam = 2`` and the
-13 sigma points weigh ``W_0^mean = 1/4``, ``W_0^cov = 30.25`` and
-``W_i = 1/16``.  ``alpha = 1`` keeps the spread at ``sqrt(n + k)``;
+This is the scaled transform of Julier (2002) that the unscented particle
+filter of van der Merwe et al. (2000) runs, at the paper's ``alpha = 1``,
+``k = 2`` and ``beta = 30``.  Its scaling ``lam = alpha^2 (n + k) - n`` is
+then ``k`` for every n, and its ``1 - alpha^2 + beta`` is ``beta``, so
+``alpha`` drops out of the formulas above.  For a 6-D pose the 13 sigma
+points weigh ``W_0^mean = 1/4``, ``W_0^cov = 30.25`` and ``W_i = 1/16``;
 ``beta = 30`` overweights the central covariance residual.
 
 The matrix square root is the lower Cholesky factor.  A covariance that
@@ -38,21 +39,15 @@ import numpy as np
 
 __all__ = ["sigma_points_batch", "unscented_transform"]
 
-_ALPHA, _K, _BETA = 1.0, 2.0, 30.0   # the transform's parameters
-
-
-def _lam(n: int) -> float:
-    """Scaling ``lambda`` for n-dimensional Gaussians."""
-    return _ALPHA ** 2 * (n + _K) - n
+_K, _BETA = 2.0, 30.0   # the transform's parameters (alpha = 1)
 
 
 def _weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance weight vectors of length 2 n + 1."""
-    lam = _lam(n)
-    w_mean = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
+    w_mean = np.full(2 * n + 1, 1.0 / (2.0 * (n + _K)))
     w_cov = w_mean.copy()
-    w_mean[0] = lam / (n + lam)
-    w_cov[0] = lam / (n + lam) + (1.0 - _ALPHA ** 2 + _BETA)
+    w_mean[0] = _K / (n + _K)
+    w_cov[0] = _K / (n + _K) + _BETA
     return w_mean, w_cov
 
 
@@ -77,7 +72,7 @@ def sigma_points_batch(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     B, n = means.shape
-    scaled = (n + _lam(n)) * 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    scaled = (n + _K) * 0.5 * (covs + np.swapaxes(covs, -1, -2))
     try:
         L = np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import random_soup, save_obj
-from oracles import closest_point_brute, kalman_update, upf_step
+from oracles import closest_point_brute, gaussian_logpdf, kalman_update, upf_step
 
 import meshloc.cli as cli
 import meshloc.mupf as mupf
@@ -324,3 +324,82 @@ def check_reports_identical_across_scheduling(tmp_path, monkeypatch) -> tuple[bo
 def test_criterion_9_reports_identical_across_scheduling(tmp_path, monkeypatch):
     _gate(9, "reports are byte-identical across trial-worker counts",
           *check_reports_identical_across_scheduling(tmp_path, monkeypatch))
+
+
+def _window_log_likelihoods(window: np.ndarray, sampled: np.ndarray,
+                            mesh, sigma_p: float) -> np.ndarray:
+    """``-d^2 / (2 sigma_p^2)`` of each window contact (columns) under each
+    candidate (rows), ``d`` from brute force against the posed mesh."""
+    ll = np.empty((len(sampled), len(window)))
+    for i, x in enumerate(sampled):
+        pose = Pose.from_array(x)
+        world = mesh.vertices @ pose.rotation().T + pose.translation()
+        d, _, _ = closest_point_brute(window, world, mesh.faces)
+        ll[i] = -d ** 2 / (2.0 * sigma_p ** 2)
+    return ll
+
+
+def _offset_spread(reference: np.ndarray, log_weights: np.ndarray) -> float:
+    """Spread of ``reference - log_weights``: 0 where the two differ by one
+    constant, the normalizer."""
+    offset = reference - log_weights
+    return float(offset.max() - offset.min())
+
+
+WINDOW_TOLERANCE = 1e-9     # offset spread, relative to the largest |log weight|
+
+
+def check_window_weights_match_the_paper() -> tuple[bool, str]:
+    """Recompute each step's log weights, and the readout's, from the
+    paper's formulas on 7 box steps with m = 4 (the window fills and
+    slides), transition density off and on.  The two sides compute
+    distances and densities by different algorithms, so they must agree
+    up to one constant within ``WINDOW_TOLERANCE``, not bit for bit."""
+    mesh = box_mesh(0.1, 0.3, 0.2)
+    spec = ScenarioSpec(mesh_path=None, true_pose=Pose.from_array(PINNED_POSE),
+                        n_measurements=7, noise_sigma=1e-3, seed=25)
+    measurements, _ = sample_contacts(spec, mesh)
+    started = time.perf_counter()
+    worst_step = worst_readout = 0.0
+    for transition in (False, True):
+        config = FilterConfig(n_particles=16, memory=4, seed=5,
+                              transition_density_in_weights=transition,
+                              prior_mean=PINNED_POSE,
+                              prior_cov=np.diag([1e-4] * 3 + [1e-2] * 3),
+                              sigma_p=5e-3)
+        model = config.model_for(mesh)
+        m, n = config.memory, config.n_particles
+        state = init(config)
+        for t, y in enumerate(measurements, start=1):
+            parents = state.sampled[state.parents]
+            state, _ = mupf.step(state, y, model, config)
+            # w_t^i: the prior weight 1/N times the likelihood of each
+            # contact k = max(t - m + 1, 1)..t, over the proposal density.
+            window = measurements[max(t - m, 0):t]
+            ll = _window_log_likelihoods(window, state.sampled, mesh, model.sigma_p)
+            log_w = np.log(1.0 / n) + ll.sum(axis=1) - state.log_proposal
+            if transition:
+                log_w += [gaussian_logpdf(x, p, config.process_noise)
+                          for x, p in zip(state.sampled, parents)]
+            scale = max(1.0, float(np.abs(log_w).max()))
+            worst_step = max(worst_step,
+                             _offset_spread(log_w, state.log_weights) / scale)
+            # The readout re-rates contact k with exponent m - t + k - 1.
+            exponents = m - t + np.arange(t - len(window) + 1, t + 1) - 1
+            log_wbar = log_w + ll @ exponents - state.log_proposal
+            wbar = mupf.extract_pose(state, model, config).extraction_weights
+            kept = wbar >= np.finfo(float).tiny      # their logs keep full precision
+            if kept.sum() < 2:
+                return False, f"step {t}: {kept.sum()} readout weights to compare"
+            scale = max(1.0, float(np.abs(log_wbar[kept]).max()))
+            worst_readout = max(worst_readout, _offset_spread(
+                log_wbar[kept], np.log(wbar[kept])) / scale)
+    elapsed = time.perf_counter() - started
+    ok = max(worst_step, worst_readout) <= WINDOW_TOLERANCE and elapsed < 2.0
+    return ok, (f"worst offset spread: weights {worst_step:.3g}, readout "
+                f"{worst_readout:.3g} (<={WINDOW_TOLERANCE:g}), {elapsed:.2f}s (<2s)")
+
+
+def test_criterion_10_window_weights_match_the_paper():
+    _gate(10, "weights and readout rate the window as the paper's formulas",
+          *check_window_weights_match_the_paper())

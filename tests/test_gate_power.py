@@ -1,9 +1,9 @@
 """Each fast acceptance check reports not ok under one plausible defect.
 
 A gate that passes on broken code shows nothing, so every check of
-criteria 1 to 5 and 9 is run here with a defect monkeypatched into the code it
-guards, and must fail.  So must the rescue tests of `sigma_points_batch`'s
-clipped-eigenvalue factor, run without it.
+criteria 1 to 5, 9 and 10 is run here with a defect monkeypatched into the
+code it guards, and must fail.  So must the rescue tests of
+`sigma_points_batch`'s clipped-eigenvalue factor, run without it.
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ from test_acceptance import (
     check_reports_identical_across_scheduling,
     check_ukf_matches_linear_kalman,
     check_unscented_affine_exactness,
+    check_window_weights_match_the_paper,
 )
 from test_construction import FAR_PRIOR, ZERO_PRIOR, _runs_to_finite_estimates
 
@@ -112,6 +113,42 @@ def test_criterion_5_fails_on_a_window_one_contact_longer(monkeypatch):
 
     monkeypatch.setattr(mupf, "step", step_with_longer_window)
     ok, detail = check_each_measurement_rated_in_m_updates()
+    assert not ok, detail
+
+
+def _propose_rating_weights_by(pick):
+    """``mupf._propose`` whose weights see only ``pick(ll, config)`` of
+    the window likelihoods ``ll``; the rated window is unchanged."""
+    propose = mupf._propose
+
+    def defective(state, window, model, config, z):
+        *rest, ll = propose(state, window, model, config, z)
+        return (*rest, pick(ll, config))
+
+    return defective
+
+
+@pytest.mark.parametrize("pick", [
+    lambda ll, config: ll[:, -1:],
+    lambda ll, config: ll[:, -(config.memory - 1):],
+], ids=["newest-contact-only", "weight-window-one-shorter"])
+def test_criterion_10_fails_on_weights_that_miss_the_window(pick, monkeypatch):
+    monkeypatch.setattr(mupf, "_propose", _propose_rating_weights_by(pick))
+    ok, detail = check_window_weights_match_the_paper()
+    assert not ok, detail
+
+
+def test_criterion_10_fails_on_readout_exponents_shifted_by_one(monkeypatch):
+    extract = mupf.extract_pose
+
+    def shifted(state, model, config):
+        # One more power of every window likelihood: exponents m - t + k.
+        ll = mupf.log_likelihood_batch(model, state.window, state.sampled)
+        return extract(dataclasses.replace(
+            state, log_weights=state.log_weights + ll.sum(axis=1)), model, config)
+
+    monkeypatch.setattr(mupf, "extract_pose", shifted)
+    ok, detail = check_window_weights_match_the_paper()
     assert not ok, detail
 
 

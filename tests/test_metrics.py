@@ -99,6 +99,17 @@ class TestPerformanceIndex:
         with pytest.raises(InvalidConfigError):
             performance_index(np.empty((0, 3)), Pose.from_array(np.zeros(6)), box)
 
+    @pytest.mark.parametrize("measurements, message", [
+        ([], r"measurements must have shape \(L, 3\) with L >= 1"),
+        (np.zeros((4, 2)), r"measurements must have shape \(L, 3\) with L >= 1"),
+        ([[0.05, 0.0, 0.0], [0.0, 0.1]], "measurements must be an array of numbers"),
+        ("x", "measurements must be an array of numbers"),
+        ([[np.nan, 0.0, 0.0]], "measurements must be finite"),
+    ], ids=["empty-list", "two-columns", "ragged", "string", "nan"])
+    def test_refuses_what_is_not_contacts(self, box, measurements, message):
+        with pytest.raises(InvalidConfigError, match=f"^{message}"):
+            performance_index(measurements, Pose(), box)
+
     @pytest.mark.parametrize("build", [lambda: box_mesh(0.1, 0.3, 0.2),
                                        lambda: random_soup(60, seed=4, scale=0.1),
                                        lambda: _subdivided(box_mesh(0.1, 0.3, 0.2), 2)],

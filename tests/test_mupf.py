@@ -54,6 +54,23 @@ def _small_config(**kw):
     return FilterConfig(**defaults)
 
 
+class _HopelessModel:
+    """The box's UKF prediction, with every contact infinitely far from the
+    surface: every likelihood, and so every weight, underflows."""
+
+    sigma_p = 1e-4
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self._real = MeasurementModel(mesh=mesh, sigma_p=self.sigma_p)
+
+    def surface_distances(self, ys, poses):
+        return np.full((len(np.atleast_2d(poses)), len(np.atleast_2d(ys))), np.inf)
+
+    def predict_batch(self, y, poses):
+        return self._real.predict_batch(y, poses)
+
+
 # One refused value per profile key, with the exact message it raises.
 _REFUSALS = [
     ("particles", 0, "particles (n_particles) must be an integer >= 1"),
@@ -467,22 +484,24 @@ class TestStepBookkeeping:
         assert np.array_equal(state.parents, np.arange(n))
         assert np.exp(state.log_weights).sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("y, message", [
+        ([np.nan, 0.0, 0.0], "y must be finite"),
+        ([0.0, np.inf, 0.0], "y must be finite"),
+        ([0.05, 0.0], r"y must have shape \(3,\) or \(1, 3\)"),
+        ([[0.05, 0.0, 0.0], [0.0, 0.0, 0.1]], r"y must have shape \(3,\) or \(1, 3\)"),
+        ([], r"y must have shape \(3,\) or \(1, 3\)"),
+        ("abc", "y must be an array of numbers"),
+        (None, "y must be an array of numbers"),
+    ], ids=["nan", "inf", "two-numbers", "two-contacts", "empty", "string", "none"])
+    def test_step_refuses_what_is_not_one_contact(self, box, y, message):
+        cfg = _small_config()
+        with pytest.raises(InvalidConfigError, match=f"^{message}"):
+            step(init(cfg), y, cfg.model_for(box), cfg)
+
     def test_all_underflow_flags_degenerate_and_resets(self, box):
-        class _HopelessModel:
-            mesh = box
-            sigma_p = 1e-4
-
-            def surface_distances(self, ys, poses):
-                return np.full((len(np.atleast_2d(poses)),
-                                len(np.atleast_2d(ys))), np.inf)
-
-            def predict_batch(self, y, poses):
-                real = MeasurementModel(mesh=box, sigma_p=1e-4)
-                return real.predict_batch(y, poses)
-
         cfg = _small_config(memory=1)
         state = init(cfg)
-        state, diag = step(state, np.array([0.0, 0.0, 0.11]), _HopelessModel(), cfg)
+        state, diag = step(state, np.array([0.0, 0.0, 0.11]), _HopelessModel(box), cfg)
         assert diag["degenerate"] is True
         assert np.allclose(np.exp(state.log_weights), 1 / cfg.n_particles)
 
@@ -844,6 +863,16 @@ class TestRun:
         assert np.array_equal(rep_a.index_trace, rep_b.index_trace)
         assert np.array_equal(est_a[-1].pose.to_array(), est_b[-1].pose.to_array())
 
+    def test_degenerate_steps_lists_each_underflowing_step(self, box):
+        # The window never fills (m > L), so the readout's exponents stay
+        # positive and every likelihood is -inf, never 0 * -inf.
+        cfg = _small_config(memory=6)
+        meas = _measurements(box, cfg.prior_mean, 4, 1e-3, seed=9)
+        _, report = run(meas, _HopelessModel(box), cfg)
+        assert report.degenerate_steps == [1, 2, 3, 4]
+        _, report = run(meas, cfg.model_for(box), cfg)
+        assert report.degenerate_steps == []
+
     def test_rejects_bad_measurement_shapes(self, box):
         cfg = _small_config()
         model = cfg.model_for(box)
@@ -858,3 +887,14 @@ class TestRun:
         meas[1, 2] = np.nan
         with pytest.raises(InvalidConfigError, match="finite"):
             run(meas, cfg.model_for(box), cfg)
+
+    @pytest.mark.parametrize("measurements", [
+        [["a", "b", "c"]],
+        [[0.05, 0.0, 0.0], [0.0, 0.1]],
+        "abc",
+        [[True, False, True]],
+    ], ids=["strings", "ragged", "string", "bools"])
+    def test_refuses_what_is_not_contacts(self, box, measurements):
+        cfg = _small_config()
+        with pytest.raises(InvalidConfigError, match="^measurements must be an array of numbers"):
+            run(measurements, cfg.model_for(box), cfg)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshloc.unscented import _lam, _weights, sigma_points_batch, unscented_transform
+from meshloc.unscented import _weights, sigma_points_batch, unscented_transform
 
 from oracles import affine_transform_moments
 
@@ -30,13 +30,9 @@ def nonlinear_g(X):
                     axis=1)
 
 
-class TestSutParams:
-    """The fixed parameters alpha = 1, k = 2 and beta = 30."""
-
-    def test_lambda_formula(self):
-        # lam = alpha^2 (n + k) - n = 2 for every n.
-        assert _lam(1) == 2.0
-        assert _lam(6) == 2.0
+class TestTransformParams:
+    """The fixed parameters alpha = 1, k = 2 and beta = 30; alpha = 1 makes
+    lam = alpha^2 (n + k) - n equal k = 2 for every n."""
 
     def test_frozen_weights_n1(self):
         # n=1: lam=2, points at 0, +sqrt(3), -sqrt(3); beta=30 lifts W0_cov
