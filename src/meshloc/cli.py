@@ -13,10 +13,8 @@ strips them so reports from repeated runs can be compared byte for byte.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import io
-import json
 import logging
 import os
 import sys
@@ -26,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import InvalidConfigError, MeshlocError, read_lines
+from .errors import InvalidConfigError, MeshlocError, json_text, read_lines, write_text
 from .geometry import Pose, load_obj
 from .metrics import TrialReport, aggregate_reports
 from .mupf import _MAX_MEMORY, FilterConfig, run
@@ -132,29 +130,8 @@ def _strip_timing(obj):
     return obj
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """Create the directory of ``path``; replace ``path`` by the yielded ``.tmp`` file."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    try:
-        yield tmp
-        tmp.replace(out)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _write_text(path, text: str) -> None:
-    with _replacing(path) as tmp:
-        tmp.write_text(text)
-
-
 def _write_json(path, payload: dict, omit_timing: bool) -> None:
-    payload = _strip_timing(payload) if omit_timing else payload
-    # allow_nan=False: a non-finite number would write JSON no parser accepts.
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-                + "\n")
+    write_text(path, json_text(_strip_timing(payload) if omit_timing else payload))
 
 
 # Scenario flag destinations.  Their parsers default them to None, so that
@@ -179,10 +156,8 @@ def cmd_simulate(args) -> int:
         args.ground_truth or Path(args.output).with_suffix(".truth.json"), "--ground-truth")
     spec = _scenario(args, args.seed)
     measurements, contacts = sample_contacts(spec, load_obj(args.mesh))
-    with _replacing(args.output) as tmp:
-        write_measurements_csv(tmp, measurements)
-    with _replacing(truth_path) as tmp:
-        write_ground_truth_json(tmp, spec, contacts)
+    write_measurements_csv(args.output, measurements)
+    write_ground_truth_json(truth_path, spec, contacts)
     logger.info("wrote %d measurements to %s (ground truth: %s)",
                 len(measurements), args.output, truth_path)
     return 0
@@ -211,7 +186,7 @@ def cmd_localize(args) -> int:
     }
     _write_json(args.output, payload, args.omit_timing)
     if args.emit_trace:
-        _write_text(trace_path, "t,index\n" + "".join(
+        write_text(trace_path, "t,index\n" + "".join(
             f"{t},{v:.9g}\n" for t, v in enumerate(report.index_trace, start=1)))
         logger.info("wrote index trace to %s", trace_path)
     logger.info("final index %.6g m, success=%s", report.final_index, report.success)
@@ -302,7 +277,7 @@ def cmd_batch(args) -> int:
         columns = [c for c in ("mean_final_index", "median_final_index",
                                "reliability", "mean_elapsed")
                    if not (args.omit_timing and c in _TIMING_KEYS)]
-        _write_text(sweep_csv, ",".join(["m", *columns]) + "\n" + "".join(
+        write_text(sweep_csv, ",".join(["m", *columns]) + "\n" + "".join(
             ",".join([str(e["memory"]), *(f"{e['aggregate'][c]:.9g}" for c in columns)])
             + "\n" for e in per_m))
         logger.info("wrote sweep table to %s", sweep_csv)

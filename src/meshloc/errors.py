@@ -1,5 +1,5 @@
-"""Exception types, the number checks shared across the package, and the
-one reader of input files.
+"""Exception types, the number checks shared across the package, the one
+reader of input files and the one writer of output files.
 
 The package raises two error types.  `MeshlocError` is a run that failed,
 numerically or otherwise; the command line exits 3 on it.  Its subclass
@@ -8,6 +8,7 @@ scenario, a mesh or a file; the command line exits 2 on it.  It is a
 `ValueError` too, so callers that catch `ValueError` keep working.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -116,3 +117,23 @@ def read_lines(path, what: str) -> list[str]:
     except OSError as exc:
         raise InvalidConfigError(f"{what} file cannot be read: {path}: "
                                  f"{exc.strerror or exc}") from None
+
+
+def json_text(payload) -> str:
+    """``payload`` as the package's one JSON format; a NaN or infinity,
+    which no JSON parser accepts, raises `ValueError`."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, creating its directory, through a
+    ``.tmp`` file that replaces ``path``: a failed write or replace leaves
+    ``path`` as it was and no ``.tmp`` behind."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(out.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        tmp.replace(out)
+    finally:
+        tmp.unlink(missing_ok=True)

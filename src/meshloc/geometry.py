@@ -321,18 +321,14 @@ class TriMesh:
 
     @staticmethod
     def _usable(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-        distinct = (
-            (faces[:, 0] != faces[:, 1])
-            & (faces[:, 1] != faces[:, 2])
-            & (faces[:, 0] != faces[:, 2])
-        )
+        # A repeated vertex index makes the cross product exactly 0: dropped.
         a = vertices[faces[:, 0]]
         ab = vertices[faces[:, 1]] - a
         ac = vertices[faces[:, 2]] - a
         cross = np.cross(ab, ac)
         area2 = np.linalg.norm(cross, axis=1)
         scale = np.linalg.norm(ab, axis=1) * np.linalg.norm(ac, axis=1)
-        return distinct & (area2 > 1e-14 * np.maximum(scale, 1e-300))
+        return area2 > 1e-14 * np.maximum(scale, 1e-300)
 
     @property
     def n_faces(self) -> int:

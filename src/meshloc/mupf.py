@@ -425,7 +425,9 @@ def extract_pose(state: FilterState, model, config: FilterConfig) -> PoseEstimat
     # min(t - k + 1, m) powers the propagated weights hold, a total of m.
     m, w, n = config.memory, len(state.window), len(state.sampled)
     ll = log_likelihood_batch(model, state.window, state.sampled)
-    lw = state.log_weights + ll @ np.arange(m - w, m, dtype=float) - state.log_proposal
+    exps = np.arange(m - w, m, dtype=float)
+    # A full window's oldest contact weighs 0, even where its likelihood is -inf.
+    lw = state.log_weights + np.where(exps > 0, ll, 0.0) @ exps - state.log_proposal
     wbar, log_wbar, degenerate = _normalize_log_weights(lw)
     if degenerate:
         logger.warning("extraction weights underflowed at step %d; "

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import numbers
 
 import numpy as np
 
-from .errors import InvalidConfigError, as_real, is_int, read_lines
+from .errors import InvalidConfigError, as_real, is_int, json_text, read_lines, write_text
 from .geometry import Pose, TriMesh
 
 __all__ = [
@@ -153,12 +154,12 @@ def sample_contacts(spec: ScenarioSpec, mesh: TriMesh):
 
 
 def write_measurements_csv(path, points: np.ndarray) -> None:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEASUREMENT_HEADER)
-        for row in points:
-            writer.writerow([f"{v:.9g}" for v in row])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(MEASUREMENT_HEADER)
+    writer.writerows([f"{v:.9g}" for v in row]
+                     for row in np.atleast_2d(np.asarray(points, dtype=float)))
+    write_text(path, text.getvalue())
 
 
 def _numbered_rows(lines, path):
@@ -198,14 +199,11 @@ def read_measurements_csv(path) -> np.ndarray:
 
 
 def write_ground_truth_json(path, spec: ScenarioSpec, contacts: np.ndarray) -> None:
-    payload = {
+    write_text(path, json_text({
         "schema": GROUND_TRUTH_SCHEMA,
         "scenario": spec.to_dict(),
         "contacts": np.atleast_2d(np.asarray(contacts, dtype=float)).tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }))
 
 
 def read_ground_truth_json(path) -> tuple[ScenarioSpec, np.ndarray]:

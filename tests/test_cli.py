@@ -958,7 +958,7 @@ class TestDirectoryPaths:
         folder.mkdir()
         (folder / "x").write_text("")   # a non-empty directory cannot be replaced
         with pytest.raises(OSError):
-            cli._write_text(folder, "text")
+            errors.write_text(folder, "text")
         assert not list(tmp_path.rglob("*.tmp"))
 
 

@@ -3,7 +3,9 @@
 A gate that passes on broken code shows nothing, so every check of
 criteria 1 to 5, 9 and 10 is run here with a defect monkeypatched into the
 code it guards, and must fail.  So must the rescue tests of
-`sigma_points_batch`'s clipped-eigenvalue factor, run without it.
+`sigma_points_batch`'s clipped-eigenvalue factor, run without it, and the
+tests that hold the readout and the closest-point ties to their oracles,
+`map_readout` and `closest_points_exhaustive`.
 """
 
 import dataclasses
@@ -12,6 +14,8 @@ import os
 import numpy as np
 import pytest
 
+import test_geometry
+import test_mupf
 from test_acceptance import (
     check_distance_queries_match_brute_force,
     check_each_measurement_rated_in_m_updates,
@@ -163,3 +167,24 @@ def test_rescue_profiles_fail_under_plain_cholesky(profile, monkeypatch):
     monkeypatch.setattr(unscented, "_psd_sqrt", np.linalg.cholesky)
     with pytest.raises(np.linalg.LinAlgError):
         _runs_to_finite_estimates(profile)
+
+
+def test_dense_readout_test_fails_when_the_bound_drops_a_live_component(monkeypatch):
+    # Margin 0 drops every component whose bound lies below the least
+    # column maximum, although its terms are not 0.0.
+    monkeypatch.setattr(mupf, "_UNDERFLOW_MARGIN", 0.0)
+    with pytest.raises(AssertionError):
+        test_mupf.TestExtraction().test_overlapping_components_all_count()
+
+
+def test_tie_test_fails_when_ties_go_to_the_highest_face(monkeypatch):
+    closest = TriMesh.closest_points
+
+    def highest_face_wins(self, Q):
+        # The same query on the faces in reverse order, indices mapped back.
+        d, points, faces = closest(TriMesh(self.vertices, self.faces[::-1]), Q)
+        return d, points, self.n_faces - 1 - faces
+
+    monkeypatch.setattr(TriMesh, "closest_points", highest_face_wins)
+    with pytest.raises(AssertionError):
+        test_geometry.TestExhaustiveParity().test_exact_ties_go_to_lowest_face_across_leaves()

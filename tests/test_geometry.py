@@ -440,6 +440,8 @@ class TestMeshIo:
             "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 2 0 0\n"
             "f 1 2 3\n"
             "f 1 1 2\n"   # repeated vertex
+            "f 1 2 2\n"
+            "f 1 2 1\n"
             "f 1 2 4\n"   # collinear
         )
         import logging

@@ -792,6 +792,16 @@ class TestExtraction:
         log_weights[0] = -760.0
         assert self._assert_dense(_mixture_state(sampled, log_weights, covs)) == 0
 
+    def test_overlapping_components_all_count(self):
+        # Covariances far wider than the spread: each term lies near its
+        # component's bound, so components below the least column maximum
+        # still add to every column and must be kept.
+        rng = np.random.default_rng(6)
+        n = 40
+        sampled = 1e-3 * rng.normal(size=(n, 6))
+        covs = np.tile(1e-2 * np.eye(6), (n, 1, 1))
+        self._assert_dense(_mixture_state(sampled, _spread_weights(rng, n, 5.0), covs))
+
     @pytest.mark.parametrize("n", [1, 256, 257])
     def test_chunk_edges(self, n):
         rng = np.random.default_rng(n)
@@ -863,10 +873,11 @@ class TestRun:
         assert np.array_equal(rep_a.index_trace, rep_b.index_trace)
         assert np.array_equal(est_a[-1].pose.to_array(), est_b[-1].pose.to_array())
 
-    def test_degenerate_steps_lists_each_underflowing_step(self, box):
-        # The window never fills (m > L), so the readout's exponents stay
-        # positive and every likelihood is -inf, never 0 * -inf.
-        cfg = _small_config(memory=6)
+    @pytest.mark.parametrize("memory", [3, 6])
+    def test_degenerate_steps_lists_each_underflowing_step(self, box, memory):
+        # Every likelihood is -inf; at memory 3 the window fills, and its
+        # oldest contact's exponent 0 must not make 0 * -inf = NaN.
+        cfg = _small_config(memory=memory)
         meas = _measurements(box, cfg.prior_mean, 4, 1e-3, seed=9)
         _, report = run(meas, _HopelessModel(box), cfg)
         assert report.degenerate_steps == [1, 2, 3, 4]

@@ -118,12 +118,20 @@ class TestScenarioValidation:
 class TestMeasurementFiles:
     def test_csv_round_trip(self, tmp_path, box):
         meas, _ = sample_contacts(_spec(noise_sigma=0.01, seed=1), box)
-        path = tmp_path / "meas.csv"
+        path = tmp_path / "new" / "meas.csv"   # the writer creates the directory
         write_measurements_csv(path, meas)
         assert path.read_text().splitlines()[0].strip() == "x,y,z"
         back = read_measurements_csv(path)
         assert back.shape == meas.shape
         assert np.allclose(back, meas, rtol=1e-8, atol=1e-12)
+
+    def test_failed_replace_leaves_no_partial_file(self, tmp_path):
+        folder = tmp_path / "meas.csv"
+        folder.mkdir()
+        (folder / "x").write_text("")   # a non-empty directory cannot be replaced
+        with pytest.raises(OSError):
+            write_measurements_csv(folder, np.zeros((2, 3)))
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["meas.csv", "x"]
 
     def test_csv_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -157,6 +165,16 @@ class TestMeasurementFiles:
         assert np.array_equal(back_spec.true_pose.to_array(), pose.to_array())
         assert np.array_equal(back_contacts, contacts)
 
+    def test_ground_truth_refuses_to_write_nan(self, tmp_path):
+        # read_ground_truth_json would refuse the file; the old one stays.
+        path = tmp_path / "truth.json"
+        write_ground_truth_json(path, _spec(n_measurements=1), [[0.0, 0.0, 0.0]])
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_ground_truth_json(path, _spec(n_measurements=1), [[np.nan, 0.0, 0.0]])
+        assert [p.name for p in tmp_path.iterdir()] == ["truth.json"]
+        assert path.read_bytes() == before
+
     @pytest.fixture()
     def truth_file(self, tmp_path, box):
         spec = _spec(face_subset=(2, 3), seed=11, n_measurements=4)
@@ -168,7 +186,11 @@ class TestMeasurementFiles:
                                               ("face_subset", [2.5, 3]),
                                               ("true_pose", [True, 0, 0, 0, 0, 0]),
                                               ("true_pose", ["0.1", 0, 0, 0, 0, 0]),
-                                              ("mesh_path", 5)])
+                                              ("mesh_path", 5),
+                                              pytest.param("true_pose", [10**400, 0, 0, 0, 0, 0],
+                                                           id="true_pose-1e400"),
+                                              pytest.param("noise_sigma", 10**400,
+                                                           id="noise_sigma-1e400")])
     def test_ground_truth_refuses_cut_values(self, truth_file, field, value):
         payload = json.loads(truth_file.read_text())
         payload["scenario"][field] = value
