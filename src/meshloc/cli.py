@@ -88,16 +88,25 @@ def _parse_sweep(text: str) -> list[int]:
     return list(range(ends[0], ends[1] + 1)) if ends is not None else values
 
 
-def _require_output(path, flag: str):
-    """Refuse an output path that is a directory or lies below a file,
-    before anything is written; ``flag`` is the flag that sets or derives
-    the path."""
-    if Path(path).is_dir():
-        raise InvalidConfigError(f"{flag}: {path} is a directory")
-    parent = next(p for p in Path(path).parents if p.exists())
-    if not parent.is_dir():
-        raise InvalidConfigError(f"{flag}: {parent} is not a directory")
-    return path
+def _require_outputs(args, inputs: tuple, outputs: dict) -> None:
+    """Refuse, before anything is written, an output path that is a
+    directory, lies below a file, or names an input or another output of
+    the same command.  ``inputs`` are the destinations of the flags the
+    command reads; ``outputs`` maps the flag that sets or derives each
+    output path to it."""
+    taken = {f"--{dest.replace('_', '-')}": os.path.realpath(getattr(args, dest))
+             for dest in inputs if getattr(args, dest) is not None}
+    for flag, path in outputs.items():
+        if Path(path).is_dir():
+            raise InvalidConfigError(f"{flag}: {path} is a directory")
+        parent = next(p for p in Path(path).parents if p.exists())
+        if not parent.is_dir():
+            raise InvalidConfigError(f"{flag}: {parent} is not a directory")
+        real = os.path.realpath(path)
+        other = next((f for f, p in taken.items() if p == real), None)
+        if other is not None:
+            raise InvalidConfigError(f"{flag}: {path} is the same file as {other}")
+        taken[flag] = real
 
 
 def _load_config(path: str | None, overrides: dict) -> FilterConfig:
@@ -140,6 +149,10 @@ def _write_json(path, payload: dict, omit_timing: bool) -> None:
 _SCENARIO_DESTS = ("true_pose", "count", "noise_sigma", "face_subset", "scenario_seed")
 
 
+# The destinations of the input flags of `localize` and `batch`.
+_INPUT_DESTS = ("mesh", "measurements", "config", "ground_truth")
+
+
 def _scenario(args, seed: int | None) -> ScenarioSpec:
     return ScenarioSpec(
         mesh_path=args.mesh,
@@ -151,9 +164,8 @@ def _scenario(args, seed: int | None) -> ScenarioSpec:
 
 
 def cmd_simulate(args) -> int:
-    _require_output(args.output, "--output")
-    truth_path = _require_output(
-        args.ground_truth or Path(args.output).with_suffix(".truth.json"), "--ground-truth")
+    truth_path = args.ground_truth or Path(args.output).with_suffix(".truth.json")
+    _require_outputs(args, ("mesh",), {"--output": args.output, "--ground-truth": truth_path})
     spec = _scenario(args, args.seed)
     measurements, contacts = sample_contacts(spec, load_obj(args.mesh))
     write_measurements_csv(args.output, measurements)
@@ -164,10 +176,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    _require_output(args.output, "--output")
     trace_path = Path(args.output).with_suffix(".trace.csv")
-    if args.emit_trace:
-        _require_output(trace_path, "--emit-trace")
+    _require_outputs(args, _INPUT_DESTS, {"--output": args.output}
+                     | ({"--emit-trace": trace_path} if args.emit_trace else {}))
     config = _load_config(args.config, {"seed": args.seed})
     mesh = load_obj(args.mesh)
     measurements = read_measurements_csv(args.measurements)
@@ -212,11 +223,10 @@ def _run_batch(trials: list[tuple], trial_workers: int) -> list[TrialReport]:
 
 
 def cmd_batch(args) -> int:
-    _require_output(args.output, "--output")
     sweep = _parse_sweep(args.sweep_m) if args.sweep_m else None
     sweep_csv = Path(args.output).with_suffix(".sweep.csv")
-    if sweep is not None:
-        _require_output(sweep_csv, "--sweep-m")
+    _require_outputs(args, _INPUT_DESTS, {"--output": args.output}
+                     | ({"--sweep-m": sweep_csv} if sweep is not None else {}))
     config = _load_config(args.config, {"seed": args.seed})
     given = [f"--{dest.replace('_', '-')}" for dest in _SCENARIO_DESTS
              if getattr(args, dest) is not None]

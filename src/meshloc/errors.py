@@ -100,7 +100,8 @@ def check_square(value: float, name: str) -> None:
 
 def read_lines(path, what: str) -> list[str]:
     """The lines of the UTF-8 text file ``path``, line ends translated to
-    ``\\n``; ``what`` names the kind of file in the errors.
+    ``\\n`` and one leading byte-order mark dropped; ``what`` names the
+    kind of file in the errors.
 
     A missing file, a directory, a file the OS refuses to read and bytes
     that are not UTF-8 raise `InvalidConfigError` naming the file.
@@ -110,7 +111,7 @@ def read_lines(path, what: str) -> list[str]:
     if not Path(path).is_file():
         raise InvalidConfigError(f"{what} file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.readlines()
     except UnicodeDecodeError as exc:
         raise InvalidConfigError(f"{path}: {exc}") from None

@@ -32,8 +32,6 @@ __all__ = [
     "TriMesh",
     "rotation_matrices",
     "euler_from_matrix",
-    "points_into_object_frame",
-    "points_to_world_frame",
     "load_obj",
     "box_mesh",
 ]
@@ -139,26 +137,6 @@ class Pose:
         """Same rigid placement with angles in their canonical ranges."""
         phi, theta, psi = euler_from_matrix(self.rotation())
         return Pose(self.x, self.y, self.z, phi, theta, psi)
-
-
-def points_into_object_frame(points: np.ndarray, poses: np.ndarray) -> np.ndarray:
-    """World points into the object frames of a pose batch.
-
-    ``points`` has shape (K, 3), ``poses`` shape (B, 6); result is (B, K, 3).
-    """
-    points = np.asarray(points, dtype=float)
-    poses = np.asarray(poses, dtype=float)
-    R = rotation_matrices(poses)
-    diff = points[None, :, :] - poses[:, None, :3]
-    return np.einsum("bji,bkj->bki", R, diff)
-
-
-def points_to_world_frame(points: np.ndarray, poses: np.ndarray) -> np.ndarray:
-    """Object-frame points (B, K, 3) into world frame under poses (B, 6)."""
-    points = np.asarray(points, dtype=float)
-    poses = np.asarray(poses, dtype=float)
-    R = rotation_matrices(poses)
-    return np.einsum("bij,bkj->bki", R, points) + poses[:, None, :3]
 
 
 def closest_point_on_triangles(q, a, b, c):
@@ -366,10 +344,15 @@ class TriMesh:
     def closest_points_posed(self, points, poses):
         """The contact-to-surface query: `closest_points` for world ``points``
         (K, 3) against the mesh posed at each row of ``poses`` (B, 6).
-        Returns distances (B, K) and object-frame nearest points (B, K, 3)."""
-        local = points_into_object_frame(np.atleast_2d(points), np.atleast_2d(poses))
+        Returns distances (B, K) and world-frame nearest points (B, K, 3)."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        poses = np.atleast_2d(np.asarray(poses, dtype=float))
+        R = rotation_matrices(poses)
+        t = poses[:, None, :3]
+        local = np.einsum("bji,bkj->bki", R, points[None, :, :] - t)
         d, nearest, _ = self.closest_points(local.reshape(-1, 3))
-        return d.reshape(local.shape[:2]), nearest.reshape(local.shape)
+        world = np.einsum("bij,bkj->bki", R, nearest.reshape(local.shape)) + t
+        return d.reshape(local.shape[:2]), world
 
     def _traverse(self, Q: np.ndarray):
         """All queries descend the tree together (Ericson 2004, ch. 6)."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshlocError, as_real, check_square
-from .geometry import TriMesh, points_to_world_frame
+from .geometry import TriMesh
 from . import unscented
 
 __all__ = [
@@ -58,9 +58,7 @@ class MeasurementModel:
 
     def predict_batch(self, y: np.ndarray, poses: np.ndarray) -> np.ndarray:
         """Nearest surface points to ``y`` for a pose batch, in world frame."""
-        poses = np.atleast_2d(np.asarray(poses, dtype=float))
-        _, pts = self.mesh.closest_points_posed(y, poses)
-        return points_to_world_frame(pts, poses)[:, 0, :]
+        return self.mesh.closest_points_posed(y, poses)[1][:, 0, :]
 
 
 def log_likelihood_batch(model: MeasurementModel, ys: np.ndarray,

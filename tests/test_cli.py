@@ -962,6 +962,64 @@ class TestDirectoryPaths:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
+class TestOutputNamingAnotherFile:
+    """An output path that names an input or another output of the same
+    command exits 2 naming both flags, before any work, and leaves every
+    file as it was."""
+
+    @staticmethod
+    def _refused(capsys, folder, argv, message):
+        before = {p.name: p.read_bytes() for p in folder.iterdir()}
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p.name: p.read_bytes() for p in folder.iterdir()} == before
+
+    def test_simulate_output_and_ground_truth_one_file(self, tmp_path, box_obj, capsys):
+        target = tmp_path / "c.csv"
+        target.write_text("kept\n")
+        self._refused(capsys, tmp_path, ["simulate", "--mesh", box_obj, "--output", str(target),
+                                         "--ground-truth", str(target)],
+                      f"--ground-truth: {target} is the same file as --output")
+
+    def test_simulate_output_over_the_mesh(self, tmp_path, box_obj, capsys):
+        self._refused(capsys, tmp_path, ["simulate", "--mesh", box_obj, "--output", box_obj],
+                      f"--output: {box_obj} is the same file as --mesh")
+
+    def test_localize_output_over_the_measurements(self, tmp_path, box_obj, tiny_config,
+                                                   capsys, monkeypatch):
+        meas = _simulate(tmp_path, box_obj)
+        monkeypatch.chdir(tmp_path)     # a relative spelling of the same file
+        self._refused(capsys, tmp_path, ["localize", "--mesh", box_obj, "--config", tiny_config,
+                                         "--measurements", meas, "--output", "meas.csv"],
+                      "--output: meas.csv is the same file as --measurements")
+
+    @pytest.mark.parametrize("meas, argv, message", [
+        ("m.csv", ["localize", "--output", "box.obj"],
+         "--output: box.obj is the same file as --mesh"),
+        ("m.csv", ["localize", "--output", "tiny.yaml"],
+         "--output: tiny.yaml is the same file as --config"),
+        ("m.csv", ["localize", "--ground-truth", "m.truth.json", "--output", "m.truth.json"],
+         "--output: m.truth.json is the same file as --ground-truth"),
+        ("r.trace.csv", ["localize", "--emit-trace", "--output", "r.json"],
+         "--emit-trace: r.trace.csv is the same file as --measurements"),
+        ("m.csv", ["batch", "--output", "m.csv"],
+         "--output: m.csv is the same file as --measurements"),
+        ("m.csv", ["batch", "--ground-truth", "m.truth.json", "--output", "m.truth.json"],
+         "--output: m.truth.json is the same file as --ground-truth"),
+        ("r.sweep.csv", ["batch", "--sweep-m", "1,2", "--output", "r.json"],
+         "--sweep-m: r.sweep.csv is the same file as --measurements"),
+    ], ids=["mesh", "config", "ground-truth", "trace", "batch-measurements",
+            "batch-ground-truth", "sweep"])
+    def test_output_over_another_input(self, tmp_path, box_obj, tiny_config, capsys,
+                                       monkeypatch, meas, argv, message):
+        _simulate(tmp_path, box_obj, name=meas)
+        monkeypatch.chdir(tmp_path)
+        command, *rest = argv
+        trials = ["--trials", "1"] if command == "batch" else []
+        self._refused(capsys, tmp_path, [command, "--mesh", "box.obj", "--config", "tiny.yaml",
+                                         "--measurements", meas, *trials, *rest], message)
+
+
 class TestShippedProfiles:
     # guards the checked-in YAML profiles against key drift
     @pytest.fixture()

@@ -15,8 +15,6 @@ from meshloc.geometry import (
     box_mesh,
     euler_from_matrix,
     load_obj,
-    points_into_object_frame,
-    points_to_world_frame,
     rotation_matrices,
 )
 
@@ -103,40 +101,73 @@ class TestPoseMath:
 
 
 class TestFrameTransforms:
-    def test_identity_pose_keeps_point(self):
-        y = np.array([0.3, -0.1, 0.7])
-        got = points_into_object_frame(y[None], Pose().to_array()[None])
-        npt.assert_array_equal(got[0, 0], y)
+    """`TriMesh.closest_points_posed` maps world contacts into each pose's
+    object frame and its nearest points back into the world frame."""
 
-    def test_translation_only_shifts(self):
-        y = np.array([1.0, 1.0, 1.0])
-        pose = Pose(x=1.0, y=1.0, z=1.0)
-        got = points_into_object_frame(y[None], pose.to_array()[None])
-        npt.assert_allclose(got[0, 0], np.zeros(3), atol=1e-15)
+    def test_identity_pose_keeps_point(self, box):
+        y = np.array([[0.3, -0.1, 0.7], [0.01, 0.02, 0.03]])
+        d, nearest = box.closest_points_posed(y, Pose().to_array()[None])
+        want_d, want_p, _ = box.closest_points(y)
+        npt.assert_array_equal(d[0], want_d)
+        npt.assert_array_equal(nearest[0], want_p)
+
+    def test_translation_only_shifts(self, box):
+        y = np.array([[1.0, 1.0, 1.0], [0.9, 1.2, 1.05]])
+        t = np.array([1.0, 1.0, 1.0])
+        d, nearest = box.closest_points_posed(y, Pose(*t).to_array()[None])
+        want_d, want_p, _ = box.closest_points(y - t)
+        npt.assert_allclose(d[0], want_d, atol=1e-15)
+        npt.assert_allclose(nearest[0], want_p + t, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(finite_coord, finite_coord, finite_coord,
            finite_angle, finite_angle, finite_angle,
            finite_coord, finite_coord, finite_coord)
     def test_round_trip(self, x, y, z, phi, theta, psi, px, py, pz):
+        # One triangle in the object's z = 0 plane covers every (px, py):
+        # the object-frame point (px, py, pz), placed in the world, lies
+        # |pz| from the posed surface, nearest to the placed (px, py, 0).
+        mesh = TriMesh([[-50, -50, 0], [50, -50, 0], [0, 100, 0]], [[0, 1, 2]])
         pose = Pose(x, y, z, phi, theta, psi)
-        point = np.array([px, py, pz])
-        obj = points_into_object_frame(point[None], pose.to_array()[None])[0, 0]
-        back = pose.rotation() @ obj + pose.translation()
-        npt.assert_allclose(back, point, atol=1e-12)
+        R, t = pose.rotation(), pose.translation()
+        world = R @ [px, py, pz] + t
+        d, nearest = mesh.closest_points_posed(world[None], pose.to_array()[None])
+        npt.assert_allclose(d[0, 0], abs(pz), atol=1e-12)
+        npt.assert_allclose(nearest[0, 0], R @ [px, py, 0.0] + t, atol=1e-12)
 
-    def test_batch_matches_single(self):
+    def test_batch_matches_single(self, box):
         rng = np.random.default_rng(5)
-        poses = rng.normal(size=(4, 6))
-        pts = rng.normal(size=(3, 3))
-        batch = points_into_object_frame(pts, poses)
+        poses = rng.normal(scale=0.2, size=(4, 6))
+        pts = rng.normal(scale=0.2, size=(3, 3))
+        d, nearest = box.closest_points_posed(pts, poses)
         for b in range(4):
+            R, t = rotation_matrices(poses[b]), poses[b, :3]
             for k in range(3):
-                R = rotation_matrices(poses[b])
-                single = R.T @ (pts[k] - poses[b, :3])
-                npt.assert_allclose(batch[b, k], single, atol=1e-14)
-        back = points_to_world_frame(batch, poses)
-        npt.assert_allclose(back, np.broadcast_to(pts, (4, 3, 3)), atol=1e-12)
+                local = R.T @ (pts[k] - t)
+                want_d, want_p, _ = box.closest_points(local[None])
+                npt.assert_allclose(d[b, k], want_d[0], atol=1e-14)
+                npt.assert_allclose(nearest[b, k], R @ want_p[0] + t, atol=1e-14)
+
+    def test_each_pose_subset_and_contact_alone_equal_the_batch(self, box):
+        # Bit for bit: a query's answer does not depend on the other poses
+        # or contacts in its batch.
+        rng = np.random.default_rng(9)
+        poses = rng.normal(scale=[0.05] * 3 + [0.5] * 3, size=(700, 6))
+        contacts = rng.uniform(-0.15, 0.15, size=(10, 3))
+        d, nearest = box.closest_points_posed(contacts, poses)
+        assert d.shape == (700, 10) and nearest.shape == (700, 10, 3)
+        for b in range(len(poses)):
+            alone = box.closest_points_posed(contacts, poses[b:b + 1])
+            npt.assert_array_equal(alone[0], d[b:b + 1])
+            npt.assert_array_equal(alone[1], nearest[b:b + 1])
+        subset = rng.choice(len(poses), size=50, replace=False)
+        got = box.closest_points_posed(contacts, poses[subset])
+        npt.assert_array_equal(got[0], d[subset])
+        npt.assert_array_equal(got[1], nearest[subset])
+        for k in range(len(contacts)):
+            got = box.closest_points_posed(contacts[k], poses)
+            npt.assert_array_equal(got[0], d[:, k:k + 1])
+            npt.assert_array_equal(got[1], nearest[:, k:k + 1])
 
 
 class TestClosestPoint:

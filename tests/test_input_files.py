@@ -179,3 +179,20 @@ def test_mutated_profile_exits_0_2_or_3(valid, data):
 @given(data=st.data())
 def test_mutated_ground_truth_exits_0_2_or_3(valid, data):
     _check(valid, "json", data)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_leading_byte_order_mark_reads_as_without(valid, tmp_path, fmt):
+    # Windows tools and Excel's "CSV UTF-8" start a file with a UTF-8 BOM;
+    # the run must read it as the same file without one.
+    out = tmp_path / "report.json"
+    reports = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        argv = ["localize", "--omit-timing", "--output", str(out)]
+        for name, content in valid.items():
+            path = tmp_path / f"input.{name}"
+            path.write_bytes(bom + content if name == fmt else content)
+            argv += [FORMATS[name][0], str(path)]
+        assert cli.main(argv) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0]

@@ -15,7 +15,6 @@ from meshloc import (
     pose_error,
     success_test,
 )
-from meshloc.geometry import points_to_world_frame
 
 from conftest import random_soup
 
@@ -66,7 +65,7 @@ class TestPerformanceIndex:
         # same pose and nonzero under identity
         pose = Pose.from_array(np.array([0.03, -0.02, 0.05, 0.4, -0.2, 0.9]))
         local = np.array([[0.05, 0.1, 0.0], [0.0, -0.15, 0.05]])
-        world = points_to_world_frame(local[None], pose.to_array()[None, :])[0]
+        world = local @ pose.rotation().T + pose.translation()
         assert performance_index(world, pose, box) == pytest.approx(0.0, abs=1e-12)
         assert performance_index(world, Pose.from_array(np.zeros(6)), box) > 1e-3
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -257,6 +259,20 @@ class TestRowIndependence:
         means[2, 0] = 100.0
         with pytest.raises(MeshlocError, match="^innovation covariance is singular$"):
             ukf_step_batch(means, covs, self.Y, model, self.Q, R=np.zeros((3, 3)))
+
+    def test_overflowing_gain_raises(self):
+        # S is finite and invertible but subnormal, so the gain Gamma S^-1
+        # overflows; no floating-point warning comes first.
+        class Tiny:
+            def predict_batch(self, y, poses):
+                return 1e-310 * poses[:, :3]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshlocError,
+                               match="^innovation covariance gives a non-finite gain$"):
+                ukf_step_batch(np.zeros((1, 6)), 1e300 * np.eye(6)[None], self.Y, Tiny(),
+                               np.zeros((6, 6)), R=1e-320 * np.eye(3))
 
     def test_jittered_cholesky_fallback_keeps_the_other_rows(self, box, monkeypatch):
         # Row 4's predicted covariance is zero, so the batched Cholesky
