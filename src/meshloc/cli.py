@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import InvalidConfigError, MeshlocError, json_text, read_lines, write_text
+from .errors import (InvalidConfigError, MeshlocError, as_count, json_text, read_lines,
+                     write_text)
 from .geometry import Pose, load_obj
 from .metrics import TrialReport, aggregate_reports
 from .mupf import _MAX_MEMORY, FilterConfig, run
@@ -80,11 +81,8 @@ def _parse_sweep(text: str) -> list[int]:
                                  f"comma-separated integers, got {text!r}") from None
     if ends is not None and ends[0] > ends[1]:
         raise InvalidConfigError(f"--sweep-m range {text!r} is empty")
-    if min(values) < 1:
-        raise InvalidConfigError(f"--sweep-m values must be positive integers, got {text!r}")
-    if max(values) > _MAX_MEMORY:
-        raise InvalidConfigError(f"--sweep-m values must be at most 2**53 ({_MAX_MEMORY}), "
-                                 f"the most memory accepts, got {text!r}")
+    for value in values:
+        as_count(value, "--sweep-m value", 1, _MAX_MEMORY)
     return list(range(ends[0], ends[1] + 1)) if ends is not None else values
 
 
@@ -116,12 +114,12 @@ def _load_config(path: str | None, overrides: dict) -> FilterConfig:
         text = io.StringIO("".join(read_lines(path, "config")))
         text.name = path
         try:
-            loaded = yaml.safe_load(text) or {}
+            loaded = yaml.safe_load(text)
         except (yaml.YAMLError, ValueError) as exc:   # ValueError: an integer too long
             raise InvalidConfigError(f"{path}: malformed YAML: {exc}") from None
-        if not isinstance(loaded, dict):
+        if not isinstance(loaded, (dict, type(None))):   # null: an empty file
             raise InvalidConfigError(f"{path}: config must be a mapping")
-        mapping.update(loaded)
+        mapping.update(loaded or {})
     mapping.update({k: v for k, v in overrides.items() if v is not None})
     return FilterConfig.from_mapping(mapping)
 
@@ -234,12 +232,8 @@ def cmd_batch(args) -> int:
         raise InvalidConfigError(f"{', '.join(given)}: scenario flags do not apply "
                                  "to --measurements")
     scenario = _scenario(args, args.scenario_seed) if args.measurements is None else None
-    if args.trials < 1:
-        raise InvalidConfigError("--trials must be at least 1")
-    if args.trials > sys.maxsize:   # the most trials a list can hold
-        raise InvalidConfigError(f"--trials must be at most {sys.maxsize}")
-    if args.trial_workers < 1:
-        raise InvalidConfigError("--trial-workers must be at least 1")
+    as_count(args.trials, "--trials", 1, sys.maxsize)   # the most trials a list can hold
+    as_count(args.trial_workers, "--trial-workers", 1)
     if args.ground_truth and args.measurements is None:
         raise InvalidConfigError("--ground-truth needs --measurements; "
                                  "simulated trials take --use-truth")

@@ -1,11 +1,14 @@
-"""Exception types, the number checks shared across the package, the one
-reader of input files and the one writer of output files.
+"""Exception types, the readers of numbers shared across the package, the
+one reader of input files and the one writer of output files.
 
 The package raises two error types.  `MeshlocError` is a run that failed,
 numerically or otherwise; the command line exits 3 on it.  Its subclass
 `InvalidConfigError` is the one error for refused input: a setting, a
 scenario, a mesh or a file; the command line exits 2 on it.  It is a
 `ValueError` too, so callers that catch `ValueError` keep working.
+
+Each kind of number from outside has one reader, which converts it or
+refuses it naming the setting: `as_count`, `as_scale`, `as_real`, `as_contacts`.
 """
 
 import json
@@ -83,19 +86,34 @@ def as_contacts(value, name: str, one: bool = False) -> np.ndarray:
     return points
 
 
+def as_count(value, name: str, low: int, high: int | None = None) -> int:
+    """``value``, an integer or a float that holds one, as an int.  A bool,
+    a fraction or a string raises `InvalidConfigError` "<name> must be an
+    integer >= <low>", and a value above ``high`` "<name> must be at most <high>"."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not (is_int(value) and value >= low):
+        raise InvalidConfigError(f"{name} must be an integer >= {low}")
+    if high is not None and value > high:
+        raise InvalidConfigError(f"{name} must be at most {high}")
+    return int(value)
+
+
 # The least and the greatest positive float whose square is a normal float.
 _SQUARE_RANGE = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max))
 
 
-def check_square(value: float, name: str) -> None:
-    """Refuse a scale the arithmetic squares (``sigma_p``), naming
-    ``name``, unless its square is a positive, normal, finite float."""
+def as_scale(value, name: str) -> float:
+    """``value`` as a scale the arithmetic squares (``sigma_p``): a number
+    whose square is a positive, normal, finite float, or `InvalidConfigError`."""
+    value = as_real(value, name, "a number")
     if not (np.isfinite(value) and value > 0.0):
         raise InvalidConfigError(f"{name} must be positive and finite")
     low, high = _SQUARE_RANGE
     if not low <= value <= high:
         raise InvalidConfigError(f"{name} must lie between {low:.4g} and {high:.4g}, "
                                  f"where its square is a normal float, got {value!r}")
+    return value
 
 
 def read_lines(path, what: str) -> list[str]:

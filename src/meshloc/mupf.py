@@ -41,7 +41,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidConfigError, MeshlocError, as_contacts, as_real, check_square,
+from .errors import (InvalidConfigError, MeshlocError, as_contacts, as_count, as_real, as_scale,
                      is_int)
 from .geometry import Pose
 from .metrics import TrialReport, performance_index, pose_error, success_test
@@ -72,34 +72,62 @@ _MAX_PARTICLES = np.iinfo(np.intp).max // (36 * 8)
 _MAX_MEMORY = 2 ** 53
 
 
-# Profile keys that `FilterConfig.from_mapping` reads and `to_dict` writes,
-# each stated once and grouped by how it is read and checked: a count maps
-# to a field and holds its least value, a flag is true or false, a matrix
-# may also be given as its ``_diag``.  `_PROFILE_KEYS` is every key a
-# profile may set.
-_PROFILE_COUNTS = {"particles": ("n_particles", 1), "memory": ("memory", 1),
-                   "resampling_delay": ("resampling_delay", 0),
-                   "seed": ("seed", 0)}
-_PROFILE_FLAGS = ("transition_density_in_weights",)
-_PROFILE_MATRICES = {"process_noise": 6, "prior_cov": 6}
-_PROFILE_KEYS = frozenset({
-    *_PROFILE_COUNTS, *_PROFILE_FLAGS, "sigma_p", "prior_mean",
-    *(key + suffix for key in _PROFILE_MATRICES for suffix in ("", "_diag"))})
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidConfigError(f"{name} must be true or false")
+    return bool(value)
 
 
-def _label(key: str, name: str) -> str:
-    """A profile key as errors name it, with the field where the two differ."""
-    return key + ("" if key == name else f" ({name})")
+def _vector(value, name: str) -> np.ndarray:
+    vector = as_real(value, name, "a list of 6 numbers", (6,))
+    if not np.isfinite(vector).all():
+        raise InvalidConfigError(f"{name} must be a finite 6-vector")
+    return vector
+
+
+def _covariance(value, name: str) -> np.ndarray:
+    """``value`` as a finite, symmetric, positive-semidefinite 6x6 matrix."""
+    m = as_real(value, name, "a 6x6 matrix", (6, 6))
+    if not np.isfinite(m).all():
+        raise InvalidConfigError(f"{name}[_diag] must be a finite 6x6 matrix")
+    # Finite entries of opposite sign near the float limit differ by inf.
+    with np.errstate(over="ignore"):
+        asymmetry = np.abs(m - m.T).max()
+    if asymmetry > 1e-10:
+        raise InvalidConfigError(f"{name}[_diag] must be symmetric")
+    if np.linalg.eigvalsh(m)[0] < -1e-10:
+        raise InvalidConfigError(f"{name}[_diag] must be positive semidefinite")
+    return m
+
+
+# Each profile key that `FilterConfig.from_mapping` reads and `to_dict`
+# writes, stated once: the field it sets and the reader that converts and
+# checks its value, naming the key (and the field, where the two differ).
+_PROFILE = {
+    "particles": ("n_particles",
+                  lambda v: as_count(v, "particles (n_particles)", 1, _MAX_PARTICLES)),
+    "memory": ("memory", lambda v: as_count(v, "memory", 1, _MAX_MEMORY)),
+    "resampling_delay": ("resampling_delay", lambda v: as_count(v, "resampling_delay", 0)),
+    "seed": ("seed", lambda v: as_count(v, "seed", 0)),
+    "transition_density_in_weights": (
+        "transition_density_in_weights", lambda v: _flag(v, "transition_density_in_weights")),
+    "sigma_p": ("sigma_p", lambda v: as_scale(v, "sigma_p")),
+    "prior_mean": ("prior_mean", lambda v: _vector(v, "prior_mean")),
+    "process_noise": ("process_noise", lambda v: _covariance(v, "process_noise")),
+    "prior_cov": ("prior_cov", lambda v: _covariance(v, "prior_cov")),
+}
+# Every key a profile may set: the two matrices may be given by their diagonals.
+_PROFILE_KEYS = frozenset({*_PROFILE, "process_noise_diag", "prior_cov_diag"})
 
 
 @dataclass(frozen=True)
 class FilterConfig:
     """Filter parameters.  Defaults are the desk-scale simulation profile.
 
-    Every value is converted and checked when the config is built, so a
-    config that exists is one the filter accepts: ``sigma_p`` is a float,
-    the vector and matrices are read-only float arrays, and an integral
-    float count is an int.
+    Every value is converted and checked when the config is built, by its
+    key's reader in `_PROFILE`, so a config that exists is one the filter
+    accepts: each count is an int, the flag a bool, ``sigma_p`` a float,
+    and the vector and matrices are read-only float arrays.
 
     ``sigma_p`` is the likelihood's standard deviation in meters (1e-4 m
     by default, a sharp likelihood that rewards tight surface fits).
@@ -126,48 +154,14 @@ class FilterConfig:
         if not (is_int(n_workers) and n_workers == 1):
             raise InvalidConfigError(f"n_workers must be 1 (the filter is serial), "
                                      f"got {n_workers!r}")
-
-        def convert(key, what, shape):
-            object.__setattr__(self, key, as_real(getattr(self, key), key, what, shape))
-
-        for key, dim in _PROFILE_MATRICES.items():
-            convert(key, f"a {dim}x{dim} matrix", (dim, dim))
-        convert("prior_mean", "a list of 6 numbers", (6,))
-        convert("sigma_p", "a number", ())
-        for name, _ in _PROFILE_COUNTS.values():
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                object.__setattr__(self, name, int(value))
-        self.validate()
+        for name, read in _PROFILE.values():
+            object.__setattr__(self, name, read(getattr(self, name)))
 
     def validate(self) -> None:
         """Raise `InvalidConfigError` naming the profile key at fault, with
         the field name in parentheses where the two differ."""
-        for key, (name, low) in _PROFILE_COUNTS.items():
-            value = getattr(self, name)
-            if not (is_int(value) and value >= low):
-                raise InvalidConfigError(f"{_label(key, name)} must be an integer >= {low}")
-        if self.n_particles > _MAX_PARTICLES:
-            raise InvalidConfigError(f"particles (n_particles) must be at most {_MAX_PARTICLES}")
-        if self.memory > _MAX_MEMORY:
-            raise InvalidConfigError(f"memory must be at most 2**53 ({_MAX_MEMORY})")
-        for key in _PROFILE_FLAGS:
-            if not isinstance(getattr(self, key), (bool, np.bool_)):
-                raise InvalidConfigError(f"{key} must be true or false")
-        check_square(self.sigma_p, "sigma_p")
-        if not np.isfinite(self.prior_mean).all():
-            raise InvalidConfigError("prior_mean must be a finite 6-vector")
-        for key, dim in _PROFILE_MATRICES.items():
-            m = getattr(self, key)
-            if not np.isfinite(m).all():
-                raise InvalidConfigError(f"{key}[_diag] must be a finite {dim}x{dim} matrix")
-            # Finite entries of opposite sign near the float limit differ by inf.
-            with np.errstate(over="ignore"):
-                asymmetry = np.abs(m - m.T).max()
-            if asymmetry > 1e-10:
-                raise InvalidConfigError(f"{key}[_diag] must be symmetric")
-            if np.linalg.eigvalsh(m)[0] < -1e-10:
-                raise InvalidConfigError(f"{key}[_diag] must be positive semidefinite")
+        for name, read in _PROFILE.values():
+            read(getattr(self, name))
 
     def model_for(self, mesh) -> MeasurementModel:
         return MeasurementModel(mesh=mesh, sigma_p=self.sigma_p)
@@ -186,17 +180,15 @@ class FilterConfig:
             raise InvalidConfigError(
                 f"unknown config keys: {sorted(unknown, key=str)}")
         kwargs = {}
-        for key, dim in _PROFILE_MATRICES.items():
+        for key, (name, _) in _PROFILE.items():
             diag_key = key + "_diag"
             if key in mapping and diag_key in mapping:
                 raise InvalidConfigError(f"{key} and {diag_key} are both given; keep one")
             if diag_key in mapping:
-                kwargs[key] = np.diag(as_real(mapping[diag_key], diag_key,
-                                              f"a list of {dim} numbers", (dim,)))
-        names = {key: name for key, (name, _) in _PROFILE_COUNTS.items()}
-        names |= {key: key for key in (*_PROFILE_FLAGS, *_PROFILE_MATRICES,
-                                       "prior_mean", "sigma_p")}
-        kwargs |= {name: mapping[key] for key, name in names.items() if key in mapping}
+                kwargs[name] = np.diag(as_real(mapping[diag_key], diag_key,
+                                               "a list of 6 numbers", (6,)))
+            elif key in mapping:
+                kwargs[name] = mapping[key]
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -204,10 +196,9 @@ class FilterConfig:
         key, matrices in full, so that `from_mapping` reads it back to the
         same config.
         """
-        out = {key: int(getattr(self, name)) for key, (name, _) in _PROFILE_COUNTS.items()}
-        out |= {key: bool(getattr(self, key)) for key in _PROFILE_FLAGS}
-        out |= {key: getattr(self, key).tolist() for key in _PROFILE_MATRICES}
-        return out | {"prior_mean": self.prior_mean.tolist(), "sigma_p": self.sigma_p}
+        values = {key: getattr(self, name) for key, (name, _) in _PROFILE.items()}
+        return {key: v.tolist() if isinstance(v, np.ndarray) else v
+                for key, v in values.items()}
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidConfigError, as_real, is_int, json_text, read_lines, write_text
+from .errors import (InvalidConfigError, as_count, as_real, is_int, json_text, read_lines,
+                     write_text)
 from .geometry import Pose, TriMesh
 
 __all__ = [
@@ -65,13 +66,11 @@ class ScenarioSpec:
     def __post_init__(self):
         # Each field is checked once and stored in its JSON type, so that
         # `to_dict` writes the fields as they are; a bool or a fraction where
-        # an integer belongs is refused, never cut.
+        # an integer belongs is refused, never cut (15.0 reads as 15).
         if not (self.mesh_path is None or isinstance(self.mesh_path, str)):
             raise InvalidConfigError("mesh_path must be a string or null")
-        if not (is_int(self.n_measurements) and self.n_measurements >= 1):
-            raise InvalidConfigError("n_measurements must be a positive integer")
-        if self.n_measurements > _MAX_MEASUREMENTS:
-            raise InvalidConfigError(f"n_measurements must be at most {_MAX_MEASUREMENTS}")
+        object.__setattr__(self, "n_measurements", as_count(
+            self.n_measurements, "n_measurements", 1, _MAX_MEASUREMENTS))
         pose = self.true_pose
         if not (isinstance(pose, Pose)
                 and all(map(_is_finite_number, dataclasses.astuple(pose)))):
@@ -79,16 +78,13 @@ class ScenarioSpec:
         sigma = self.noise_sigma
         if not (_is_finite_number(sigma) and sigma >= 0.0):
             raise InvalidConfigError("noise_sigma must be a finite non-negative number")
-        if not (is_int(self.seed) and self.seed >= 0):
-            raise InvalidConfigError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
         subset = self.face_subset
         if not (subset is None
                 or isinstance(subset, (list, tuple)) and all(map(is_int, subset))):
             raise InvalidConfigError("face_subset must be a list of integer face indices")
         object.__setattr__(self, "true_pose", Pose(*map(float, dataclasses.astuple(pose))))
-        object.__setattr__(self, "n_measurements", int(self.n_measurements))
         object.__setattr__(self, "noise_sigma", float(sigma))
-        object.__setattr__(self, "seed", int(self.seed))
         if self.face_subset is not None:
             object.__setattr__(self, "face_subset", tuple(map(int, self.face_subset)))
 
@@ -225,8 +221,9 @@ def read_ground_truth_json(path) -> tuple[ScenarioSpec, np.ndarray]:
         spec = ScenarioSpec(**kwargs)
         n = spec.n_measurements
         contacts = as_real(payload["contacts"], "contacts", f"a list of {n} points", (n, 3))
-        if not np.isfinite(contacts).all():
-            raise InvalidConfigError("contacts must be finite")
+        # Each coordinate by the rule of `true_pose`: "0.01" is not a number.
+        if not all(_is_finite_number(v) for point in payload["contacts"] for v in point):
+            raise InvalidConfigError("contacts must be finite numbers")
         return spec, contacts
     except KeyError as exc:
         raise InvalidConfigError(f"{path}: ground truth lacks key {exc}") from None

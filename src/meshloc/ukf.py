@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshlocError, as_real, check_square
+from .errors import MeshlocError, as_scale
 from .geometry import TriMesh
 from . import unscented
 
@@ -47,9 +47,7 @@ class MeasurementModel:
     sigma_p: float
 
     def __post_init__(self):
-        sigma_p = as_real(self.sigma_p, "sigma_p", "a number")
-        check_square(sigma_p, "sigma_p")
-        object.__setattr__(self, "sigma_p", sigma_p)
+        object.__setattr__(self, "sigma_p", as_scale(self.sigma_p, "sigma_p"))
 
     def surface_distances(self, ys: np.ndarray, poses: np.ndarray) -> np.ndarray:
         """Distances from world points ``ys`` (K, 3) to the surface posed at

@@ -153,15 +153,13 @@ class TestParsers:
             ("1,x", "--sweep-m must be an inclusive range '<lo>..<hi>' or "
                     "comma-separated integers, got '1,x'"),
             ("5..1", "--sweep-m range '5..1' is empty"),
-            ("0,3", "--sweep-m values must be positive integers, got '0,3'"),
-            ("-1..2", "--sweep-m values must be positive integers, got '-1..2'"),
-            # Refused by its ends, before a list of 10**23 values is built.
+            ("0,3", "--sweep-m value must be an integer >= 1"),
+            ("-1..2", "--sweep-m value must be an integer >= 1"),
+            # Refused by its ends, before a list of 10**23 values is built;
+            # 2**53 is the most memory accepts.
             ("1..100000000000000000000000",
-             "--sweep-m values must be at most 2**53 (9007199254740992), the most memory "
-             "accepts, got '1..100000000000000000000000'"),
-            ("1,9007199254740993",
-             "--sweep-m values must be at most 2**53 (9007199254740992), the most memory "
-             "accepts, got '1,9007199254740993'"),
+             "--sweep-m value must be at most 9007199254740992"),
+            ("1,9007199254740993", "--sweep-m value must be at most 9007199254740992"),
         ]:
             with pytest.raises(InvalidConfigError, match=f"^{re.escape(message)}$"):
                 cli._parse_sweep(text)
@@ -189,7 +187,7 @@ class TestSimulate:
         # A count beyond what an (L, 3) float array can address names the
         # field instead of failing inside numpy.
         for count, message in [
-                ("0", "n_measurements must be a positive integer"),
+                ("0", "n_measurements must be an integer >= 1"),
                 ("100000000000000000000000", "n_measurements must be at most ")]:
             rc = cli.main(["simulate", "--mesh", box_obj, "--count", count,
                            "--output", str(tmp_path / "x.csv")])
@@ -486,13 +484,23 @@ class TestLocalize:
         assert "malformed YAML" in capsys.readouterr().err
 
     def test_yaml_list_profile_exits_2_naming_the_file(self, tmp_path, box_obj, capsys):
+        # YAML null alone, an empty or comment-only file, means no settings; a
+        # false, a zero, an empty list or an empty string is not a profile.
         meas = _simulate(tmp_path, box_obj)
-        cfg = tmp_path / "list.yaml"
-        cfg.write_text("- particles: 10\n")
-        rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
-                       "--config", str(cfg), "--output", str(tmp_path / "r.json")])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {cfg}: config must be a mapping\n"
+        cfg = tmp_path / "profile.yaml"
+        for body in ["- particles: 10\n", "false\n", "0\n", "[]\n", "''\n"]:
+            cfg.write_text(body)
+            rc = cli.main(["localize", "--mesh", box_obj, "--measurements", meas,
+                           "--config", str(cfg), "--output", str(tmp_path / "r.json")])
+            assert rc == 2, body
+            assert capsys.readouterr().err == f"error: {cfg}: config must be a mapping\n"
+            assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("body", ["", "# no settings\n"], ids=["empty", "comment-only"])
+    def test_empty_profile_reads_as_the_defaults(self, tmp_path, body):
+        cfg = tmp_path / "profile.yaml"
+        cfg.write_text(body)
+        assert cli._load_config(str(cfg), {}).to_dict() == FilterConfig().to_dict()
 
     @pytest.mark.parametrize("flag, what", [
         ("--measurements", "measurement"), ("--mesh", "mesh"), ("--config", "config"),
@@ -828,11 +836,12 @@ class TestBatch:
 
     def test_zero_trials_exits_2(self, tmp_path, box_obj, tiny_config, capsys):
         # So does a count beyond what a list can hold, named by flag.
-        for trials in ("0", str(10 ** 20)):
+        for trials, message in [("0", "--trials must be an integer >= 1\n"),
+                                (str(10 ** 20), f"--trials must be at most {sys.maxsize}\n")]:
             rc = cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
                            "--trials", trials, "--output", str(tmp_path / "x.json")])
             assert rc == 2
-            assert capsys.readouterr().err.startswith("error: --trials must be at ")
+            assert capsys.readouterr().err == f"error: {message}"
 
     def test_negative_trial_workers_exits_2(self, tmp_path, box_obj, tiny_config,
                                             capsys):

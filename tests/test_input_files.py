@@ -27,7 +27,7 @@ from conftest import save_obj
 
 import meshloc.cli as cli
 from meshloc import box_mesh
-from meshloc.mupf import _PROFILE_COUNTS, _PROFILE_KEYS
+from meshloc.mupf import _PROFILE, _PROFILE_KEYS
 
 PROFILE = """\
 particles: 16
@@ -45,7 +45,7 @@ process_noise_diag: [1.0e-5, 1.0e-5, 1.0e-5, 1.0e-4, 1.0e-4, 1.0e-4]
 FORMATS = {"obj": ("--mesh", " "), "csv": ("--measurements", ","),
            "yaml": ("--config", ", "), "json": ("--ground-truth", ", ")}
 # Profile keys, and the field names that errors give in parentheses.
-NAMES = _PROFILE_KEYS | {name for name, _ in _PROFILE_COUNTS.values()}
+NAMES = _PROFILE_KEYS | {name for name, _ in _PROFILE.values()}
 
 TOKEN = re.compile(r'[^\s,:\[\]{}"]+')
 BAD_TOKENS = ["nan", "inf", "-inf", "true", '""', "1" + "0" * 30, "-7", "0.5", "2.7"]

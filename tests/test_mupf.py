@@ -122,7 +122,7 @@ _MORE_REFUSALS = {
     "particles-huge": ("particles", 10 ** 30,
                        f"particles (n_particles) must be at most {2 ** 63 // 288}"),
     # Values whose arithmetic a float cannot carry.
-    "memory-huge": ("memory", 2 ** 53 + 1, "memory must be at most 2**53 (9007199254740992)"),
+    "memory-huge": ("memory", 2 ** 53 + 1, "memory must be at most 9007199254740992"),
     **{f"{key}-{value!r}": (key, value, f"{key} must lie between 1.492e-154 and "
                             f"1.341e+154, where its square is a normal float, got {value!r}")
        for key, value in [("sigma_p", 1e-300), ("sigma_p", 5e-324), ("sigma_p", 1e300)]},

@@ -109,10 +109,17 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("field, value", [("n_measurements", True), ("seed", True),
                                               ("face_subset", (2.7,)),
-                                              ("noise_sigma", True)])
+                                              ("noise_sigma", True),
+                                              ("n_measurements", 1.7), ("seed", 1.7),
+                                              ("n_measurements", "2"), ("seed", "2")])
     def test_bool_or_fraction_refused_not_cut(self, field, value):
         with pytest.raises(InvalidConfigError, match=f"^{field} "):
             _spec(**{field: value})
+
+    def test_integral_float_counts_read_as_ints(self):
+        spec = _spec(n_measurements=15.0, seed=2.0)
+        assert (spec.n_measurements, spec.seed) == (15, 2)
+        assert type(spec.n_measurements) is int and type(spec.seed) is int
 
 
 class TestMeasurementFiles:
@@ -190,7 +197,10 @@ class TestMeasurementFiles:
                                               pytest.param("true_pose", [10**400, 0, 0, 0, 0, 0],
                                                            id="true_pose-1e400"),
                                               pytest.param("noise_sigma", 10**400,
-                                                           id="noise_sigma-1e400")])
+                                                           id="noise_sigma-1e400"),
+                                              ("seed", True), ("seed", "2"),
+                                              ("n_measurements", 1.7),
+                                              ("n_measurements", "2")])
     def test_ground_truth_refuses_cut_values(self, truth_file, field, value):
         payload = json.loads(truth_file.read_text())
         payload["scenario"][field] = value
@@ -204,7 +214,8 @@ class TestMeasurementFiles:
         [[0.0, 0.0]] * 4,                           # (L, 2)
         [[float("nan"), 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 3,
         [[0.0, 0.0, 0.0]] * 3,                      # fewer rows than n_measurements
-    ], ids=["bool", "two-columns", "nan", "short"])
+        [["0.01", "0", "0"]] + [[0.0, 0.0, 0.0]] * 3,  # strings, as true_pose refuses them
+    ], ids=["bool", "two-columns", "nan", "short", "string"])
     def test_ground_truth_refuses_bad_contacts(self, truth_file, contacts):
         payload = json.loads(truth_file.read_text())
         payload["contacts"] = contacts
@@ -212,6 +223,14 @@ class TestMeasurementFiles:
         with pytest.raises(InvalidConfigError,
                            match=f"^{re.escape(str(truth_file))}: .*contacts "):
             read_ground_truth_json(truth_file)
+
+    def test_ground_truth_reads_an_integral_float_count(self, truth_file):
+        payload = json.loads(truth_file.read_text())
+        payload["scenario"] |= {"seed": 2.0, "n_measurements": 4.0}
+        truth_file.write_text(json.dumps(payload))
+        spec, _ = read_ground_truth_json(truth_file)
+        assert (spec.seed, spec.n_measurements) == (2, 4)
+        assert type(spec.seed) is int and type(spec.n_measurements) is int
 
     def test_ground_truth_defaults_do_not_fill_missing_key(self, truth_file):
         payload = json.loads(truth_file.read_text())

@@ -4,7 +4,10 @@ import ast
 import importlib
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +131,22 @@ def test_only_geometry_maps_contacts_onto_the_mesh():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             name = getattr(node, "attr", getattr(node, "id", None))
             assert name != "closest_points", path.name
+
+
+def test_package_imports_nothing_beyond_numpy_and_yaml():
+    # The declared dependencies only: a fresh interpreter that has loaded
+    # numpy and yaml loads no other third-party module for the package or
+    # its command line.  Multiprocessing registers the `__mp_main__` alias.
+    code = """
+import sys
+import numpy, yaml
+before = {name.partition(".")[0] for name in sys.modules}
+import meshloc, meshloc.cli
+after = {name.partition(".")[0] for name in sys.modules}
+print(*sorted(after - before - set(sys.stdlib_module_names) - {"meshloc", "__mp_main__"}))
+"""
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
