@@ -13,12 +13,14 @@ where ``mupf.step`` corrects each distinct parent once, and its own draw;
 it rates with the filter's factorization, Gaussian log-density, likelihood,
 normalization and resampling, and spells out the memoryless recursion on
 its own instead of calling ``mupf.step``.
-:func:`closest_points_exhaustive` runs the library's triangle kernel over
-every face, with no tree, so that ``TriMesh.closest_points`` can be held to
-the same argmin bit for bit.  :func:`map_readout` is the dense O(N^2)
-mixture density that ``mupf.extract_pose`` evaluated at every candidate
-before any pruning, frozen so a faster readout can be held to its argmax
-and maximum bit for bit.
+:func:`closest_points_exhaustive` runs :func:`triangle_kernel`, a frozen
+copy of the library's triangle kernel, over every face, with no tree and no
+bounds, so that ``TriMesh.closest_points`` can be held to the same argmin
+bit for bit, and a change to the library's kernel shows as a mismatch.
+:func:`map_readout` is the dense O(N^2) mixture density that
+``mupf.extract_pose`` evaluated at every candidate before any pruning,
+frozen so a faster readout can be held to its argmax and maximum bit for
+bit.
 """
 
 from __future__ import annotations
@@ -26,15 +28,78 @@ from __future__ import annotations
 import numpy as np
 
 from meshloc import mupf
-from meshloc.geometry import closest_point_on_triangles
 from meshloc.ukf import log_likelihood_batch, ukf_step_batch
 
 # Pairwise point-triangle evaluations per chunk; bounds peak memory.
 _PAIR_BUDGET = 4_000_000
 
 
+def triangle_kernel(q, a, b, c):
+    """Closest points on triangles ``(a, b, c)`` to query points ``q``: a
+    frozen copy of ``geometry.closest_point_on_triangles``.
+
+    All inputs broadcast against each other with a trailing axis of 3.
+    Returns ``(points, d2)`` where ``d2`` is the squared distance computed
+    from the returned point, so ``sqrt(d2) == |q - point|`` exactly.
+
+    Uses the classic closest-feature classification (vertex, edge, or face
+    region of the barycentric plane) and is exact for non-degenerate
+    triangles in floating point.
+    """
+    q = np.asarray(q, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+
+    ab = b - a
+    ac = c - a
+    ap = q - a
+    d1 = np.einsum("...i,...i->...", ab, ap)
+    d2_ = np.einsum("...i,...i->...", ac, ap)
+    bp = q - b
+    d3 = np.einsum("...i,...i->...", ab, bp)
+    d4 = np.einsum("...i,...i->...", ac, bp)
+    cp = q - c
+    d5 = np.einsum("...i,...i->...", ab, cp)
+    d6 = np.einsum("...i,...i->...", ac, cp)
+
+    vc = d1 * d4 - d3 * d2_
+    vb = d5 * d2_ - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = va + vb + vc
+        denom = np.where(denom != 0.0, denom, 1.0)
+        v_in = vb / denom
+        w_in = vc / denom
+        p = a + ab * v_in[..., None] + ac * w_in[..., None]
+
+        den_ab = d1 - d3
+        t_ab = d1 / np.where(den_ab != 0.0, den_ab, 1.0)
+        den_ac = d2_ - d6
+        t_ac = d2_ / np.where(den_ac != 0.0, den_ac, 1.0)
+        den_bc = (d4 - d3) + (d5 - d6)
+        t_bc = (d4 - d3) / np.where(den_bc != 0.0, den_bc, 1.0)
+
+    # Overlay regions in reverse priority so the first matching region in
+    # the scalar algorithm (A, B, AB, C, AC, BC, interior) wins.
+    p = np.where(((va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0))[..., None],
+                 b + t_bc[..., None] * (c - b), p)
+    p = np.where(((vb <= 0.0) & (d2_ >= 0.0) & (d6 <= 0.0))[..., None],
+                 a + t_ac[..., None] * ac, p)
+    p = np.where(((d6 >= 0.0) & (d5 <= d6))[..., None], np.broadcast_to(c, p.shape), p)
+    p = np.where(((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0))[..., None],
+                 a + t_ab[..., None] * ab, p)
+    p = np.where(((d3 >= 0.0) & (d4 <= d3))[..., None], np.broadcast_to(b, p.shape), p)
+    p = np.where(((d1 <= 0.0) & (d2_ <= 0.0))[..., None], np.broadcast_to(a, p.shape), p)
+
+    diff = q - p
+    d2_out = np.einsum("...i,...i->...", diff, diff)
+    return p, d2_out
+
+
 def closest_points_exhaustive(queries: np.ndarray, mesh):
-    """``closest_point_on_triangles`` against every face of ``mesh``.
+    """:func:`triangle_kernel` against every face of ``mesh``.
 
     Returns (distances (M,), points (M, 3), face_indices (M,)); ties on
     distance resolve to the lowest face index (``argmin`` order).
@@ -48,7 +113,7 @@ def closest_points_exhaustive(queries: np.ndarray, mesh):
     faces = np.empty(M, dtype=np.int64)
     for s in range(0, M, chunk):
         e = min(M, s + chunk)
-        pts, d2 = closest_point_on_triangles(Q[s:e, None, :], a, b, c)
+        pts, d2 = triangle_kernel(Q[s:e, None, :], a, b, c)
         j = np.argmin(d2, axis=1)  # first occurrence: lowest face index
         rows = np.arange(e - s)
         dists[s:e] = np.sqrt(d2[rows, j])

@@ -29,7 +29,7 @@ from test_construction import FAR_PRIOR, ZERO_PRIOR, _runs_to_finite_estimates
 
 import meshloc.cli as cli
 from meshloc import mupf, unscented
-from meshloc.geometry import TriMesh
+from meshloc.geometry import TriMesh, closest_point_on_triangles
 
 _PYTEST_PID = os.getpid()
 _batch_trial = cli._batch_trial
@@ -72,6 +72,27 @@ def test_criterion_2_fails_on_a_traversal_that_stops_at_the_first_leaf(monkeypat
         return self._leaf_minima(Q, np.arange(len(Q)), nearest)
 
     monkeypatch.setattr(TriMesh, "_traverse", first_leaf_only)
+    ok, detail = check_distance_queries_match_brute_force()
+    assert not ok, detail
+
+
+def test_criterion_2_fails_on_a_leaf_pass_that_stops_after_the_first_faces(monkeypatch):
+    def first_faces_only(self, Q, qi, nodes):
+        # `_leaf_minima`'s first pass without its second: the kernel on each
+        # query's two faces of least bound, and nothing else.
+        leaf = nodes - (len(self.leaves) - 1)
+        q = Q[qi][:, None, :]
+        lo, hi = (np.take(box, leaf, axis=0) for box in self._face_boxes)
+        diff = q - np.minimum(np.maximum(q, lo), hi)
+        bound = np.einsum("nwi,nwi->nw", diff, diff)
+        slots = np.sort(np.argsort(bound, axis=1)[:, :2], axis=1)
+        pts, d2 = closest_point_on_triangles(
+            q, *(block[leaf[:, None], slots] for block in self._corners))
+        j = np.argmin(d2, axis=1)
+        rows = np.arange(len(qi))
+        return d2[rows, j], self.leaves[leaf, slots[rows, j]], pts[rows, j]
+
+    monkeypatch.setattr(TriMesh, "_leaf_minima", first_faces_only)
     ok, detail = check_distance_queries_match_brute_force()
     assert not ok, detail
 

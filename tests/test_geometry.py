@@ -13,6 +13,7 @@ from meshloc.geometry import (
     Pose,
     TriMesh,
     box_mesh,
+    closest_point_on_triangles,
     euler_from_matrix,
     load_obj,
     rotation_matrices,
@@ -278,7 +279,9 @@ class TestClosestPoint:
         for name in TriMesh.__slots__:
             value = getattr(mesh, name)
             arrays.extend(value if isinstance(value, tuple) else [value])
-        assert len(arrays) == 8
+        # vertices, faces, bbox_min, bbox_max, leaves, three corner blocks
+        # and two face-box blocks.
+        assert len(arrays) == 10
         for array in arrays:
             assert isinstance(array, np.ndarray) and not array.flags.writeable
 
@@ -392,6 +395,43 @@ class TestExhaustiveParity:
         assert any(len(set(leaf_of[ids])) > 1 for ids in incident)
 
 
+class TestKernelLayout:
+    """The triangle kernel gives the same bits on gathered (query, face)
+    pairs as on whole leaf rows, so the leaf pass may run it on only the
+    faces that its bounds leave in play."""
+
+    @pytest.mark.parametrize("name", ["box", "soup300", "grid"])
+    def test_gathered_pairs_equal_whole_rows_bitwise(self, box, name):
+        rng = np.random.default_rng(59)
+        if name == "box":
+            mesh, Q = box, rng.uniform(-0.4, 0.4, size=(400, 3))
+        elif name == "soup300":
+            mesh, Q = random_soup(300, seed=1), rng.uniform(-1.5, 1.5, size=(400, 3))
+        else:
+            # The tie grid's queries, above its vertices.
+            mesh = _planar_grid(12)
+            Q = mesh.vertices + np.array([0.0, 0.0, 0.05])
+        leaf = rng.integers(len(mesh.leaves), size=len(Q))
+        width = mesh.leaves.shape[1]
+        pts, d2 = closest_point_on_triangles(
+            Q[:, None, :], *(np.take(block, leaf, axis=0) for block in mesh._corners))
+        assert d2.shape == (len(Q), width)
+        rows = np.arange(len(Q))[:, None]
+        # (M, k) blocks of each query's faces, as the first pass takes them.
+        for k in (1, 2, 5):
+            slots = np.argsort(rng.uniform(size=(len(Q), width)), axis=1)[:, :k]
+            got_pts, got_d2 = closest_point_on_triangles(
+                Q[:, None, :], *(block[leaf[:, None], slots] for block in mesh._corners))
+            npt.assert_array_equal(got_d2, d2[rows, slots])
+            npt.assert_array_equal(got_pts, pts[rows, slots])
+        # Loose (query, face) pairs, as the second pass takes them.
+        r, s = np.nonzero(rng.uniform(size=(len(Q), width)) < 0.3)
+        got_pts, got_d2 = closest_point_on_triangles(
+            Q[r], *(block[leaf[r], s] for block in mesh._corners))
+        npt.assert_array_equal(got_d2, d2[r, s])
+        npt.assert_array_equal(got_pts, pts[r, s])
+
+
 class TestBvhInvariants:
     """Structure of the complete tree, checked without running a query."""
 
@@ -437,6 +477,17 @@ class TestBvhInvariants:
             mesh.bbox_min[2 * inner + 1], mesh.bbox_min[2 * inner + 2]))
         npt.assert_array_equal(mesh.bbox_max[inner], np.maximum(
             mesh.bbox_max[2 * inner + 1], mesh.bbox_max[2 * inner + 2]))
+
+    def test_face_boxes_enclose_each_face_and_padding_is_empty(self, mesh):
+        lo, hi = mesh._face_boxes
+        tri = mesh.vertices[mesh.faces]
+        for j, ids in enumerate(_leaf_rows(mesh)):
+            n = len(ids)
+            npt.assert_array_equal(lo[j, :n], tri[ids].min(axis=1))
+            npt.assert_array_equal(hi[j, :n], tri[ids].max(axis=1))
+            # A padding slot repeats a face, so its box is empty: its
+            # bound is inf and the leaf pass never runs it a second time.
+            assert np.all(lo[j, n:] == np.inf) and np.all(hi[j, n:] == -np.inf)
 
 
 class TestMeshIo:

@@ -12,6 +12,10 @@ against w(t) contacts; the performance index rates the estimate against
 all L contacts.  Query counts do not drift with the host, so a change
 that adds or removes work shows here as a broken equality: such a change
 restates the formula in the same diff.
+
+Inside a BVH leaf, face bounds keep the triangle kernel off most faces.
+The pairs it runs are counted too: a leaf pass that ran the whole row
+again would still pass every bitwise test.
 """
 
 import numpy as np
@@ -80,3 +84,21 @@ def test_queries_follow_the_work_formula(monkeypatch, mesh, memory, delay):
     # Resampling after the delay leaves fewer distinct parents, so the
     # formula's u term is exercised, not only u = N.
     assert min(parents_in[delay + 1:]) < N
+
+
+def test_box_queries_run_the_kernel_on_few_faces(monkeypatch):
+    pairs = []
+    kernel = geometry.closest_point_on_triangles
+
+    def counted_kernel(q, a, b, c):
+        points, d2 = kernel(q, a, b, c)
+        pairs.append(d2.size)
+        return points, d2
+
+    monkeypatch.setattr(geometry, "closest_point_on_triangles", counted_kernel)
+    Q = np.random.default_rng(53).uniform(-0.4, 0.4, size=(2000, 3))
+    BOX.closest_points(Q)
+    # The two faces of least bound, and then only faces whose bound does
+    # not exceed the best distance: about 4.5 of the box's 12 faces for
+    # queries this far out, 2 near the surface.
+    assert 2 <= sum(pairs) / len(Q) < 6
