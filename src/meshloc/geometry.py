@@ -39,22 +39,20 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Queries per traversal chunk: at most _KERNEL_BLOCK over the widest leaf,
-# so the first kernel call stays small enough for the cache, and at most
-# _PAIR_BUDGET over the face count, which bounds peak memory even when every
-# query reaches every leaf.  Neither changes results.
+# which bounds the leaf pass's (chunk, width) bound and slot arrays, and at
+# most _PAIR_BUDGET over the face count, which bounds peak memory even when
+# every query reaches every leaf.  Neither changes results.  Unlimited, the
+# first raised box-desk's peak RSS from 49.6 to 67.1 MB on a 2-core Xeon
+# and did not lower its median contact latency.
 _KERNEL_BLOCK = 8192
 _PAIR_BUDGET = 4_000_000
 
 # Most faces in one BVH leaf, chosen by measurement on a 2-core Xeon with
 # AVX-512 and numpy 2.4.6.  At 16 the 12-face box is one leaf, and posed
-# box queries take 1.7 us/query against 6.0 at 4.  On the 972-face box,
-# queries about 2 mm off the surface take 8.1 us/query at 16 against 8.3
-# at 32: face bounds make wide leaves cheap, but no cheaper.
+# box queries near one face take 1.4-1.8 us/query against 2.2-2.4 at 8
+# and 4.1-6.0 at 4.  On the 972-face box, posed queries about 2 mm off the
+# surface take 6.2-7.0 us/query at 16, 6.3-6.8 at 8 and 7.5-8.0 at 32.
 LEAF_SIZE = 16
-
-# Faces per query that the leaf pass runs the kernel on before it prunes
-# the rest of the leaf against their best distance.
-_FIRST_FACES = 2
 
 
 def rotation_matrices(poses: np.ndarray) -> np.ndarray:
@@ -427,11 +425,12 @@ class TriMesh:
 
         The squared distance from a query to a face's bounding box bounds
         its distance to the face from below (Johnson & Cohen 1998).  The
-        kernel runs first on each query's `_FIRST_FACES` faces of least
-        bound, then on the other faces whose bound is not above the best
-        distance so far, with the slack of `_traverse`; a NaN prunes
-        nothing.  A pruned face can hold neither a smaller distance nor a
-        tie, so the result equals the kernel's argmin over the whole row.
+        kernel runs first on each query's one face of least bound, then on
+        the other faces whose bound is not above that face's distance, with
+        the slack of `_traverse`; a NaN prunes nothing.  A pruned face can
+        hold neither a smaller distance nor a tie, so the result equals the
+        kernel's argmin over the whole row.  A row of NaN or inf bounds
+        still seeds a real face: a padding slot repeats its row's last face.
         """
         leaf = nodes - (len(self.leaves) - 1)
         n = len(qi)
@@ -447,15 +446,13 @@ class TriMesh:
                 gap = qc - np.minimum(np.maximum(qc, lo), hi)
                 bound = bound + gap * gap
 
-        k = min(_FIRST_FACES, bound.shape[1])
-        first = np.argpartition(bound, k - 1, axis=1)[:, :k]
+        first = np.argmin(bound, axis=1)
         rows = np.arange(n)
         pts, d2 = closest_point_on_triangles(
-            q[:, None, :], *(block[leaf[:, None], first] for block in self._corners))
-        best = d2.min(axis=1)
+            q, *(block[leaf, first] for block in self._corners))
 
-        rest = ~(bound > best[:, None] * (1.0 + 1e-12))
-        rest[rows[:, None], first] = False
+        rest = ~(bound > d2[:, None] * (1.0 + 1e-12))
+        rest[rows, first] = False
         r, s = np.nonzero(rest)
         more_pts, more_d2 = closest_point_on_triangles(
             q[r], *(block[leaf[r], s] for block in self._corners))
@@ -464,10 +461,10 @@ class TriMesh:
         # row is its lexicographic minimum of (d2, face).  A pruned slot
         # holds inf, which loses to the finite best distance that pruned it.
         slot_d2 = np.full(bound.shape, np.inf)
-        slot_d2[rows[:, None], first] = d2
+        slot_d2[rows, first] = d2
         slot_d2[r, s] = more_d2
         slot_pts = np.empty(bound.shape + (3,))
-        slot_pts[rows[:, None], first] = pts
+        slot_pts[rows, first] = pts
         slot_pts[r, s] = more_pts
         j = np.argmin(slot_d2, axis=1)
         return slot_d2[rows, j], self.leaves[leaf, j], slot_pts[rows, j]

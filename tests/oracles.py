@@ -12,7 +12,9 @@ runs its own proposal pass, one ``ukf_step_batch`` row for every particle
 where ``mupf.step`` corrects each distinct parent once, and its own draw;
 it rates with the filter's factorization, Gaussian log-density, likelihood,
 normalization and resampling, and spells out the memoryless recursion on
-its own instead of calling ``mupf.step``.
+its own instead of calling ``mupf.step``; :func:`upf_proposal_logpdf`
+rates the same candidates by :func:`gaussian_logpdf` instead, within a
+tolerance.
 :func:`closest_points_exhaustive` runs :func:`triangle_kernel`, a frozen
 copy of the library's triangle kernel, over every face, with no tree and no
 bounds, so that ``TriMesh.closest_points`` can be held to the same argmin
@@ -260,6 +262,33 @@ def gaussian_logpdf(x, mean, cov) -> float:
     return -0.5 * (k * np.log(2.0 * np.pi) + logdet + maha)
 
 
+def _upf_proposal(state, y, model, config):
+    """The proposal of van der Merwe et al. for step ``state.t + 1``: one
+    UKF correction per particle, with no distinct-parent dedupe, then a
+    draw from each corrected Gaussian.  Returns the step's generator, its
+    first draw taken, the corrected means and covariances, their density
+    factors and the candidates."""
+    rng = mupf._rng_for_step(config.seed, state.t + 1)
+    z = rng.standard_normal((state.n_particles, 6))
+    means, covs = ukf_step_batch(state.sampled[state.parents], state.covs[state.parents],
+                                 y, model, config.process_noise,
+                                 R=model.sigma_p ** 2 * np.eye(3))
+    scale, vecs, evals_density = mupf._factor_covariances(covs)
+    sampled = means + np.einsum("bij,bj->bi", scale, z)
+    return rng, means, covs, vecs, evals_density, sampled
+
+
+def upf_proposal_logpdf(state, y, model, config):
+    """``log N(xhat; xbar, P)`` of each candidate that step ``state.t + 1``
+    draws from ``state`` for contact ``y``, by :func:`gaussian_logpdf` from
+    the full corrected covariance: neither the filter's eigen-factors nor
+    its eigenvalue floor.  UKF rows are independent, so the candidates are
+    those of ``mupf.step`` as well as of :func:`upf_step`."""
+    y = np.asarray(y, dtype=float).reshape(3)
+    _, means, covs, _, _, sampled = _upf_proposal(state, y, model, config)
+    return np.array([gaussian_logpdf(x, m, P) for x, m, P in zip(sampled, means, covs)])
+
+
 def upf_step(state, y, model, config):
     """One step of the plain unscented particle filter (van der Merwe et
     al. 2000, "The unscented particle filter").
@@ -274,24 +303,15 @@ def upf_step(state, y, model, config):
     y = np.asarray(y, dtype=float).reshape(3)
     n = state.n_particles
     t = state.t + 1
-    rng = mupf._rng_for_step(config.seed, t)
     window = y[None]
-
-    # The proposal of van der Merwe et al.: one UKF correction per
-    # particle, with no distinct-parent dedupe, then a draw from each
-    # corrected Gaussian.
-    z = rng.standard_normal((n, 6))
-    prev = state.sampled[state.parents]
-    means, ukf_covs = ukf_step_batch(prev, state.covs[state.parents], y, model,
-                                     config.process_noise,
-                                     R=model.sigma_p ** 2 * np.eye(3))
-    scale, vecs, evals_density = mupf._factor_covariances(ukf_covs)
-    sampled = means + np.einsum("bij,bj->bi", scale, z)
+    rng, means, ukf_covs, vecs, evals_density, sampled = _upf_proposal(
+        state, y, model, config)
     log_q = mupf._log_gauss_factored(sampled - means, vecs, evals_density)
     ll = log_likelihood_batch(model, window, sampled)
     lw = np.log(1.0 / n) + ll.sum(axis=1) - log_q
     _, q_vecs, q_evals = mupf._factor_covariances(config.process_noise)
-    lw = lw + mupf._log_gauss_factored(sampled - prev, q_vecs, q_evals)
+    lw = lw + mupf._log_gauss_factored(sampled - state.sampled[state.parents],
+                                       q_vecs, q_evals)
     weights_t, log_weights_t, degenerate = mupf._normalize_log_weights(lw)
 
     idx = mupf._resample_indices(rng, weights_t)

@@ -20,6 +20,7 @@ from test_acceptance import (
     check_distance_queries_match_brute_force,
     check_each_measurement_rated_in_m_updates,
     check_memoryless_filter_reduces_to_upf,
+    check_pinned_steps_need_no_density_floor,
     check_reports_identical_across_scheduling,
     check_ukf_matches_linear_kalman,
     check_unscented_affine_exactness,
@@ -77,22 +78,19 @@ def test_criterion_2_fails_on_a_traversal_that_stops_at_the_first_leaf(monkeypat
 
 
 def test_criterion_2_fails_on_a_leaf_pass_that_stops_after_the_first_faces(monkeypatch):
-    def first_faces_only(self, Q, qi, nodes):
+    def seed_face_only(self, Q, qi, nodes):
         # `_leaf_minima`'s first pass without its second: the kernel on each
-        # query's two faces of least bound, and nothing else.
+        # query's one face of least bound, and nothing else.
         leaf = nodes - (len(self.leaves) - 1)
-        q = Q[qi][:, None, :]
+        q = Q[qi]
         lo, hi = (np.take(box, leaf, axis=0) for box in self._face_boxes)
-        diff = q - np.minimum(np.maximum(q, lo), hi)
-        bound = np.einsum("nwi,nwi->nw", diff, diff)
-        slots = np.sort(np.argsort(bound, axis=1)[:, :2], axis=1)
+        diff = q[:, None, :] - np.minimum(np.maximum(q[:, None, :], lo), hi)
+        slot = np.argmin(np.einsum("nwi,nwi->nw", diff, diff), axis=1)
         pts, d2 = closest_point_on_triangles(
-            q, *(block[leaf[:, None], slots] for block in self._corners))
-        j = np.argmin(d2, axis=1)
-        rows = np.arange(len(qi))
-        return d2[rows, j], self.leaves[leaf, slots[rows, j]], pts[rows, j]
+            q, *(block[leaf, slot] for block in self._corners))
+        return d2, self.leaves[leaf, slot], pts
 
-    monkeypatch.setattr(TriMesh, "_leaf_minima", first_faces_only)
+    monkeypatch.setattr(TriMesh, "_leaf_minima", seed_face_only)
     ok, detail = check_distance_queries_match_brute_force()
     assert not ok, detail
 
@@ -126,6 +124,26 @@ def test_criterion_4_fails_when_step_gathers_by_the_wrong_index(monkeypatch):
 
     monkeypatch.setattr(mupf, "ukf_step_batch", rolled)
     ok, detail = check_memoryless_filter_reduces_to_upf()
+    assert not ok, detail
+
+
+def test_criterion_4_pinned_steps_fail_with_the_density_floor_at_1e_6(monkeypatch):
+    monkeypatch.setattr(mupf, "_DENSITY_EIG_FLOOR", 1e-6)
+    ok, detail = check_pinned_steps_need_no_density_floor()
+    assert not ok, detail
+
+
+def test_criterion_4_pinned_steps_fail_on_a_floor_the_constant_hides(monkeypatch):
+    # The same floor inside the factorization, with the constant left at
+    # 1e-12: only the comparison with the oracle's full Gaussian sees it.
+    factor = mupf._factor_covariances
+
+    def floored(covs):
+        scale, vecs, evals = factor(covs)
+        return scale, vecs, np.clip(evals, 1e-6, None)
+
+    monkeypatch.setattr(mupf, "_factor_covariances", floored)
+    ok, detail = check_pinned_steps_need_no_density_floor()
     assert not ok, detail
 
 

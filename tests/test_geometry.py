@@ -417,14 +417,14 @@ class TestKernelLayout:
             Q[:, None, :], *(np.take(block, leaf, axis=0) for block in mesh._corners))
         assert d2.shape == (len(Q), width)
         rows = np.arange(len(Q))[:, None]
-        # (M, k) blocks of each query's faces, as the first pass takes them.
+        # (M, k) blocks of each query's faces.
         for k in (1, 2, 5):
             slots = np.argsort(rng.uniform(size=(len(Q), width)), axis=1)[:, :k]
             got_pts, got_d2 = closest_point_on_triangles(
                 Q[:, None, :], *(block[leaf[:, None], slots] for block in mesh._corners))
             npt.assert_array_equal(got_d2, d2[rows, slots])
             npt.assert_array_equal(got_pts, pts[rows, slots])
-        # Loose (query, face) pairs, as the second pass takes them.
+        # Loose (query, face) pairs, as both passes take them.
         r, s = np.nonzero(rng.uniform(size=(len(Q), width)) < 0.3)
         got_pts, got_d2 = closest_point_on_triangles(
             Q[r], *(block[leaf[r], s] for block in mesh._corners))
