@@ -212,7 +212,7 @@ def _batch_trial(trial: tuple) -> TrialReport:
 
 def _run_batch(trials: list[tuple], trial_workers: int) -> list[TrialReport]:
     # A process pool starts all its workers at once: no more than there are
-    # trials or CPUs.
+    # jobs or CPUs.
     workers = min(trial_workers, len(trials), os.cpu_count() or 1)
     if workers <= 1:
         return [_batch_trial(t) for t in trials]
@@ -252,20 +252,18 @@ def cmd_batch(args) -> int:
     elif args.use_truth:
         truth = scenario.true_pose
 
+    # Every (memory, trial) job of the command in one memory-major list, run
+    # once, then cut into one run of `--trials` reports per memory value.
     memories = sweep if sweep is not None else [config.memory]
-
-    per_m = []
-    for memory in memories:
-        trials = [(mesh,
-                   dataclasses.replace(config, memory=memory, seed=config.seed + i),
-                   measurements, truth)
-                  for i, measurements in enumerate(per_trial)]
-        reports = _run_batch(trials, args.trial_workers)
-        per_m.append({
-            "memory": memory,
-            "aggregate": aggregate_reports(reports),
-            "trials": [_report_to_dict(r) for r in reports],
-        })
+    reports = _run_batch([(mesh, dataclasses.replace(config, memory=memory, seed=config.seed + i),
+                           measurements, truth)
+                          for memory in memories for i, measurements in enumerate(per_trial)],
+                         args.trial_workers)
+    runs = [reports[k:k + args.trials] for k in range(0, len(reports), args.trials)]
+    per_m = [{"memory": memory,
+              "aggregate": aggregate_reports(part),
+              "trials": [_report_to_dict(r) for r in part]}
+             for memory, part in zip(memories, runs)]
 
     payload = {
         "schema": REPORT_SCHEMA,

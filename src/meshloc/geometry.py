@@ -302,8 +302,10 @@ class TriMesh:
         # Corners a, b and c of every leaf row, shape (leaves, width, 3).
         self._corners = tuple(vertices[faces[self.leaves, k]] for k in range(3))
         # Each face's bounding box in the same layout.  A padding slot gets
-        # the empty box (+inf, -inf), whose distance bound is inf, so the
-        # leaf pass never runs the repeated face twice.
+        # the empty box (+inf, -inf), whose distance bound is inf for a
+        # finite query, so the leaf pass never runs the repeated face twice.
+        # A NaN or infinite coordinate leaves a NaN or inf bound or distance,
+        # which prunes nothing: the repeated face runs again, harmlessly.
         corners = np.stack(self._corners)
         lo, hi = corners.min(axis=0), corners.max(axis=0)
         pad = np.zeros(self.leaves.shape, dtype=bool)
@@ -402,22 +404,18 @@ class TriMesh:
                 fq = np.repeat(fq, 2)
                 fn = (2 * fn[:, None] + [1, 2]).ravel()
         new = fn != first[fq]
-        if new.any():
-            # Lexicographic minimum of (d2, face) per query over the
-            # incumbents and the surviving leaves; lexsort puts NaN last.
-            qi = fq[new]
-            d2, face, pt = self._leaf_minima(Q, qi, fn[new])
-            seen = np.unique(qi)
-            owner = np.concatenate([seen, qi])
-            d2 = np.concatenate([best_d2[seen], d2])
-            face = np.concatenate([best_face[seen], face])
-            order = np.lexsort((face, d2, owner))
-            owner = owner[order]
-            win = order[np.r_[True, owner[1:] != owner[:-1]]]
-            best_d2[seen] = d2[win]
-            best_face[seen] = face[win]
-            best_pt[seen] = np.concatenate([best_pt[seen], pt])[win]
-        return best_d2, best_face, best_pt
+        if not new.any():
+            return best_d2, best_face, best_pt
+        # Lexicographic minimum of (d2, face) per query over all m incumbents
+        # and every surviving leaf beyond the first: sorted by owner, each
+        # query's first row wins.  lexsort puts NaN last.
+        d2, face, pt = self._leaf_minima(Q, fq[new], fn[new])
+        owner = np.concatenate([np.arange(m), fq[new]])
+        d2 = np.concatenate([best_d2, d2])
+        face = np.concatenate([best_face, face])
+        order = np.lexsort((face, d2, owner))
+        win = order[np.r_[True, np.diff(owner[order]) != 0]]
+        return d2[win], face[win], np.concatenate([best_pt, pt])[win]
 
     def _leaf_minima(self, Q, qi, nodes):
         """Nearest face of leaf ``nodes[i]`` to query ``Q[qi[i]]``, as

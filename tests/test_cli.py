@@ -781,6 +781,68 @@ class TestBatch:
         assert serial_pool == [2]
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("trials", [2, 1])
+    def test_sweep_runs_every_job_in_one_pool(self, tmp_path, box_obj, tiny_config,
+                                              monkeypatch, serial_pool, trials):
+        # Every (memory, trial) job of a sweep goes through one pool, even
+        # when one memory value alone has a single trial.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                         "--trials", str(trials), "--count", "6", "--sweep-m", "1,2",
+                         "--trial-workers", "2",
+                         "--output", str(tmp_path / "sweep.json")]) == 0
+        assert serial_pool == [2]
+
+    def test_sweep_splits_the_job_list_by_memory(self, tmp_path, box_obj, tiny_config,
+                                                 monkeypatch, serial_pool):
+        # Each memory value gets its own trials, seeds s .. s + trials - 1,
+        # the same reports as a plain batch at that memory, and an aggregate
+        # of those reports alone.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        argv = ["batch", "--mesh", box_obj, "--trials", "3", "--count", "6", "--seed", "5",
+                "--trial-workers", "2", "--omit-timing"]
+        sweep = tmp_path / "sweep.json"
+        assert cli.main(argv + ["--config", tiny_config, "--sweep-m", "1,4",
+                                "--output", str(sweep)]) == 0
+        per_memory = json.loads(sweep.read_text())["per_memory"]
+        assert [e["memory"] for e in per_memory] == [1, 4]
+        profile = yaml.safe_load(Path(tiny_config).read_text())
+        for entry in per_memory:
+            trials = entry["trials"]
+            assert [t["seed"] for t in trials] == [5, 6, 7]
+            assert entry["aggregate"]["mean_final_index"] == float(
+                np.mean([t["final_index"] for t in trials]))
+            config = tmp_path / f"m{entry['memory']}.yaml"
+            config.write_text(yaml.safe_dump(profile | {"memory": entry["memory"]}))
+            plain = tmp_path / f"m{entry['memory']}.json"
+            assert cli.main(argv + ["--config", str(config), "--output", str(plain)]) == 0
+            assert json.loads(plain.read_text())["reports"] == trials
+        assert serial_pool == [2, 2, 2]
+
+    def test_sweep_reports_identical_in_a_real_pool(self, tmp_path, box_obj, tiny_config,
+                                                    monkeypatch):
+        # As in criterion 9: the two-worker sweep runs in a real process
+        # pool on every host, and its report and table keep the serial bytes.
+        pools = []
+
+        class SpyPool(cli.ProcessPoolExecutor):
+            def __enter__(self):
+                pools.append(self._max_workers)
+                return super().__enter__()
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        blobs = []
+        for tw in ("1", "2"):
+            out = tmp_path / f"tw{tw}.json"
+            assert cli.main(["batch", "--mesh", box_obj, "--config", tiny_config,
+                             "--trials", "2", "--count", "6", "--sweep-m", "1,2",
+                             "--trial-workers", tw, "--omit-timing",
+                             "--output", str(out)]) == 0
+            blobs.append((out.read_bytes(), out.with_suffix(".sweep.csv").read_bytes()))
+        assert pools == [2]
+        assert blobs[0] == blobs[1]
+
     def test_bad_sweep_is_named_before_the_mesh_is_read(self, tmp_path, tiny_config,
                                                          capsys):
         missing = tmp_path / "nosuch.obj"

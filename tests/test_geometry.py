@@ -373,6 +373,22 @@ class TestExhaustiveParity:
         npt.assert_array_equal(p, op)
         npt.assert_array_equal(f, of)
 
+    @pytest.mark.parametrize("name", ["box", "soup300", "grid"])
+    def test_non_finite_queries_equal_exhaustive_kernel(self, box, name):
+        # A NaN or infinite coordinate prunes nothing, so padding slots run
+        # again; the result still equals the exhaustive argmin, NaN for NaN.
+        mesh = {"box": lambda: box, "soup300": lambda: random_soup(300, seed=1),
+                "grid": lambda: _planar_grid(12)}[name]()
+        rng = np.random.default_rng(61)
+        Q = rng.uniform(-1.5, 1.5, size=(189, 3)) * np.ptp(mesh.vertices, axis=0)
+        bad = rng.uniform(size=Q.shape) < 0.4
+        bad[np.arange(len(Q)), rng.integers(3, size=len(Q))] = True
+        Q[bad] = rng.choice([np.nan, np.inf, -np.inf], size=bad.sum())
+        with np.errstate(invalid="ignore"):   # inf - inf
+            got, want = mesh.closest_points(Q), closest_points_exhaustive(Q, mesh)
+        for g, w in zip(got, want):
+            npt.assert_array_equal(g, w)
+
     def test_exact_ties_go_to_lowest_face_across_leaves(self):
         mesh = _planar_grid(12)
         assert 250 <= mesh.n_faces <= 350
@@ -485,8 +501,9 @@ class TestBvhInvariants:
             n = len(ids)
             npt.assert_array_equal(lo[j, :n], tri[ids].min(axis=1))
             npt.assert_array_equal(hi[j, :n], tri[ids].max(axis=1))
-            # A padding slot repeats a face, so its box is empty: its
-            # bound is inf and the leaf pass never runs it a second time.
+            # A padding slot repeats a face, so its box is empty: its bound
+            # is inf for a finite query, and the leaf pass never runs it a
+            # second time.
             assert np.all(lo[j, n:] == np.inf) and np.all(hi[j, n:] == -np.inf)
 
 
