@@ -33,11 +33,18 @@ def is_int(value) -> bool:
             and not isinstance(value, (bool, np.bool_)))
 
 
+def _holds(value, types: tuple, kinds: tuple) -> bool:
+    """True if ``value`` is one of ``types``, an array whose dtype kind is in
+    ``kinds``, or a (nested) list or tuple holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds(v, types, kinds) for v in value)
+    return (isinstance(value, types)
+            or getattr(getattr(value, "dtype", None), "kind", None) in kinds)
+
+
 def holds_bool(value) -> bool:
     """True if ``value`` is a bool, a bool array or a (nested) list or tuple holding one."""
-    if isinstance(value, (list, tuple)):
-        return any(holds_bool(v) for v in value)
-    return isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == bool
+    return _holds(value, (bool, np.bool_), ("b",))
 
 
 def as_real(value, name: str, what: str, shape=()):
@@ -71,12 +78,14 @@ def as_contacts(value, name: str, one: bool = False) -> np.ndarray:
     Anything else raises `InvalidConfigError` naming ``name``: "<name> must
     have shape ..." for numbers of another shape, "<name> must be finite"
     for a NaN or infinite coordinate, and `as_real`'s message for what is
-    not an array of numbers (a string, a bool, a ragged nesting).
+    not an array of numbers (a string, a bool, a ragged nesting).  Unlike
+    a setting, a coordinate given as a string such as ``"0.05"`` is refused.
     """
     shape = "(3,) or (1, 3)" if one else "(L, 3) with L >= 1"
     try:
-        dims = np.shape(value)
-    except ValueError:              # a ragged nesting has no shape
+        # Text, and a ragged nesting, have no shape that as_real can match.
+        dims = None if _holds(value, (str, bytes), ("S", "U")) else np.shape(value)
+    except ValueError:
         dims = None
     points = np.atleast_2d(as_real(value, name, f"an array of numbers of shape {shape}", dims))
     if points.ndim != 2 or len(points) < 1 or points.shape[1] != 3 or (one and len(points) != 1):

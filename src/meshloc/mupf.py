@@ -323,9 +323,8 @@ def _propose(state: FilterState, window: np.ndarray, model,
     log_proposal, loglik)``; ``loglik`` is (N, w).
     """
     rows, owner = np.unique(state.parents, return_inverse=True)
-    R = model.sigma_p ** 2 * np.eye(3)
     means, covs = ukf_step_batch(state.sampled[rows], state.covs[rows], window[-1],
-                                 model, config.process_noise, R=R)
+                                 model, config.process_noise)
     scale, vecs, evals_density = _factor_covariances(covs)
     means, covs, scale, vecs, evals_density = (
         a[owner] for a in (means, covs, scale, vecs, evals_density))

@@ -14,8 +14,9 @@ intentional and is what the unscented step linearizes around.
 
 ``ukf_step_batch`` performs one Kalman cycle per particle under identity motion
 dynamics: time update adds the process noise ``Q`` to the covariance, the
-measurement prediction pushes sigma points through the nearest-point map,
-and the correction uses the standard gain ``K = Gamma S^-1``.
+measurement prediction pushes sigma points through the nearest-point map
+and adds the model's contact noise ``sigma_p^2 I``, and the correction
+uses the standard gain ``K = Gamma S^-1``.
 """
 
 from __future__ import annotations
@@ -67,16 +68,16 @@ def log_likelihood_batch(model: MeasurementModel, ys: np.ndarray,
 
 
 def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
-                   model, Q: np.ndarray, *, R: np.ndarray):
+                   model, Q: np.ndarray):
     """One unscented Kalman cycle for a batch of particle Gaussians.
 
     Parameters
     ----------
     means, covs : (B, 6) and (B, 6, 6) particle Gaussians at time t-1.
     y : (3,) current measurement.
-    model : object with ``predict_batch(y, poses)``.
+    model : object with ``predict_batch(y, poses)`` and ``sigma_p``, whose
+        ``sigma_p^2 I`` is the contact noise, as in the likelihood.
     Q : (6, 6) process noise added in the time update.
-    R : (3, 3) measurement noise, positive definite.
 
     Returns
     -------
@@ -99,7 +100,8 @@ def ukf_step_batch(means: np.ndarray, covs: np.ndarray, y: np.ndarray,
     P_pred = covs + Q
 
     y_hat, S, Gamma = unscented.unscented_transform(
-        means, P_pred, lambda X: model.predict_batch(y, X), noise=R)
+        means, P_pred, lambda X: model.predict_batch(y, X))
+    S += model.sigma_p ** 2 * np.eye(3)
 
     if not np.isfinite(S).all():
         raise MeshlocError("innovation covariance is not finite")

@@ -85,15 +85,14 @@ def sigma_points_batch(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     return points
 
 
-def unscented_transform(means: np.ndarray, covs: np.ndarray, g, noise=0.0):
+def unscented_transform(means: np.ndarray, covs: np.ndarray, g):
     """Output moments of ``g`` for a batch of Gaussians.
 
     ``means`` is (B, n) and ``covs`` (B, n, n); ``g`` maps an (M, n) stack
     of inputs to (M, p) outputs.  Returns ``(y_mean, P_y, P_xy)`` of shapes
-    (B, p), (B, p, p) and (B, n, p).  ``noise`` is added to ``P_y``, which
-    is symmetrized afterwards; ``P_xy`` is taken about ``means``.  An
-    indefinite covariance is taken as its PSD projection, as in
-    `sigma_points_batch`.
+    (B, p), (B, p, p) and (B, n, p).  ``P_y`` is symmetrized; ``P_xy`` is
+    taken about ``means``.  An indefinite covariance is taken as its PSD
+    projection, as in `sigma_points_batch`.
     """
     means = np.asarray(means, dtype=float)
     X = sigma_points_batch(means, covs)          # (B, S, n)
@@ -104,7 +103,7 @@ def unscented_transform(means: np.ndarray, covs: np.ndarray, g, noise=0.0):
     y_mean = np.einsum("s,bsp->bp", w_mean, Y)
     dY = Y - y_mean[:, None, :]
     dX = X - means[:, None, :]
-    P_y = np.einsum("s,bsi,bsj->bij", w_cov, dY, dY) + noise
+    P_y = np.einsum("s,bsi,bsj->bij", w_cov, dY, dY)
     P_y = 0.5 * (P_y + np.swapaxes(P_y, -1, -2))
     P_xy = np.einsum("s,bsi,bsj->bij", w_cov, dX, dY)
     return y_mean, P_y, P_xy

@@ -271,8 +271,7 @@ def _upf_proposal(state, y, model, config):
     rng = mupf._rng_for_step(config.seed, state.t + 1)
     z = rng.standard_normal((state.n_particles, 6))
     means, covs = ukf_step_batch(state.sampled[state.parents], state.covs[state.parents],
-                                 y, model, config.process_noise,
-                                 R=model.sigma_p ** 2 * np.eye(3))
+                                 y, model, config.process_noise)
     scale, vecs, evals_density = mupf._factor_covariances(covs)
     sampled = means + np.einsum("bij,bj->bi", scale, z)
     return rng, means, covs, vecs, evals_density, sampled

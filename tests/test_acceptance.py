@@ -132,8 +132,8 @@ def check_ukf_matches_linear_kalman() -> tuple[bool, str]:
     rng = np.random.default_rng(12)
 
     class _AffineModel:
-        def __init__(self, a, b):
-            self.a, self.b = a, b
+        def __init__(self, a, b, sigma_p):
+            self.a, self.b, self.sigma_p = a, b, sigma_p
 
         def predict_batch(self, y, poses):
             return np.atleast_2d(poses) @ self.a.T + self.b
@@ -148,10 +148,9 @@ def check_ukf_matches_linear_kalman() -> tuple[bool, str]:
         b = rng.normal(size=3)
         y = rng.normal(size=3)
         q = np.diag(rng.uniform(0.01, 0.1, size=6))
-        rf = rng.normal(size=(3, 3))
-        r = rf @ rf.T + 0.1 * np.eye(3)
-        got_x, got_p = ukf_step_batch(x[None], p[None], y, _AffineModel(a, b),
-                                      q, R=r)
+        sigma_p = rng.uniform(0.3, 3.0)
+        r = sigma_p ** 2 * np.eye(3)
+        got_x, got_p = ukf_step_batch(x[None], p[None], y, _AffineModel(a, b, sigma_p), q)
         want_x, want_p = kalman_update(x, p, y, a, b, r, q)
         worst = max(worst, _rel_err(got_x[0], want_x), _rel_err(got_p[0], want_p))
     elapsed = time.perf_counter() - started

@@ -10,10 +10,12 @@ tests that hold the readout and the closest-point ties to their oracles,
 
 import dataclasses
 import os
+import types
 
 import numpy as np
 import pytest
 
+import test_acceptance
 import test_geometry
 import test_mupf
 from test_acceptance import (
@@ -96,9 +98,14 @@ def test_criterion_2_fails_on_a_leaf_pass_that_stops_after_the_first_faces(monke
 
 
 def test_criterion_3_fails_with_R_left_out_of_S(monkeypatch):
-    transform = unscented.unscented_transform
-    monkeypatch.setattr(unscented, "unscented_transform",
-                        lambda means, covs, g, noise=0.0: transform(means, covs, g))
+    # The check's UKF sees its model with no contact noise, so S = P_y.
+    correct = test_acceptance.ukf_step_batch
+
+    def noiseless(means, covs, y, model, Q):
+        model = types.SimpleNamespace(predict_batch=model.predict_batch, sigma_p=0.0)
+        return correct(means, covs, y, model, Q)
+
+    monkeypatch.setattr(test_acceptance, "ukf_step_batch", noiseless)
     ok, detail = check_ukf_matches_linear_kalman()
     assert not ok, detail
 

@@ -103,8 +103,9 @@ class TestPerformanceIndex:
         (np.zeros((4, 2)), r"measurements must have shape \(L, 3\) with L >= 1"),
         ([[0.05, 0.0, 0.0], [0.0, 0.1]], "measurements must be an array of numbers"),
         ("x", "measurements must be an array of numbers"),
+        ([["0.05", "0", "0"]], "measurements must be an array of numbers"),
         ([[np.nan, 0.0, 0.0]], "measurements must be finite"),
-    ], ids=["empty-list", "two-columns", "ragged", "string", "nan"])
+    ], ids=["empty-list", "two-columns", "ragged", "string", "numeric-strings", "nan"])
     def test_refuses_what_is_not_contacts(self, box, measurements, message):
         with pytest.raises(InvalidConfigError, match=f"^{message}"):
             performance_index(measurements, Pose(), box)

@@ -154,8 +154,7 @@ class TestFilterConfig:
         model, y = cfg.model_for(box), np.array([0.05, 0.01, 0.02])
         state = init(cfg)
         new, _ = step(state, y, model, cfg)
-        _, covs = ukf_step_batch(state.sampled, state.covs, y, model, cfg.process_noise,
-                                 R=4e-6 * np.eye(3))
+        _, covs = ukf_step_batch(state.sampled, state.covs, y, model, cfg.process_noise)
         assert np.array_equal(new.covs, covs)
 
     @pytest.mark.parametrize("kw", [
@@ -491,8 +490,10 @@ class TestStepBookkeeping:
         ([[0.05, 0.0, 0.0], [0.0, 0.0, 0.1]], r"y must have shape \(3,\) or \(1, 3\)"),
         ([], r"y must have shape \(3,\) or \(1, 3\)"),
         ("abc", "y must be an array of numbers"),
+        (["0.05", "0", "0"], "y must be an array of numbers"),
         (None, "y must be an array of numbers"),
-    ], ids=["nan", "inf", "two-numbers", "two-contacts", "empty", "string", "none"])
+    ], ids=["nan", "inf", "two-numbers", "two-contacts", "empty", "string", "numeric-strings",
+            "none"])
     def test_step_refuses_what_is_not_one_contact(self, box, y, message):
         cfg = _small_config()
         with pytest.raises(InvalidConfigError, match=f"^{message}"):
@@ -514,11 +515,10 @@ class TestStepBookkeeping:
         state = init(cfg)
         new, diag = step(state, meas[0], model, cfg)
         assert not diag["resampled"]
-        _, covs = ukf_step_batch(state.sampled, state.covs, meas[0], model, cfg.process_noise,
-                                 R=model.sigma_p ** 2 * np.eye(3))
+        _, covs = ukf_step_batch(state.sampled, state.covs, meas[0], model, cfg.process_noise)
         assert np.array_equal(new.covs, covs)
-        _, config_covs = ukf_step_batch(state.sampled, state.covs, meas[0], model,
-                                        cfg.process_noise, R=cfg.sigma_p ** 2 * np.eye(3))
+        _, config_covs = ukf_step_batch(state.sampled, state.covs, meas[0],
+                                        cfg.model_for(model.mesh), cfg.process_noise)
         assert not np.allclose(new.covs, config_covs)
 
     def test_transition_density_flag_changes_weights(self, setup):
@@ -901,10 +901,11 @@ class TestRun:
 
     @pytest.mark.parametrize("measurements", [
         [["a", "b", "c"]],
+        [["0.05", "0", "0"]],
         [[0.05, 0.0, 0.0], [0.0, 0.1]],
         "abc",
         [[True, False, True]],
-    ], ids=["strings", "ragged", "string", "bools"])
+    ], ids=["strings", "numeric-strings", "ragged", "string", "bools"])
     def test_refuses_what_is_not_contacts(self, box, measurements):
         cfg = _small_config()
         with pytest.raises(InvalidConfigError, match="^measurements must be an array of numbers"):

@@ -15,29 +15,37 @@ from test_unscented import random_spd
 
 
 class AffineStub:
-    """Affine measurement map for exactness checks: h(x) = A x + b."""
+    """Affine measurement map for exactness checks: h(x) = A x + b, with
+    contact noise ``sigma_p^2 I``."""
 
-    def __init__(self, A, b):
+    def __init__(self, A, b, sigma_p):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
+        self.sigma_p = sigma_p
 
     def predict_batch(self, y, poses):
         return np.atleast_2d(poses) @ self.A.T + self.b
 
 
 class NanStub:
+    sigma_p = 1.0
+
     def predict_batch(self, y, poses):
         return np.full((len(np.atleast_2d(poses)), 3), np.nan)
+
+
+class Huge:
+    """Predictions so far apart that their covariance overflows."""
+
+    sigma_p = 1.0
+
+    def predict_batch(self, y, poses):
+        return 1e200 * poses[:, :3]
 
 
 @pytest.fixture
 def model(box):
     return MeasurementModel(mesh=box, sigma_p=0.01)
-
-
-def noise(model):
-    """The filter's default measurement noise, sigma_p^2 I."""
-    return model.sigma_p ** 2 * np.eye(3)
 
 
 class TestLogLikelihood:
@@ -132,10 +140,11 @@ class TestUkfStep:
             Q = random_spd(rng, 6, scale=0.01)
             A = rng.normal(size=(3, 6))
             b = rng.normal(size=3)
-            R = random_spd(rng, 3, scale=0.1)
+            sigma_p = rng.uniform(0.05, 0.5)
+            R = sigma_p ** 2 * np.eye(3)
             y = rng.normal(size=3)
-            stub = AffineStub(A, b)
-            got_m, got_P = ukf_step_batch(x[None], P[None], y, stub, Q, R=R)
+            stub = AffineStub(A, b, sigma_p)
+            got_m, got_P = ukf_step_batch(x[None], P[None], y, stub, Q)
             exp_m, exp_P = kalman_update(x, P, y, A, b, R, Q)
             npt.assert_allclose(got_m[0], exp_m, rtol=1e-8, atol=1e-10)
             npt.assert_allclose(got_P[0], exp_P, rtol=1e-8, atol=1e-10)
@@ -144,7 +153,7 @@ class TestUkfStep:
         # Particle already explains the contact: no innovation, no motion.
         y = np.array([0.05, 0.0, 0.0])
         mean, cov = ukf_step_batch(np.zeros((1, 6)), np.zeros((1, 6, 6)), y, model,
-                                   Q=np.zeros((6, 6)), R=noise(model))
+                                   Q=np.zeros((6, 6)))
         npt.assert_allclose(mean[0], np.zeros(6), atol=1e-9)
         assert np.abs(cov[0]).max() < 1e-9
 
@@ -155,7 +164,7 @@ class TestUkfStep:
             x = rng.normal(scale=0.2, size=6)
             P = random_spd(rng, 6, scale=0.05)
             y = rng.normal(scale=0.3, size=3)
-            _, P_corr = ukf_step_batch(x[None], P[None], y, model, Q=Q, R=noise(model))
+            _, P_corr = ukf_step_batch(x[None], P[None], y, model, Q=Q)
             gap_eigs = np.linalg.eigvalsh(P + Q - P_corr[0])
             assert gap_eigs.min() > -1e-9
 
@@ -165,7 +174,7 @@ class TestUkfStep:
         poses = rng.normal(scale=0.3, size=(30, 6))
         covs = np.stack([random_spd(rng, 6, scale=0.05) for _ in range(30)])
         y = np.array([0.1, 0.05, -0.02])
-        means, P_corr = ukf_step_batch(poses, covs, y, model, Q, R=noise(model))
+        means, P_corr = ukf_step_batch(poses, covs, y, model, Q)
         assert np.isfinite(means).all()
         npt.assert_allclose(P_corr, np.swapaxes(P_corr, -1, -2), atol=1e-10)
         assert np.linalg.eigvalsh(P_corr)[:, 0].min() >= -1e-10
@@ -175,8 +184,7 @@ class TestUkfStep:
         y = np.array([0.2, 0.0, 0.0])
         x = np.zeros(6)
         P = np.diag([0.01] * 3 + [0.1] * 3)
-        mean, _ = ukf_step_batch(x[None], P[None], y, model, Q=np.zeros((6, 6)),
-                                 R=noise(model))
+        mean, _ = ukf_step_batch(x[None], P[None], y, model, Q=np.zeros((6, 6)))
         d_before = model.surface_distances(y[None, :], x[None, :])[0, 0]
         d_after = model.surface_distances(y[None, :], mean)[0, 0]
         assert d_after < d_before
@@ -187,22 +195,24 @@ class TestUkfStep:
         means = rng.normal(scale=0.2, size=(8, 6))
         covs = np.stack([random_spd(rng, 6, scale=0.02) for _ in range(8)])
         y = np.array([0.07, -0.1, 0.04])
-        R = noise(model)
-        bm, bP = ukf_step_batch(means, covs, y, model, Q, R=R)
+        bm, bP = ukf_step_batch(means, covs, y, model, Q)
         for i in range(8):
-            sm, sP = ukf_step_batch(means[i:i + 1], covs[i:i + 1], y, model, Q, R=R)
+            sm, sP = ukf_step_batch(means[i:i + 1], covs[i:i + 1], y, model, Q)
             npt.assert_array_equal(bm[i], sm[0])
             npt.assert_array_equal(bP[i], sP[0])
 
     def test_non_finite_innovation_raises(self):
-        with pytest.raises(MeshlocError, match="^innovation covariance "):
-            ukf_step_batch(np.zeros((1, 6)), np.eye(6)[None], np.zeros(3), NanStub(),
-                           Q=np.zeros((6, 6)), R=np.eye(3))
+        for stub in NanStub(), Huge():
+            with pytest.raises(MeshlocError, match="^innovation covariance is not finite$"):
+                ukf_step_batch(np.zeros((1, 6)), np.eye(6)[None], np.zeros(3), stub,
+                               Q=np.zeros((6, 6)))
 
 
 class FlatBeyond:
-    """The model's nearest points, but the origin for poses with x > 5: a
-    particle out there has zero innovation covariance when R is zero."""
+    """The model's nearest points, but the origin for poses with x > 5, and
+    no contact noise: a particle out there has zero innovation covariance."""
+
+    sigma_p = 0.0
 
     def __init__(self, model):
         self.model = model
@@ -233,37 +243,38 @@ class TestRowIndependence:
         covs = np.stack([random_spd(rng, 6, scale=0.02) for _ in range(n)])
         return means, covs
 
-    def _assert_rows_independent(self, means, covs, model, Q, R):
+    def _assert_rows_independent(self, means, covs, model, Q):
         """Every row alone, and a gather with repeats, equal the batch."""
-        full = ukf_step_batch(means, covs, self.Y, model, Q, R=R)
+        full = ukf_step_batch(means, covs, self.Y, model, Q)
         for i in range(len(means)):
-            alone = ukf_step_batch(means[i:i + 1], covs[i:i + 1], self.Y, model, Q, R=R)
+            alone = ukf_step_batch(means[i:i + 1], covs[i:i + 1], self.Y, model, Q)
             for got, want in zip(alone, full):
                 npt.assert_array_equal(got[0], want[i])
         idx = np.array([3, 3, 0, len(means) - 1, 3, 1, 0])
-        gathered = ukf_step_batch(means[idx], covs[idx], self.Y, model, Q, R=R)
+        gathered = ukf_step_batch(means[idx], covs[idx], self.Y, model, Q)
         for got, want in zip(gathered, full):
             npt.assert_array_equal(got, want[idx])
         return full
 
     def test_rows_alone_and_gathered_equal_the_batch(self, mesh_model):
         means, covs = self._particles(40, seed=61)
-        self._assert_rows_independent(means, covs, mesh_model, self.Q,
-                                      noise(mesh_model))
+        self._assert_rows_independent(means, covs, mesh_model, self.Q)
 
     def test_singular_innovation_row_raises(self, box):
-        # Row 2's innovation covariance is exactly zero, since R is zero:
+        # Row 2's innovation covariance is exactly zero, since sigma_p is zero:
         # the gain's one batched solve refuses the whole batch.
         model = FlatBeyond(MeasurementModel(mesh=box, sigma_p=0.01))
         means, covs = self._particles(12, seed=67)
         means[2, 0] = 100.0
         with pytest.raises(MeshlocError, match="^innovation covariance is singular$"):
-            ukf_step_batch(means, covs, self.Y, model, self.Q, R=np.zeros((3, 3)))
+            ukf_step_batch(means, covs, self.Y, model, self.Q)
 
     def test_overflowing_gain_raises(self):
         # S is finite and invertible but subnormal, so the gain Gamma S^-1
         # overflows; no floating-point warning comes first.
         class Tiny:
+            sigma_p = 1e-160    # contact noise 1e-320 I
+
             def predict_batch(self, y, poses):
                 return 1e-310 * poses[:, :3]
 
@@ -272,7 +283,7 @@ class TestRowIndependence:
             with pytest.raises(MeshlocError,
                                match="^innovation covariance gives a non-finite gain$"):
                 ukf_step_batch(np.zeros((1, 6)), 1e300 * np.eye(6)[None], self.Y, Tiny(),
-                               np.zeros((6, 6)), R=1e-320 * np.eye(3))
+                               np.zeros((6, 6)))
 
     def test_jittered_cholesky_fallback_keeps_the_other_rows(self, box, monkeypatch):
         # Row 4's predicted covariance is zero, so the batched Cholesky
@@ -289,12 +300,11 @@ class TestRowIndependence:
             return factor(mat)
         monkeypatch.setattr(unscented, "_psd_sqrt", counted)
         Q = np.zeros((6, 6))
-        full = self._assert_rows_independent(means, covs, model, Q, noise(model))
+        full = self._assert_rows_independent(means, covs, model, Q)
         factored.clear()
-        ukf_step_batch(means, covs, self.Y, model, Q, R=noise(model))
+        ukf_step_batch(means, covs, self.Y, model, Q)
         assert len(factored) == 12
         keep = np.arange(12) != 4
-        batched = ukf_step_batch(means[keep], covs[keep], self.Y, model, Q,
-                                 R=noise(model))
+        batched = ukf_step_batch(means[keep], covs[keep], self.Y, model, Q)
         for got, want in zip(batched, full):
             npt.assert_array_equal(got, want[keep])
